@@ -5,8 +5,7 @@
 //   * times ComputeLabelsTopDown at 1/2/4 threads (the level-parallel
 //     Algorithm 4) to track labeling scalability,
 //   * measures in-memory query QPS and p50/p99 latency over the arena
-//     layout, and — unless --no-ab — over the legacy nested layout served
-//     through the same engine (the arena-vs-nested A/B),
+//     layout,
 //   * splits latency by the paper's three query location types (Table 5),
 //   * measures multi-threaded serving QPS through the QueryEnginePool at
 //     1/2/4/hw threads, in IM mode and against a disk-resident reload of
@@ -20,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -168,12 +166,7 @@ void JsonLayout(std::string* out, const char* name, const LayoutResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool run_ab = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-ab") == 0) run_ab = false;
-    if (std::strcmp(argv[i], "--ab") == 0) run_ab = true;
-  }
+int main() {
   const double scale = ScaleFromEnv();
   const std::size_t num_queries = QueriesFromEnv();
   std::uint64_t total_mismatches = 0;
@@ -182,19 +175,17 @@ int main(int argc, char** argv) {
       json_env != nullptr ? json_env : "BENCH_query.json";
 
   PrintHeader("Query throughput (IM-ISL, arena layout)",
-              run_ab ? "A/B: contiguous LabelArena vs legacy nested vectors"
-                     : "arena layout only (--no-ab)");
-  std::printf("%-14s %9s %9s %9s %9s %9s %8s %9s\n", "dataset", "QPS",
-              "p50(us)", "p99(us)", "nestQPS", "A/B", "build(s)",
-              "lab x4");
+              "single-threaded engine, then the engine pool");
+  std::printf("%-14s %9s %9s %9s %8s %9s\n", "dataset", "QPS", "p50(us)",
+              "p99(us)", "build(s)", "lab x4");
 
   std::string json = "{\n  \"bench\": \"query_throughput\",\n";
   {
     char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "  \"scale\": %.3f,\n  \"queries\": %zu,\n  \"ab\": %s,\n"
+                  "  \"scale\": %.3f,\n  \"queries\": %zu,\n"
                   "  \"datasets\": [\n",
-                  scale, num_queries, run_ab ? "true" : "false");
+                  scale, num_queries);
     json += buf;
   }
 
@@ -236,19 +227,6 @@ int main(int argc, char** argv) {
     QueryEngine arena_engine(&index.hierarchy(),
                              LabelProvider(&index.labels()));
     const LayoutResult arena = MeasureLayout(&arena_engine, queries);
-
-    // Legacy nested layout through the same engine (layout-only A/B).
-    LayoutResult nested;
-    LabelSet nested_labels;
-    if (run_ab) {
-      nested_labels.resize(index.NumVertices());
-      for (VertexId v = 0; v < index.NumVertices(); ++v) {
-        nested_labels[v] = index.labels().View(v).ToVector();
-      }
-      QueryEngine nested_engine(&index.hierarchy(),
-                                LabelProvider(&nested_labels));
-      nested = MeasureLayout(&nested_engine, queries);
-    }
 
     // Dijkstra differential: every answer must match exactly.
     const std::size_t validate =
@@ -300,11 +278,9 @@ int main(int argc, char** argv) {
       std::filesystem::remove_all(dir, ec);
     }
 
-    const double ab_ratio = run_ab && nested.qps > 0 ? arena.qps / nested.qps
-                                                     : 0.0;
-    std::printf("%-14s %9.0f %9.2f %9.2f %9.0f %8.2fx %8.2f %8.2fx\n",
-                d.name.c_str(), arena.qps, arena.p50_us, arena.p99_us,
-                nested.qps, ab_ratio, build_seconds, labeling_speedup_at_4);
+    std::printf("%-14s %9.0f %9.2f %9.2f %8.2f %8.2fx\n", d.name.c_str(),
+                arena.qps, arena.p50_us, arena.p99_us, build_seconds,
+                labeling_speedup_at_4);
     std::printf("  mt-QPS");
     for (std::size_t i = 0; i < conc_im.threads.size(); ++i) {
       std::printf(" im@%u=%.0f", conc_im.threads[i], conc_im.qps[i]);
@@ -362,15 +338,10 @@ int main(int argc, char** argv) {
     json += buf;
     json += "     \"layouts\": {\n";
     JsonLayout(&json, "arena", arena);
-    if (run_ab) {
-      json += ",\n";
-      JsonLayout(&json, "nested", nested);
-    }
     json += "\n     },\n";
     std::snprintf(buf, sizeof(buf),
-                  "     \"arena_vs_nested_qps\": %.3f, "
-                  "\"validated_queries\": %zu, \"mismatches\": %llu}",
-                  ab_ratio, validate,
+                  "     \"validated_queries\": %zu, \"mismatches\": %llu}",
+                  validate,
                   static_cast<unsigned long long>(mismatches));
     json += buf;
   }

@@ -1,5 +1,6 @@
 #include "core/hierarchy.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/augment.h"
@@ -83,11 +84,60 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
   for (VertexId v = 0; v < n; ++v) {
     if (lg.alive[v]) h.level[v] = h.k;
   }
-  h.g_k = lg.ToGraph(options.keep_vias);
+  h.SetCore(lg.ToGraph(options.keep_vias));
   return h;
 }
 
 }  // namespace
+
+void VertexHierarchy::SetCore(const Graph& core) {
+  const VertexId n = NumVertices();
+  const auto degree = [&](VertexId v) {
+    return v < core.NumVertices() ? core.Degree(v) : 0u;
+  };
+  // Core vertices by descending degree, ties by id: the first unvisited
+  // one is always the highest-degree vertex of a component not yet
+  // numbered, so BFS roots come out in descending root degree.
+  std::vector<std::pair<std::uint32_t, VertexId>> roots;  // (~degree, id)
+  for (VertexId v = 0; v < n; ++v) {
+    if (level[v] == k) roots.emplace_back(~degree(v), v);
+  }
+  std::sort(roots.begin(), roots.end());
+
+  core_id.assign(n, kInvalidVertex);
+  core_vertex.clear();
+  core_vertex.reserve(roots.size());
+  for (const auto& entry : roots) {
+    const VertexId root = entry.second;
+    if (core_id[root] != kInvalidVertex) continue;
+    core_id[root] = static_cast<VertexId>(core_vertex.size());
+    core_vertex.push_back(root);
+    // core_vertex doubles as the BFS queue: ids are handed out on enqueue.
+    for (std::size_t head = core_vertex.size() - 1; head < core_vertex.size();
+         ++head) {
+      const VertexId v = core_vertex[head];
+      if (degree(v) == 0) continue;
+      for (const VertexId u : core.Neighbors(v)) {
+        if (core_id[u] != kInvalidVertex || level[u] != k) continue;
+        core_id[u] = static_cast<VertexId>(core_vertex.size());
+        core_vertex.push_back(u);
+      }
+    }
+  }
+
+  for (VertexId v = 0; v < core.NumVertices(); ++v) {
+    ISLABEL_DCHECK(core.Degree(v) == 0 || core_id[v] != kInvalidVertex)
+        << "G_k edge endpoint " << v << " is below level " << k;
+  }
+  for (VertexId c = 0; c < core_vertex.size(); ++c) {
+    ISLABEL_DCHECK(core_id[core_vertex[c]] == c) << "dense id " << c;
+  }
+  g_k = core.Renumbered(core_id, core_vertex);
+}
+
+Graph VertexHierarchy::GlobalCore() const {
+  return g_k.Renumbered(core_vertex, core_id);
+}
 
 Result<VertexHierarchy> BuildHierarchy(const Graph& g,
                                        const IndexOptions& options) {

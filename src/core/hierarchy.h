@@ -63,9 +63,15 @@ struct VertexHierarchy {
   /// Sorted by target id.
   std::vector<std::vector<HierEdge>> removed_adj;
 
-  /// Residual graph G_k over the original id space (vertices outside G_k
-  /// simply have empty adjacency). Carries vias iff options.keep_vias.
+  /// Residual graph G_k over dense core ids 0..|G_k|-1 (see SetCore), so
+  /// search state can be sized |G_k| rather than n. Via vertices stay
+  /// global ids. Carries vias iff options.keep_vias.
   Graph g_k;
+
+  /// Global id -> dense core id; kInvalidVertex for vertices below level k.
+  std::vector<VertexId> core_id;
+  /// Dense core id -> global id: core_vertex[core_id[v]] == v for core v.
+  std::vector<VertexId> core_vertex;
 
   /// Members of each L_i (index 0 unused; levels[i] = L_i, 1 <= i < k).
   std::vector<std::vector<VertexId>> levels;
@@ -81,6 +87,19 @@ struct VertexHierarchy {
     return static_cast<VertexId>(level.size());
   }
   bool InCore(VertexId v) const { return level[v] == k; }
+
+  /// Installs G_k from `core`, a CSR over global ids whose edges all join
+  /// level-k vertices (set `level` and `k` first). Every level-k vertex
+  /// gets a dense id in BFS order: components are visited from their
+  /// highest-degree vertex, in descending order of that degree (ties by
+  /// lower id), and neighbors are enqueued in ascending global id. The one
+  /// way to assign g_k, core_id and core_vertex: O(n + |E_k|) plus a sort
+  /// of the core vertices by degree.
+  void SetCore(const Graph& core);
+
+  /// G_k back in global ids over core_id.size() vertices (NumVertices()
+  /// outside an update): the form core.islg stores and updates edit.
+  Graph GlobalCore() const;
 };
 
 /// Builds the k-level vertex hierarchy of `g` (§6.1.3). Dispatches to the

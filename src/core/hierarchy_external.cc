@@ -454,7 +454,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
                   options.keep_vias ? e.via : kInvalidVertex);
       }
     }
-    h.g_k = Graph::FromEdgeList(std::move(edges), options.keep_vias);
+    h.SetCore(Graph::FromEdgeList(std::move(edges), options.keep_vias));
   }
   io += level_file->stats();
   h.io = io;

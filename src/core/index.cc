@@ -231,7 +231,7 @@ DistanceIndexInfo ISLabelIndex::Info() const {
 void ISLabelIndex::RebuildCore(EdgeList edges) {
   const bool vias = hierarchy_->g_k.has_vias();
   edges.EnsureVertices(hierarchy_->NumVertices());
-  hierarchy_->g_k = Graph::FromEdgeList(std::move(edges), vias);
+  hierarchy_->SetCore(Graph::FromEdgeList(std::move(edges), vias));
   // Core sizes changed; keep the stats row describing G_k current.
   hierarchy_->stats.back().num_vertices = 0;
   for (VertexId v = 0; v < hierarchy_->NumVertices(); ++v) {
@@ -266,8 +266,9 @@ Status ISLabelIndex::Save(const std::string& dir) const {
     ISLABEL_RETURN_IF_ERROR(writer.Add(labels_->View(v)));
   }
   ISLABEL_RETURN_IF_ERROR(writer.Finish());
-  // Core graph.
-  ISLABEL_RETURN_IF_ERROR(WriteGraphBinary(hierarchy_->g_k, CorePath(dir)));
+  // Core graph, back in global ids.
+  ISLABEL_RETURN_IF_ERROR(
+      WriteGraphBinary(hierarchy_->GlobalCore(), CorePath(dir)));
   // Meta: k + level array (+ deleted set).
   std::string meta;
   PutFixed32(&meta, kMetaMagic);
@@ -325,9 +326,15 @@ Result<ISLabelIndex> ISLabelIndex::Load(const std::string& dir,
   // Core graph.
   auto core = ReadGraphBinary(CorePath(dir));
   if (!core.ok()) return core.status();
-  index.hierarchy_->g_k = std::move(core).value();
   // A core that lost its top vertices to deletion may span fewer ids; the
-  // level array is authoritative for n.
+  // level array is authoritative for n. Every core edge must join two
+  // level-k vertices, or it has no dense id to search over.
+  for (VertexId v = 0; v < core->NumVertices(); ++v) {
+    if (core->Degree(v) != 0 && (v >= n || index.hierarchy_->level[v] != k)) {
+      return Status::Corruption("core graph edge leaves level k");
+    }
+  }
+  index.hierarchy_->SetCore(*core);
   index.hierarchy_->stats.resize(1);
   index.hierarchy_->stats.back().num_edges = index.hierarchy_->g_k.NumEdges();
 

@@ -34,8 +34,7 @@
 namespace islabel {
 
 /// Nested per-vertex labels. The LabelArena is the production layout; this
-/// alias survives as the working representation of the external pipeline
-/// and as the "nested" side of layout A/B benchmarks.
+/// alias survives as the working representation of the external pipeline.
 using LabelSet = std::vector<std::vector<LabelEntry>>;
 
 /// Counters describing a labeling run.

@@ -30,11 +30,6 @@ Status LabelProvider::View(VertexId v, LabelView* view,
     if (seed_start != nullptr) *seed_start = arena_->SeedStart(v);
     return Status::OK();
   }
-  if (nested_ != nullptr) {
-    if (v >= nested_->size()) return Status::OutOfRange("vertex out of range");
-    *view = LabelView((*nested_)[v]);
-    return Status::OK();
-  }
   ISLABEL_RETURN_IF_ERROR(store_->GetLabel(v, scratch));
   if (ios != nullptr) *ios += 1;
   *view = LabelView(*scratch);
@@ -45,14 +40,25 @@ QueryEngine::QueryEngine(const VertexHierarchy* hierarchy,
                          LabelProvider provider)
     : h_(hierarchy), provider_(provider) {}
 
+void QueryEngine::ExtractSeeds(LabelView label, std::uint32_t cut,
+                               std::vector<LabelEntry>* seeds) const {
+  seeds->clear();
+  for (std::size_t i = cut; i < label.size(); ++i) {
+    const VertexId c = h_->core_id[label[i].node];
+    if (c != kInvalidVertex) {
+      seeds->emplace_back(c, label[i].dist, label[i].via);
+    }
+  }
+}
+
 void QueryEngine::EnsureScratch() {
-  const std::size_t n = h_->level.size();
+  const std::size_t core_size = h_->core_vertex.size();
   for (auto& side : sides_) {
     // assign (not resize) on any size change: it rewrites every element,
     // so a grown vector can never carry stamps from before the growth.
     // ReserveEpochs' wrap reset relies on this — after a resize all
     // stamps are 0, an epoch value the counter never produces.
-    if (side.size() != n) side.assign(n, NodeState{});
+    if (side.size() != core_size) side.assign(core_size, NodeState{});
   }
 }
 
@@ -149,14 +155,8 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   // from the precomputed first-core cut into engine-owned buffers. Empty on
   // either side means the query is Type 1 and Equation 1 already answered
   // it (Theorem 3).
-  seeds_[0].clear();
-  seeds_[1].clear();
-  for (std::size_t i = cut_s; i < label_s.size(); ++i) {
-    if (h_->InCore(label_s[i].node)) seeds_[0].push_back(label_s[i]);
-  }
-  for (std::size_t i = cut_t; i < label_t.size(); ++i) {
-    if (h_->InCore(label_t[i].node)) seeds_[1].push_back(label_t[i]);
-  }
+  ExtractSeeds(label_s, cut_s, &seeds_[0]);
+  ExtractSeeds(label_t, cut_t, &seeds_[1]);
   if (seeds_[0].empty() || seeds_[1].empty()) {
     *out = eq1.dist;
     return Status::OK();
@@ -199,10 +199,7 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
     ISLABEL_RETURN_IF_ERROR(
         provider_.View(s, &label_s, &fetch_[0], &ios, &cut_s));
   }
-  seeds_[0].clear();
-  for (std::size_t i = cut_s; i < label_s.size(); ++i) {
-    if (h_->InCore(label_s[i].node)) seeds_[0].push_back(label_s[i]);
-  }
+  ExtractSeeds(label_s, cut_s, &seeds_[0]);
 
   EnsureScratch();
   // One epoch for the shared forward ball plus one per target's reverse
@@ -236,10 +233,7 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
           provider_.View(t, &label_t, &fetch_[1], &ios, &cut_t));
     }
     const Eq1Result eq1 = EvaluateEq1(label_s, label_t);
-    seeds_[1].clear();
-    for (std::size_t j = cut_t; j < label_t.size(); ++j) {
-      if (h_->InCore(label_t[j].node)) seeds_[1].push_back(label_t[j]);
-    }
+    ExtractSeeds(label_t, cut_t, &seeds_[1]);
     if (seeds_[0].empty() || seeds_[1].empty()) {
       out[i] = eq1.dist;  // Type 1: Equation 1 is the answer (Theorem 3).
       continue;
@@ -398,7 +392,7 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
 
   if (capture != nullptr && meet != kInvalidVertex) {
     capture->kind = MeetKind::kSearch;
-    capture->meet = meet;
+    capture->meet = h_->core_vertex[meet];
     TraceSide(0, meet, seeds_[0].data(), seeds_[0].size(), &capture->seed_s,
               &capture->steps_s);
     TraceSide(1, meet, seeds_[1].data(), seeds_[1].size(), &capture->seed_t,
@@ -411,26 +405,24 @@ void QueryEngine::TraceSide(int side, VertexId meet,
                             const LabelEntry* seeds_begin,
                             std::size_t seeds_count, LabelEntry* seed_out,
                             std::vector<PathStep>* steps_out) const {
+  // The walk runs over dense ids; everything written out is global.
+  const std::vector<VertexId>& global = h_->core_vertex;
   steps_out->clear();
   VertexId v = meet;
   while (sides_[side][v].parent != kInvalidVertex) {
-    PathStep step;
-    step.from = sides_[side][v].parent;
-    step.to = v;
-    step.via = sides_[side][v].parent_via;
-    steps_out->push_back(step);
-    v = step.from;
+    const NodeState& node = sides_[side][v];
+    steps_out->push_back(
+        PathStep{global[node.parent], global[v], node.parent_via});
+    v = node.parent;
   }
   std::reverse(steps_out->begin(), steps_out->end());
-  // v is now the chain head — a seeded G_k vertex; find its label entry.
-  for (std::size_t i = 0; i < seeds_count; ++i) {
-    if (seeds_begin[i].node == v) {
-      *seed_out = seeds_begin[i];
-      return;
-    }
-  }
-  // Unreachable if the search is correct.
-  *seed_out = LabelEntry(v, sides_[side][v].dist);
+  // v is now the chain head — a seeded G_k vertex; find its label entry
+  // (the fallback is unreachable if the search is correct).
+  const LabelEntry* seeds_end = seeds_begin + seeds_count;
+  const LabelEntry* seed = std::find_if(
+      seeds_begin, seeds_end, [v](const LabelEntry& e) { return e.node == v; });
+  *seed_out = seed != seeds_end ? *seed : LabelEntry(v, sides_[side][v].dist);
+  seed_out->node = global[v];
 }
 
 }  // namespace islabel

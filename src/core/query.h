@@ -81,13 +81,11 @@ struct PathCapture {
   std::vector<PathStep> steps_t;
 };
 
-/// Serves labels from the contiguous LabelArena (the paper's IM-ISL), a
-/// nested LabelSet (layout A/B benchmarks), or a disk-resident LabelStore
-/// (one read per label).
+/// Serves labels from the contiguous LabelArena (the paper's IM-ISL) or a
+/// disk-resident LabelStore (one read per label).
 class LabelProvider {
  public:
   explicit LabelProvider(const LabelArena* arena) : arena_(arena) {}
-  explicit LabelProvider(const LabelSet* nested) : nested_(nested) {}
   explicit LabelProvider(LabelStore* store) : store_(store) {}
 
   /// Points *view at label(v); `scratch` backs the disk path. *seed_start
@@ -100,7 +98,6 @@ class LabelProvider {
 
  private:
   const LabelArena* arena_ = nullptr;
-  const LabelSet* nested_ = nullptr;
   LabelStore* store_ = nullptr;
 };
 
@@ -163,6 +160,11 @@ class QueryEngine {
                       std::uint32_t rev_epoch, QueryStats* stats,
                       PathCapture* capture);
 
+  /// Algorithm 1 lines 1-2: the entries of `label` (scanned from `cut`)
+  /// that land in G_k, their nodes mapped to dense core ids, into *seeds.
+  void ExtractSeeds(LabelView label, std::uint32_t cut,
+                    std::vector<LabelEntry>* seeds) const;
+
   void EnsureScratch();
   /// Guarantees the next `count` epoch bumps cannot wrap the 32-bit
   /// counter (stamps compare for exact equality, so an epoch value may
@@ -176,22 +178,24 @@ class QueryEngine {
   const VertexHierarchy* h_;
   LabelProvider provider_;
 
-  // Epoch-stamped per-vertex search state; allocated lazily at first query,
-  // reused across queries without O(n) clearing. One packed record per
-  // vertex so a relaxation touches a single cache line instead of five
-  // parallel arrays.
+  // Epoch-stamped search state, one packed record per G_k vertex indexed
+  // by dense core id (so |G_k| records, not n, in BFS order); allocated
+  // lazily at first query, reused across queries without clearing. The
+  // search runs entirely in dense ids; TraceSide maps what leaves the
+  // engine back to global ids.
   struct NodeState {
     Distance dist = kInfDistance;
     std::uint32_t stamp = 0;          // epoch when dist became valid
     std::uint32_t settled_stamp = 0;
     VertexId parent = kInvalidVertex;      // kInvalidVertex = seeded entry
-    VertexId parent_via = kInvalidVertex;  // via of the parent edge
+    VertexId parent_via = kInvalidVertex;  // via of the parent edge (global)
   };
   std::vector<NodeState> sides_[2];
   std::uint32_t epoch_ = 0;
 
   // Reusable per-query buffers (capacity persists across queries; the hot
-  // path only clears them). seeds_[01]_ hold the Algorithm 1 seeds;
+  // path only clears them). seeds_[01]_ hold the Algorithm 1 seeds, nodes
+  // in dense core ids;
   // pq_[01]_ are monotone radix heaps (Dijkstra pops keys in
   // non-decreasing order and every push is pop + ω ≥ pop, so the monotone
   // contract holds per side); fetch_[01]_ back the disk-resident label

@@ -62,7 +62,7 @@ Status ISLabelIndex::InsertVertex(
   labels_->AppendLabel(v, {LabelEntry(v, 0)});
   deleted_.Resize(n + 1);
 
-  EdgeList core = hierarchy_->g_k.ToEdgeList();
+  EdgeList core = hierarchy_->GlobalCore().ToEdgeList();
   core.EnsureVertices(n + 1);
 
   for (const auto& [nbr, w] : adj) {
@@ -126,7 +126,7 @@ Status ISLabelIndex::DeleteVertex(VertexId v) {
   deleted_.Set(v);
 
   if (hierarchy_->InCore(v)) {
-    EdgeList old = hierarchy_->g_k.ToEdgeList();
+    EdgeList old = hierarchy_->GlobalCore().ToEdgeList();
     EdgeList rebuilt(hierarchy_->NumVertices());
     for (const Edge& e : old.edges()) {
       if (e.u != v && e.v != v) rebuilt.Add(e.u, e.v, e.w, e.via);

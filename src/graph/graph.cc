@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace islabel {
 
@@ -76,6 +77,37 @@ EdgeList Graph::ToEdgeList() const {
         out.Add(u, nbrs[i], ws[i],
                 has_vias() ? NeighborVias(u)[i] : kInvalidVertex);
       }
+    }
+  }
+  return out;
+}
+
+Graph Graph::Renumbered(const std::vector<VertexId>& new_id,
+                        const std::vector<VertexId>& old_id) const {
+  const auto old_degree = [&](VertexId t) {
+    const VertexId u = old_id[t];
+    return u < NumVertices() ? Degree(u) : 0u;
+  };
+  Graph out;
+  out.offsets_.assign(old_id.size() + 1, 0);
+  for (VertexId t = 0; t < old_id.size(); ++t) {
+    out.offsets_[t + 1] = out.offsets_[t] + old_degree(t);
+  }
+  out.targets_.resize(targets_.size());
+  out.weights_.resize(weights_.size());
+  out.vias_.resize(vias_.size());
+  // Symmetric transpose: walking sources in ascending new id and appending
+  // each to its neighbors' lists leaves every list sorted, with no sort.
+  std::vector<std::uint64_t> cursor(out.offsets_.begin(),
+                                    out.offsets_.end() - 1);
+  for (VertexId t = 0; t < old_id.size(); ++t) {
+    if (old_degree(t) == 0) continue;
+    const VertexId u = old_id[t];
+    for (std::uint64_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
+      const std::uint64_t dst = cursor[new_id[targets_[i]]]++;
+      out.targets_[dst] = t;
+      out.weights_[dst] = weights_[i];
+      if (has_vias()) out.vias_[dst] = vias_[i];
     }
   }
   return out;

@@ -64,6 +64,14 @@ class Graph {
   /// Reconstructs the (normalized) edge list; each undirected edge once.
   EdgeList ToEdgeList() const;
 
+  /// This graph with vertex v renamed new_id[v], over old_id.size()
+  /// vertices; adjacency lists come out sorted by the new ids. The maps
+  /// must be inverse on every vertex that has an edge (old_id[new_id[v]]
+  /// == v); old_id holds kInvalidVertex for new ids with no old vertex.
+  /// O(|V| + |E|), no sort.
+  Graph Renumbered(const std::vector<VertexId>& new_id,
+                   const std::vector<VertexId>& old_id) const;
+
   /// Approximate heap footprint, used to report index/graph sizes.
   std::uint64_t MemoryBytes() const {
     return offsets_.size() * sizeof(std::uint64_t) +

@@ -53,8 +53,9 @@ void SetLogLevel(LogLevel level) {
 
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line,
+                       bool fatal)
+    : level_(level), fatal_(fatal) {
   // Keep only the basename to stay readable.
   const char* base = std::strrchr(file, '/');
   stream_ << "[" << LevelTag(level) << " " << (base ? base + 1 : file) << ":"
@@ -65,6 +66,7 @@ LogMessage::~LogMessage() {
   stream_ << "\n";
   std::fputs(stream_.str().c_str(), stderr);
   if (level_ == LogLevel::kError) std::fflush(stderr);
+  if (fatal_) std::abort();
 }
 
 }  // namespace internal

@@ -25,10 +25,11 @@ void SetLogLevel(LogLevel level);
 
 namespace internal {
 
-/// Stream-style message builder; emits to stderr on destruction.
+/// Stream-style message builder; emits to stderr on destruction, then
+/// aborts the program when `fatal`.
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
+  LogMessage(LogLevel level, const char* file, int line, bool fatal = false);
   ~LogMessage();
 
   LogMessage(const LogMessage&) = delete;
@@ -42,6 +43,7 @@ class LogMessage {
 
  private:
   LogLevel level_;
+  bool fatal_;
   std::ostringstream stream_;
 };
 
@@ -54,11 +56,21 @@ class LogMessage {
     ::islabel::internal::LogMessage(::islabel::LogLevel::level,     \
                                     __FILE__, __LINE__)
 
-#define ISLABEL_DCHECK(cond)                                         \
-  if (cond) {                                                        \
+// ISLABEL_DCHECK(cond) << context: an internal invariant. Without NDEBUG a
+// false `cond` logs "Check failed: cond context" and aborts, whatever the
+// log level. With NDEBUG `cond` and the context still compile, so they
+// cannot rot, but are never evaluated.
+#ifdef NDEBUG
+#define ISLABEL_DCHECK(cond) ISLABEL_DCHECK_IMPL(true || (cond), #cond)
+#else
+#define ISLABEL_DCHECK(cond) ISLABEL_DCHECK_IMPL(cond, #cond)
+#endif
+
+#define ISLABEL_DCHECK_IMPL(test, text)                              \
+  if (test) {                                                        \
   } else                                                             \
     ::islabel::internal::LogMessage(::islabel::LogLevel::kError,     \
-                                    __FILE__, __LINE__)              \
-        << "Check failed: " #cond " "
+                                    __FILE__, __LINE__, true)        \
+        << "Check failed: " text " "
 
 #endif  // ISLABEL_UTIL_LOGGING_H_

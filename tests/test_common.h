@@ -213,7 +213,7 @@ inline VertexHierarchy PaperFullHierarchy() {
   h.removed_adj[kE] = {{kA, 1}, {kG, 2, kD}};  // (e,g) augmenting via d
   h.removed_adj[kA] = {{kG, 3, kE}};           // (a,g) augmenting via e
   h.removed_adj[kG] = {};
-  h.g_k = Graph::FromEdgeList(EdgeList(9), /*keep_vias=*/true);
+  h.SetCore(Graph::FromEdgeList(EdgeList(9), /*keep_vias=*/true));
   h.stats.resize(h.k);
   return h;
 }
@@ -238,7 +238,7 @@ inline VertexHierarchy PaperK2Hierarchy() {
   core.Add(kD, kG, 1);
   core.Add(kE, kH, 4, kF);  // augmenting via f
   core.Add(kG, kH, 1);
-  h.g_k = Graph::FromEdgeList(std::move(core), /*keep_vias=*/true);
+  h.SetCore(Graph::FromEdgeList(std::move(core), /*keep_vias=*/true));
   h.stats.resize(h.k);
   h.stats.back().num_vertices = 6;
   h.stats.back().num_edges = 7;

@@ -45,7 +45,8 @@ void ExpectHierarchiesEqual(const VertexHierarchy& a,
   for (VertexId v = 0; v < a.removed_adj.size(); ++v) {
     ASSERT_EQ(a.removed_adj[v], b.removed_adj[v]) << "vertex " << v;
   }
-  // Core graphs identical edge for edge.
+  // Core graphs identical edge for edge, in the same dense numbering.
+  ASSERT_EQ(a.core_vertex, b.core_vertex);
   ASSERT_EQ(a.g_k.NumVertices(), b.g_k.NumVertices());
   ASSERT_EQ(a.g_k.NumEdges(), b.g_k.NumEdges());
   for (VertexId v = 0; v < a.g_k.NumVertices(); ++v) {

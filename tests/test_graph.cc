@@ -138,6 +138,44 @@ TEST(Graph, ViasPreserved) {
   EXPECT_EQ(g.NeighborVias(1)[0], 2u);
 }
 
+// Renumbering into a larger id space and back is the identity, and the
+// renumbered lists stay sorted with weights and vias moving along.
+TEST(Graph, RenumberedRoundTrip) {
+  Rng rng(11);
+  EdgeList el = GenerateErdosRenyi(60, 150, &rng);
+  AssignUniformWeights(&el, 1, 9, &rng);
+  for (Edge& e : el.edges()) e.via = e.u + e.v;
+  el.EnsureVertices(64);  // isolated tail vertices
+  Graph g = Graph::FromEdgeList(el, /*keep_vias=*/true);
+  std::vector<VertexId> to_new(g.NumVertices()), to_old(200, kInvalidVertex);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    to_new[v] = 3 * (g.NumVertices() - 1 - v);  // order-reversing, spread
+    to_old[to_new[v]] = v;
+  }
+  Graph renamed = g.Renumbered(to_new, to_old);
+  ASSERT_EQ(renamed.NumVertices(), 200u);
+  ASSERT_EQ(renamed.NumEdges(), g.NumEdges());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ASSERT_EQ(renamed.Degree(to_new[v]), g.Degree(v));
+    auto nbrs = renamed.Neighbors(to_new[v]);
+    ASSERT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = to_old[nbrs[i]];
+      EXPECT_EQ(renamed.NeighborWeights(to_new[v])[i], g.EdgeWeight(v, u));
+      EXPECT_EQ(renamed.NeighborVias(to_new[v])[i], v + u);
+    }
+  }
+  Graph back = renamed.Renumbered(to_old, to_new);
+  const EdgeList a = g.ToEdgeList(), b = back.ToEdgeList();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.edges()[i].u, b.edges()[i].u);
+    EXPECT_EQ(a.edges()[i].v, b.edges()[i].v);
+    EXPECT_EQ(a.edges()[i].w, b.edges()[i].w);
+    EXPECT_EQ(a.edges()[i].via, b.edges()[i].via);
+  }
+}
+
 TEST(Graph, SizeVEMatchesDefinition) {
   Graph g = MakeTestGraph(Family::kGrid, 100, false, 1);
   EXPECT_EQ(g.SizeVE(), g.NumVertices() + g.NumEdges());

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "baseline/dijkstra.h"
 #include "core/augment.h"
@@ -266,13 +269,14 @@ TEST_P(HierarchyTest, StructuralInvariants) {
     }
   }
 
-  // G_k spans exactly the level-k vertices.
+  // G_k spans exactly the level-k vertices, one dense id each.
+  ASSERT_EQ(h.core_id.size(), g.NumVertices());
+  ASSERT_EQ(h.g_k.NumVertices(), h.core_vertex.size());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     if (h.level[v] < h.k) {
-      ASSERT_EQ(h.g_k.Degree(v), 0u) << "removed vertex still in G_k";
-    }
-    for (VertexId u : h.g_k.Neighbors(v)) {
-      ASSERT_EQ(h.level[u], h.k);
+      ASSERT_EQ(h.core_id[v], kInvalidVertex) << "removed vertex in G_k";
+    } else {
+      ASSERT_EQ(h.core_vertex[h.core_id[v]], v);
     }
   }
 
@@ -284,9 +288,9 @@ TEST_P(HierarchyTest, StructuralInvariants) {
   const std::size_t check = std::min<std::size_t>(core.size(), 5);
   for (std::size_t i = 0; i < check; ++i) {
     SsspResult in_g = DijkstraSssp(g, core[i]);
-    SsspResult in_gk = DijkstraSssp(h.g_k, core[i]);
+    SsspResult in_gk = DijkstraSssp(h.g_k, h.core_id[core[i]]);
     for (VertexId t : core) {
-      ASSERT_EQ(in_gk.dist[t], in_g.dist[t])
+      ASSERT_EQ(in_gk.dist[h.core_id[t]], in_g.dist[t])
           << "G_k distance mismatch from " << core[i] << " to " << t;
     }
   }
@@ -307,6 +311,63 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(testing::FamilyName(family)) +
              (weighted ? "_Weighted" : "_Unit");
     }));
+
+// Dense G_k ids: each component is one contiguous id range visited in BFS
+// order from its highest-degree vertex, components by descending root
+// degree, and the dense graph is the global core graph renamed.
+TEST(Hierarchy, CoreIdsFollowBfsOrderFromHighestDegreeRoots) {
+  for (const Family family :
+       {Family::kDisconnected, Family::kBarabasiAlbert, Family::kRMat}) {
+    SCOPED_TRACE(testing::FamilyName(family));
+    Graph g = MakeTestGraph(family, 200, true, 8);
+    IndexOptions opts;
+    opts.forced_k = 2;
+    auto hr = BuildHierarchy(g, opts);
+    ASSERT_TRUE(hr.ok());
+    const VertexHierarchy& h = *hr;
+    const Graph& gk = h.g_k;
+
+    std::uint32_t prev_root_degree = std::numeric_limits<std::uint32_t>::max();
+    std::size_t components = 0;
+    for (VertexId root = 0; root < gk.NumVertices();) {
+      // BFS from `root` must hand out exactly the ids root, root+1, ...,
+      // with hop distance from the root non-decreasing along the ids.
+      std::vector<std::uint32_t> hops(gk.NumVertices(), kInvalidVertex);
+      hops[root] = 0;
+      VertexId end = root + 1;
+      std::uint32_t max_degree = 0;
+      for (VertexId v = root; v < end; ++v) {
+        ASSERT_GE(hops[v], hops[v - (v > root ? 1 : 0)]) << "dense id " << v;
+        max_degree = std::max(max_degree, gk.Degree(v));
+        for (VertexId u : gk.Neighbors(v)) {
+          if (hops[u] != kInvalidVertex) continue;
+          ASSERT_EQ(u, end) << "component ids are not one BFS range";
+          hops[u] = hops[v] + 1;
+          ++end;
+        }
+      }
+      EXPECT_EQ(gk.Degree(root), max_degree) << "root is not the hub";
+      EXPECT_LE(gk.Degree(root), prev_root_degree) << "roots out of order";
+      prev_root_degree = gk.Degree(root);
+      ++components;
+      root = end;
+    }
+    if (family == Family::kDisconnected) {
+      EXPECT_GE(components, 2u);
+    }
+
+    // Renaming back recovers a graph over global ids with the same edges.
+    const Graph global = h.GlobalCore();
+    EXPECT_EQ(global.NumVertices(), g.NumVertices());
+    EXPECT_EQ(global.NumEdges(), gk.NumEdges());
+    const EdgeList edges = global.ToEdgeList();
+    for (const Edge& e : edges.edges()) {
+      ASSERT_EQ(h.level[e.u], h.k);
+      ASSERT_EQ(h.level[e.v], h.k);
+      ASSERT_EQ(gk.EdgeWeight(h.core_id[e.u], h.core_id[e.v]), e.w);
+    }
+  }
+}
 
 TEST(Hierarchy, FullHierarchyEmptiesTheGraph) {
   Graph g = MakeTestGraph(Family::kErdosRenyi, 150, false, 3);

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "baseline/dijkstra.h"
 #include "core/index.h"
+#include "graph/graph_io.h"
 #include "tests/test_common.h"
 
 namespace islabel {
@@ -213,6 +216,71 @@ TEST_F(IndexIoTest, KeepViasFalseRoundTrips) {
     ASSERT_TRUE(back.Query(s, t, &d).ok());
     ASSERT_EQ(d, DijkstraP2P(g, s, t));
   }
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// G_k is searched in dense ids but persisted in global ids: Save -> Load
+// -> Save must reproduce core.islg byte for byte, with and without vias,
+// after updates, and whichever label mode the index was loaded in (a
+// disk-resident index cannot Save, so its core is written directly).
+TEST_F(IndexIoTest, CoreFileRoundTripsByteIdentical) {
+  for (const bool keep_vias : {true, false}) {
+    SCOPED_TRACE(keep_vias ? "vias" : "no vias");
+    Graph g = MakeTestGraph(Family::kDisconnected, 160, true, 23);
+    IndexOptions opts;
+    opts.forced_k = 2;
+    opts.keep_vias = keep_vias;
+    auto built = ISLabelIndex::Build(g, opts);
+    ASSERT_TRUE(built.ok());
+    ISLabelIndex index = std::move(built).value();
+    ASSERT_TRUE(index.InsertVertex(index.NumVertices(), {{0, 3}, {90, 2}}).ok());
+    VertexId core = 0;
+    while (!index.InCore(core)) ++core;
+    ASSERT_TRUE(index.DeleteVertex(core).ok());
+
+    const std::string first = dir_ + "/first", second = dir_ + "/second";
+    ASSERT_TRUE(index.Save(first).ok());
+    const std::string core_bytes = ReadBytes(first + "/core.islg");
+    ASSERT_FALSE(core_bytes.empty());
+
+    auto in_memory = ISLabelIndex::Load(first, /*labels_in_memory=*/true);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    ASSERT_TRUE(in_memory->Save(second).ok());
+    for (const char* name : {"core.islg", "meta.islm", "labels.isl"}) {
+      EXPECT_EQ(ReadBytes(second + "/" + name),
+                ReadBytes(first + "/" + name))
+          << name;
+    }
+
+    auto on_disk = ISLabelIndex::Load(first, /*labels_in_memory=*/false);
+    ASSERT_TRUE(on_disk.ok()) << on_disk.status().ToString();
+    const VertexHierarchy& h = on_disk->hierarchy();
+    ASSERT_TRUE(WriteGraphBinary(h.GlobalCore(), dir_ + "/disk.islg").ok());
+    EXPECT_EQ(ReadBytes(dir_ + "/disk.islg"), core_bytes);
+  }
+}
+
+TEST_F(IndexIoTest, CoreEdgeLeavingLevelKIsCorruption) {
+  Graph g = MakeTestGraph(Family::kBarabasiAlbert, 120, true, 3);
+  auto built = ISLabelIndex::Build(g, IndexOptions{});
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built->Save(dir_).ok());
+  VertexId core = 0, below = 0;
+  while (!built->InCore(core)) ++core;
+  while (built->InCore(below)) ++below;
+  EdgeList bad = built->hierarchy().GlobalCore().ToEdgeList();
+  bad.Add(core, below, 1);
+  ASSERT_TRUE(WriteGraphBinary(Graph::FromEdgeList(std::move(bad), true),
+                               dir_ + "/core.islg")
+                  .ok());
+  auto loaded = ISLabelIndex::Load(dir_, true);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
 }  // namespace

@@ -466,29 +466,5 @@ TEST(Query, OneToManyMatchesSingleQueries) {
   }
 }
 
-// ---------- Arena and nested layouts answer identically ----------
-
-TEST(Query, NestedLayoutMatchesArenaLayout) {
-  // The LabelProvider's nested mode backs the layout A/B benchmark; both
-  // layouts must agree query for query (and with Dijkstra).
-  Graph g = MakeTestGraph(Family::kBarabasiAlbert, 220, true, 37);
-  auto hr = BuildHierarchy(g, IndexOptions{});
-  ASSERT_TRUE(hr.ok());
-  LabelArena arena = ComputeLabelsTopDown(*hr);
-  LabelSet nested(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    nested[v] = arena.View(v).ToVector();
-  }
-  QueryEngine arena_engine(&*hr, LabelProvider(&arena));
-  QueryEngine nested_engine(&*hr, LabelProvider(&nested));
-  for (auto [s, t] : SampleQueryPairs(g, 150, 43)) {
-    Distance da = 0, dn = 0;
-    ASSERT_TRUE(arena_engine.Query(s, t, &da).ok());
-    ASSERT_TRUE(nested_engine.Query(s, t, &dn).ok());
-    ASSERT_EQ(da, dn) << "(" << s << "," << t << ")";
-    ASSERT_EQ(da, DijkstraP2P(g, s, t));
-  }
-}
-
 }  // namespace
 }  // namespace islabel

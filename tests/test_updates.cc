@@ -428,6 +428,158 @@ TEST(Updates, PathQueriesSurviveInserts) {
   testing::AssertValidPath(updated, 64, 32, path, d);
 }
 
+// ---------- Dense G_k ids across updates ----------
+
+// Number of connected components of G_k that have at least one edge.
+std::size_t CoreComponentsWithEdges(const Graph& g_k) {
+  std::vector<bool> seen(g_k.NumVertices(), false);
+  std::size_t components = 0;
+  for (VertexId root = 0; root < g_k.NumVertices(); ++root) {
+    if (seen[root] || g_k.Degree(root) == 0) continue;
+    ++components;
+    std::vector<VertexId> stack = {root};
+    seen[root] = true;
+    while (!stack.empty()) {
+      const VertexId v = stack.back();
+      stack.pop_back();
+      for (VertexId u : g_k.Neighbors(v)) {
+        if (!seen[u]) {
+          seen[u] = true;
+          stack.push_back(u);
+        }
+      }
+    }
+  }
+  return components;
+}
+
+// Every serving form of the engine (Query, the one-to-many forward ball,
+// ShortestPath) against Dijkstra on `model`, skipping deleted vertices.
+void ExpectEngineMatchesDijkstra(ISLabelIndex* index, const Graph& model,
+                                 std::uint64_t seed) {
+  std::vector<VertexId> alive;
+  for (VertexId v = 0; v < model.NumVertices(); ++v) {
+    if (!index->IsDeleted(v)) alive.push_back(v);
+  }
+  Rng rng(seed);
+  std::size_t searched = 0;
+  for (int i = 0; i < 60; ++i) {
+    const VertexId s = alive[rng.Uniform(alive.size())];
+    const VertexId t = alive[rng.Uniform(alive.size())];
+    const Distance want = DijkstraP2P(model, s, t);
+    Distance got = 0;
+    QueryStats stats;
+    ASSERT_TRUE(index->Query(s, t, &got, &stats).ok());
+    ASSERT_EQ(got, want) << "Query(" << s << "," << t << ")";
+    if (stats.used_search) ++searched;
+
+    std::vector<VertexId> path;
+    Distance path_dist = 0;
+    ASSERT_TRUE(index->ShortestPath(s, t, &path, &path_dist).ok());
+    ASSERT_EQ(path_dist, want) << "ShortestPath(" << s << "," << t << ")";
+    testing::AssertValidPath(model, s, t, path, want);
+  }
+  EXPECT_GT(searched, 0u) << "no query reached the G_k search";
+
+  for (int round = 0; round < 4; ++round) {
+    const VertexId s = alive[rng.Uniform(alive.size())];
+    std::vector<VertexId> targets;
+    for (int j = 0; j < 30; ++j) {
+      targets.push_back(alive[rng.Uniform(alive.size())]);
+    }
+    std::vector<Distance> got;
+    ASSERT_TRUE(index->QueryOneToMany(s, targets, &got).ok());
+    const SsspResult sssp = DijkstraSssp(model, s);
+    for (std::size_t j = 0; j < targets.size(); ++j) {
+      ASSERT_EQ(got[j], sssp.dist[targets[j]])
+          << "QueryOneToMany(" << s << ") target " << targets[j];
+    }
+  }
+}
+
+Graph WithoutVertex(const Graph& g, VertexId victim) {
+  const EdgeList all = g.ToEdgeList();
+  EdgeList el(g.NumVertices());
+  for (const Edge& e : all.edges()) {
+    if (e.u != victim && e.v != victim) el.Add(e.u, e.v, e.w);
+  }
+  return Graph::FromEdgeList(std::move(el));
+}
+
+class CoreRemapTest : public ::testing::TestWithParam<Family> {};
+
+// The search runs over dense G_k ids that every update renumbers. Exact
+// updates only: inserts, a core victim (no label path routes through a
+// core vertex), and a below-core leaf that had one neighbor when peeled
+// (no path between other vertices passes through it, and peeling it added
+// no augmenting edge).
+TEST_P(CoreRemapTest, UpdatesKeepEveryServingFormExact) {
+  Graph model = MakeTestGraph(GetParam(), 140, /*weighted=*/true, 31);
+  IndexOptions opts;
+  opts.forced_k = 2;  // a large G_k, so most queries search it
+  auto built = ISLabelIndex::Build(model, opts);
+  ASSERT_TRUE(built.ok());
+  ISLabelIndex index = std::move(built).value();
+  if (GetParam() == Family::kDisconnected) {
+    ASSERT_GE(CoreComponentsWithEdges(index.hierarchy().g_k), 2u);
+  }
+  ExpectEngineMatchesDijkstra(&index, model, 1);
+
+  Rng rng(5);
+  const auto insert = [&] {
+    const VertexId v = index.NumVertices();
+    std::vector<std::pair<VertexId, Weight>> adj;
+    for (int i = 0; i < 3; ++i) {
+      VertexId nbr = static_cast<VertexId>(rng.Uniform(v));
+      while (index.IsDeleted(nbr)) nbr = (nbr + 1) % v;
+      adj.emplace_back(nbr, static_cast<Weight>(1 + rng.Uniform(6)));
+    }
+    std::sort(adj.begin(), adj.end());
+    adj.erase(std::unique(adj.begin(), adj.end(),
+                          [](auto& a, auto& b) { return a.first == b.first; }),
+              adj.end());
+    ASSERT_TRUE(index.InsertVertex(v, adj).ok());
+    EdgeList el = model.ToEdgeList();
+    el.EnsureVertices(v + 1);
+    for (const auto& [nbr, w] : adj) el.Add(v, nbr, w);
+    model = Graph::FromEdgeList(std::move(el));
+  };
+  const auto remove = [&](bool core) {
+    VertexId victim = kInvalidVertex;
+    const VertexHierarchy& h = index.hierarchy();
+    for (VertexId v = 0; v < model.NumVertices(); ++v) {
+      if (index.IsDeleted(v) || index.InCore(v) != core) continue;
+      if (core ? model.Degree(v) >= 2
+               : model.Degree(v) == 1 && h.removed_adj[v].size() == 1) {
+        victim = v;
+        break;
+      }
+    }
+    ASSERT_NE(victim, kInvalidVertex) << (core ? "core" : "leaf") << " victim";
+    ASSERT_TRUE(index.DeleteVertex(victim).ok());
+    model = WithoutVertex(model, victim);
+  };
+
+  insert();
+  ExpectEngineMatchesDijkstra(&index, model, 2);
+  remove(/*core=*/true);
+  ExpectEngineMatchesDijkstra(&index, model, 3);
+  insert();
+  remove(/*core=*/false);
+  ExpectEngineMatchesDijkstra(&index, model, 4);
+  remove(/*core=*/true);
+  insert();
+  ExpectEngineMatchesDijkstra(&index, model, 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, CoreRemapTest,
+                         ::testing::Values(Family::kErdosRenyi, Family::kRMat,
+                                           Family::kTree,
+                                           Family::kDisconnected),
+                         [](const auto& info) {
+                           return testing::FamilyName(info.param);
+                         });
+
 TEST(Updates, OverflowSideTableTracksOnlyTouchedLabels) {
   Graph g = MakeTestGraph(Family::kBarabasiAlbert, 120, true, 21);
   auto built = ISLabelIndex::Build(g, IndexOptions{});

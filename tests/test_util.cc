@@ -11,6 +11,7 @@
 #include "util/bit_vector.h"
 #include "util/indexed_heap.h"
 #include "util/io_stats.h"
+#include "util/logging.h"
 #include "util/radix_heap.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -453,6 +454,30 @@ TEST(Timer, ScopedTimerAccumulates) {
     for (int i = 0; i < 100000; ++i) sink = sink + i;
   }
   EXPECT_GT(acc, 0.0);
+}
+
+// ---------- ISLABEL_DCHECK ----------
+
+TEST(DcheckDeathTest, FailedCheckLogsAndAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "ISLABEL_DCHECK is compiled out under NDEBUG";
+#else
+  int calls = 0;
+  ISLABEL_DCHECK(++calls == 1) << "never printed";
+  EXPECT_EQ(calls, 1);
+  EXPECT_DEATH(ISLABEL_DCHECK(calls == 2) << "context " << 42,
+               "Check failed: calls == 2 context 42");
+#endif
+}
+
+TEST(Dcheck, ConditionIsNotEvaluatedUnderNdebug) {
+  int calls = 0;
+  ISLABEL_DCHECK(++calls > 0);
+#ifdef NDEBUG
+  EXPECT_EQ(calls, 0);
+#else
+  EXPECT_EQ(calls, 1);
+#endif
 }
 
 }  // namespace
