@@ -4,21 +4,21 @@
 // TCP server on an ephemeral loopback port, and drives it with four
 // concurrent client connections sending a Zipf-skewed repeated-pair
 // workload (the scale-free query skew that makes a result cache pay),
-// pipelined in chunks. Four legs per dataset:
+// pipelined in chunks. Legs per dataset:
 //   * no cache        — baseline server QPS,
 //   * sharded cache   — same workload, cache hit-rate recorded,
-//   * telemetry A/B   — same cached workload against a fully
-//     instrumented server (registry + pool + cache + per-stage traces),
-//     once recording and once with the registry flipped to no-op; the
-//     QPS delta is the instrumentation overhead (DESIGN.md §16 budgets
-//     <2%). A Prometheus snapshot of the instrumented run goes to
-//     METRICS_server.prom (override: ISLABEL_BENCH_METRICS).
-//   * flight recorder A/B — same cached workload with a flight
-//     recorder wired into the dispatcher alongside the live registry
-//     (so per-stage tracing runs in both legs), once recording and
-//     once disabled; the QPS delta isolates Record() (DESIGN.md §17
-//     budgets <5%). A tracez dump of the recording run goes to
-//     TRACEZ_server.txt (override: ISLABEL_BENCH_TRACEZ).
+//   * A/B, run twice  — same cached workload with one instrumentation
+//     switch on, then off; the QPS delta is that switch's overhead:
+//       - telemetry: a fully instrumented server (registry + pool +
+//         cache + per-stage traces) with the registry flipped to no-op
+//         (DESIGN.md §16 budgets <2%). A Prometheus snapshot of the
+//         instrumented run goes to METRICS_server.prom (override:
+//         ISLABEL_BENCH_METRICS).
+//       - flight recorder: the recorder wired into the dispatcher
+//         alongside the live registry (so per-stage tracing runs in both
+//         runs), disabled in the off run; isolates Record() (DESIGN.md
+//         §17 budgets <5%). A tracez dump of the recording run goes to
+//         TRACEZ_server.txt (override: ISLABEL_BENCH_TRACEZ).
 //   * after an update — InsertVertex bumps the cache generation; served
 //     answers are re-verified against a fresh engine, proving invalidated
 //     entries are recomputed, not served stale.
@@ -45,6 +45,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -205,6 +206,76 @@ LegResult RunWorkload(std::uint16_t port,
                    ? static_cast<double>(result.requests) / result.seconds
                    : 0.0;
   return result;
+}
+
+/// One instrumentation switch priced by an on/off pair of runs.
+struct AbLeg {
+  const char* name;
+  server::TcpServerOptions opts;
+  std::function<void(bool)> set_enabled;
+  /// Archives what the enabled run recorded.
+  std::function<void()> snapshot;
+};
+
+struct AbResult {
+  LegResult on;
+  LegResult off;
+  /// QPS lost to the switch, as a percentage of the off run's QPS.
+  double overhead_pct = 0.0;
+};
+
+/// Serves `index` from a fresh server for one run of `workload`. A leg
+/// that cannot even start counts in `infra_failures`, so it fails the
+/// gate instead of vacuously passing it with zero verified answers.
+LegResult RunServerLeg(const std::string& leg, ISLabelIndex* index,
+                       const server::TcpServerOptions& opts,
+                       const std::vector<std::vector<WorkloadOp>>& workload,
+                       std::uint64_t* infra_failures) {
+  server::TcpServer srv(index, opts);
+  if (!srv.Start().ok()) {
+    std::fprintf(stderr, "!! %s leg failed to start\n", leg.c_str());
+    ++*infra_failures;
+    return {};
+  }
+  const LegResult result = RunWorkload(srv.port(), workload);
+  srv.Stop();
+  srv.Wait();
+  return result;
+}
+
+/// Runs `workload` against a server built from `leg.opts`, first with the
+/// switch on, then off. Each run gets a fresh cache (counting into the
+/// server's registry), so both start cold.
+AbResult RunAbLeg(const AbLeg& leg, ISLabelIndex* index,
+                  const std::vector<std::vector<WorkloadOp>>& workload,
+                  const std::string& dataset,
+                  std::uint64_t* infra_failures) {
+  AbResult result;
+  for (const bool enabled : {true, false}) {
+    server::QueryCacheOptions copts;
+    copts.metrics = leg.opts.metrics;
+    index->set_distance_cache(std::make_shared<server::QueryCache>(copts));
+    leg.set_enabled(enabled);
+    LegResult& out = enabled ? result.on : result.off;
+    out = RunServerLeg(dataset + " " + leg.name + (enabled ? " on" : " off"),
+                       index, leg.opts, workload, infra_failures);
+    if (enabled && out.requests > 0) leg.snapshot();
+  }
+  leg.set_enabled(true);
+  if (result.off.qps > 0.0) {
+    result.overhead_pct =
+        (result.off.qps - result.on.qps) / result.off.qps * 100.0;
+  }
+  return result;
+}
+
+/// Writes `text` to `path`; true on success.
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -512,153 +583,63 @@ int main() {
     sopts.port = 0;
     sopts.num_workers = kClients;
 
-    // A leg that cannot even start must fail the gate, not vacuously
-    // pass it with zero verified answers.
     std::uint64_t infra_failures = 0;
 
     // Leg 1: no cache.
-    LegResult uncached;
-    {
-      server::TcpServer srv(&index, nullptr, sopts);
-      if (srv.Start().ok()) {
-        uncached = RunWorkload(srv.port(), workload);
-        srv.Stop();
-        srv.Wait();
-      } else {
-        std::fprintf(stderr, "!! uncached leg failed to start (%s)\n",
-                     d.name.c_str());
-        ++infra_failures;
-      }
-    }
+    const LegResult uncached = RunServerLeg(d.name + " uncached", &index,
+                                            sopts, workload, &infra_failures);
 
     // Leg 2: sharded LRU cache in front of the engine.
     auto cache = std::make_shared<server::QueryCache>();
     index.set_distance_cache(cache);
-    LegResult cached;
-    server::QueryCacheStats cache_stats;
-    {
-      server::TcpServer srv(&index, cache.get(), sopts);
-      if (srv.Start().ok()) {
-        cached = RunWorkload(srv.port(), workload);
-        cache_stats = cache->GetStats();
-        srv.Stop();
-        srv.Wait();
-      } else {
-        std::fprintf(stderr, "!! cached leg failed to start (%s)\n",
-                     d.name.c_str());
-        ++infra_failures;
-      }
-    }
+    const LegResult cached = RunServerLeg(d.name + " cached", &index, sopts,
+                                          workload, &infra_failures);
+    const server::QueryCacheStats cache_stats = cache->GetStats();
     const double hit_rate =
         cache_stats.hits + cache_stats.misses > 0
             ? static_cast<double>(cache_stats.hits) /
                   static_cast<double>(cache_stats.hits + cache_stats.misses)
             : 0.0;
 
-    // Leg 3: telemetry A/B. The same cached workload against a server
-    // wired with the full metrics stack (pool bridge, metric-backed
-    // cache, per-verb/per-stage histograms), run twice: once recording,
-    // once with the registry flipped to no-op. Each run gets a fresh
-    // cache so the comparison is symmetric (both start cold). The QPS
-    // delta is the cost of instrumentation — DESIGN.md §16 budgets <2%.
-    LegResult metrics_on;
-    LegResult metrics_off;
+    // Leg 3: the A/B pairs. Telemetry runs a server wired with the full
+    // metrics stack (pool bridge, metric-backed cache, per-verb/per-stage
+    // histograms) and flips the registry to no-op. The flight recorder
+    // keeps that registry live in both runs, so per-stage tracing runs in
+    // both and toggling the recorder isolates Record() from the trace
+    // stamping the telemetry pair already priced.
     index.InstallMetrics(&registry);
-    {
-      server::TcpServerOptions mopts = sopts;
-      mopts.metrics = &registry;
-      const auto run_ab = [&](bool enabled, LegResult* out) {
-        server::QueryCacheOptions copts;
-        copts.metrics = &registry;
-        auto mcache = std::make_shared<server::QueryCache>(copts);
-        index.set_distance_cache(mcache);
-        registry.set_enabled(enabled);
-        server::TcpServer srv(&index, mcache.get(), mopts);
-        if (!srv.Start().ok()) {
-          std::fprintf(stderr, "!! telemetry %s leg failed to start (%s)\n",
-                       enabled ? "on" : "off", d.name.c_str());
-          ++infra_failures;
-          return;
-        }
-        *out = RunWorkload(srv.port(), workload);
-        srv.Stop();
-        srv.Wait();
-      };
-      run_ab(true, &metrics_on);
-      if (!wrote_metrics_snapshot && metrics_on.requests > 0) {
-        // Snapshot the instrumented run's exposition so CI archives a
-        // real scrape next to the JSON numbers.
-        const std::string prom = registry.RenderPrometheus();
-        std::FILE* pf = std::fopen(metrics_path.c_str(), "w");
-        if (pf != nullptr) {
-          std::fwrite(prom.data(), 1, prom.size(), pf);
-          std::fclose(pf);
-          wrote_metrics_snapshot = true;
-        }
-      }
-      run_ab(false, &metrics_off);
-      registry.set_enabled(true);
-      // Leg 4 reuses the leg-2 cache (its generation-bump semantics are
-      // what the leg verifies), so point the index back at it.
-      index.set_distance_cache(cache);
-    }
-    const double overhead_pct =
-        metrics_off.qps > 0.0
-            ? (metrics_off.qps - metrics_on.qps) / metrics_off.qps * 100.0
-            : 0.0;
-
-    // Leg 3b: flight recorder A/B. Same cached workload with the
-    // flight recorder wired into the dispatcher alongside the live
-    // registry — per-stage tracing runs in BOTH legs (the dispatcher
-    // traces whenever metrics are on), so toggling the recorder's
-    // enable flag isolates the Record() cost from the trace-stamping
-    // cost leg 3 already priced. DESIGN.md §17 budgets <5%.
-    LegResult recorder_on;
-    LegResult recorder_off;
-    {
-      obs::FlightRecorder recorder{obs::FlightRecorderOptions{}};
-      server::TcpServerOptions fopts = sopts;
-      fopts.metrics = &registry;
-      fopts.flight_recorder = &recorder;
-      const auto run_fr = [&](bool enabled, LegResult* out) {
-        // Fresh cache per run so the comparison is symmetric (both
-        // start cold).
-        auto fcache = std::make_shared<server::QueryCache>();
-        index.set_distance_cache(fcache);
-        recorder.set_enabled(enabled);
-        server::TcpServer srv(&index, fcache.get(), fopts);
-        if (!srv.Start().ok()) {
-          std::fprintf(stderr, "!! recorder %s leg failed to start (%s)\n",
-                       enabled ? "on" : "off", d.name.c_str());
-          ++infra_failures;
-          return;
-        }
-        *out = RunWorkload(srv.port(), workload);
-        srv.Stop();
-        srv.Wait();
-      };
-      run_fr(true, &recorder_on);
-      if (!wrote_tracez_snapshot && recorder.total_recorded() > 0) {
-        // Archive a real tracez scrape of the recording run next to the
-        // Prometheus snapshot.
-        const std::string tracez = recorder.RenderTracez(
-            obs::FlightRecorder::TracezMode::kRecent, 0, 64);
-        std::FILE* tf = std::fopen(tracez_path.c_str(), "w");
-        if (tf != nullptr) {
-          std::fwrite(tracez.data(), 1, tracez.size(), tf);
-          std::fputc('\n', tf);
-          std::fclose(tf);
-          wrote_tracez_snapshot = true;
-        }
-      }
-      run_fr(false, &recorder_off);
-      // Leg 4 reuses the leg-2 cache; point the index back at it.
-      index.set_distance_cache(cache);
-    }
-    const double recorder_overhead_pct =
-        recorder_off.qps > 0.0
-            ? (recorder_off.qps - recorder_on.qps) / recorder_off.qps * 100.0
-            : 0.0;
+    server::TcpServerOptions mopts = sopts;
+    mopts.metrics = &registry;
+    const AbResult telemetry = RunAbLeg(
+        {"telemetry", mopts,
+         [&](bool on) { registry.set_enabled(on); },
+         [&] {
+           // A real scrape archived next to the JSON numbers.
+           if (!wrote_metrics_snapshot) {
+             wrote_metrics_snapshot =
+                 WriteTextFile(metrics_path, registry.RenderPrometheus());
+           }
+         }},
+        &index, workload, d.name, &infra_failures);
+    obs::FlightRecorder recorder{obs::FlightRecorderOptions{}};
+    server::TcpServerOptions fopts = mopts;
+    fopts.flight_recorder = &recorder;
+    const AbResult recorder_ab = RunAbLeg(
+        {"recorder", fopts,
+         [&](bool on) { recorder.set_enabled(on); },
+         [&] {
+           if (!wrote_tracez_snapshot) {
+             wrote_tracez_snapshot = WriteTextFile(
+                 tracez_path,
+                 recorder.RenderTracez(
+                     obs::FlightRecorder::TracezMode::kRecent, 0, 64) +
+                     "\n");
+           }
+         }},
+        &index, workload, d.name, &infra_failures);
+    // Leg 4 verifies the leg-2 cache's generation bump; point the index
+    // back at it.
+    index.set_distance_cache(cache);
 
     // Leg 4: update invalidation. InsertVertex bumps the cache
     // generation; the served answers must match a FRESH engine on the
@@ -686,16 +667,8 @@ int main() {
             }
           }
         }
-        server::TcpServer srv(&index, cache.get(), sopts);
-        if (srv.Start().ok()) {
-          post_update = RunWorkload(srv.port(), verify);
-          srv.Stop();
-          srv.Wait();
-        } else {
-          std::fprintf(stderr, "!! post-update leg failed to start (%s)\n",
-                       d.name.c_str());
-          ++infra_failures;
-        }
+        post_update = RunServerLeg(d.name + " post-update", &index, sopts,
+                                   verify, &infra_failures);
       } else {
         std::fprintf(stderr, "!! post-update leg skipped (%s): %s\n",
                      d.name.c_str(), updated.ToString().c_str());
@@ -703,24 +676,27 @@ int main() {
       }
     }
 
-    const std::uint64_t mismatches =
-        uncached.mismatches + cached.mismatches + metrics_on.mismatches +
-        metrics_off.mismatches + recorder_on.mismatches +
-        recorder_off.mismatches + post_update.mismatches + infra_failures;
+    std::uint64_t mismatches = infra_failures;
+    std::uint64_t dataset_requests = 0;
+    const LegResult* legs[] = {&uncached,       &cached,
+                               &telemetry.on,   &telemetry.off,
+                               &recorder_ab.on, &recorder_ab.off,
+                               &post_update};
+    for (const LegResult* leg : legs) {
+      mismatches += leg->mismatches;
+      dataset_requests += leg->requests;
+    }
     total_mismatches += mismatches;
-    const std::uint64_t dataset_requests =
-        uncached.requests + cached.requests + metrics_on.requests +
-        metrics_off.requests + recorder_on.requests + recorder_off.requests +
-        post_update.requests;
     std::printf("%-14s %10.0f %10.0f %7.1f%% %9.0f %10llu\n", d.name.c_str(),
                 uncached.qps, cached.qps, hit_rate * 100, post_update.qps,
                 static_cast<unsigned long long>(dataset_requests));
     std::printf("  telemetry A/B: on %.0f QPS, off %.0f QPS, overhead "
                 "%+.2f%%\n",
-                metrics_on.qps, metrics_off.qps, overhead_pct);
+                telemetry.on.qps, telemetry.off.qps, telemetry.overhead_pct);
     std::printf("  flight recorder A/B: on %.0f QPS, off %.0f QPS, overhead "
                 "%+.2f%%\n",
-                recorder_on.qps, recorder_off.qps, recorder_overhead_pct);
+                recorder_ab.on.qps, recorder_ab.off.qps,
+                recorder_ab.overhead_pct);
     if (mismatches != 0) {
       std::printf("  !! %llu served answers mismatch the single-threaded "
                   "engine\n",
@@ -747,9 +723,9 @@ int main() {
         cached.qps, post_update.qps,
         static_cast<unsigned long long>(cache_stats.hits),
         static_cast<unsigned long long>(cache_stats.misses), hit_rate,
-        static_cast<unsigned long long>(cache_stats.entries), metrics_on.qps,
-        metrics_off.qps, overhead_pct, recorder_on.qps, recorder_off.qps,
-        recorder_overhead_pct,
+        static_cast<unsigned long long>(cache_stats.entries), telemetry.on.qps,
+        telemetry.off.qps, telemetry.overhead_pct, recorder_ab.on.qps,
+        recorder_ab.off.qps, recorder_ab.overhead_pct,
         static_cast<unsigned long long>(dataset_requests),
         static_cast<unsigned long long>(mismatches));
     json += buf;

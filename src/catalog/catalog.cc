@@ -42,15 +42,23 @@ struct Catalog::Dataset {
   obs::Counter* errors = nullptr;
   obs::Counter* reloads = nullptr;
   obs::Gauge* generation_gauge = nullptr;
+  obs::Gauge* index_entries_gauge = nullptr;
+  obs::Gauge* index_bytes_gauge = nullptr;
   /// Data version (see DatasetInfo::generation). Written under `mu`
   /// together with the index swap; atomic so protocol reads stay
   /// lock-free (the gauge mirrors it for scrapes and may lag a write by
   /// one instruction — never the other way for protocol decisions).
   std::atomic<std::uint64_t> generation{0};
 
-  void SetGeneration(std::uint64_t gen) {
+  /// Publishes `index` (already swapped in) as generation `gen`, with
+  /// the gauges that describe it. Every install ends here and no
+  /// installed index is mutated in place, so the size gauges stay exact.
+  void SetGeneration(std::uint64_t gen) REQUIRES(mu) {
     generation.store(gen, std::memory_order_release);
     generation_gauge->Set(static_cast<std::int64_t>(gen));
+    const DistanceIndexInfo info = index->Info();
+    index_entries_gauge->Set(static_cast<std::int64_t>(info.entries));
+    index_bytes_gauge->Set(static_cast<std::int64_t>(info.bytes));
   }
 };
 
@@ -220,6 +228,14 @@ std::shared_ptr<Catalog::Dataset> Catalog::NewDataset(
                                      "Successful reloads/installs", labels);
   ds->generation_gauge = metrics_->GetGauge(
       "islabel_dataset_generation", "Current data generation", labels);
+  ds->index_entries_gauge = metrics_->GetGauge(
+      "islabel_dataset_index_entries",
+      "Label entries (IS-LABEL) or up-edges (CH) of the installed index, "
+      "summed over parts",
+      labels);
+  ds->index_bytes_gauge = metrics_->GetGauge(
+      "islabel_dataset_index_bytes",
+      "Bytes of those entries in the installed index", labels);
   return ds;
 }
 
@@ -300,8 +316,8 @@ Status Catalog::AddIndex(const std::string& name, PartitionedIndex index,
     ds->index = std::make_shared<PartitionedIndex>(std::move(index));
     ds->index->InstallMetrics(metrics_);
     ds->state = DatasetState::kReady;
+    ds->SetGeneration(1);
   }
-  ds->SetGeneration(1);
   MutexLock lock(&mu_);
   for (const auto& existing : datasets_) {
     if (existing->name == name) {
@@ -497,7 +513,6 @@ std::vector<DatasetInfo> Catalog::List() const {
     info.errors = ds->errors->Value();
     info.reloads = ds->reloads->Value();
     info.generation = ds->generation.load(std::memory_order_acquire);
-    info.cache = ds->cache;
     {
       MutexLock dlock(&ds->mu);
       info.state = ds->state;
@@ -505,9 +520,6 @@ std::vector<DatasetInfo> Catalog::List() const {
         info.parts = ds->index->num_parts();
         info.vertices = ds->index->NumVertices();
         info.backends = ds->index->BackendSummary();
-        const DistanceIndexInfo index_info = ds->index->Info();
-        info.index_entries = index_info.entries;
-        info.index_bytes = index_info.bytes;
       }
     }
     infos.push_back(std::move(info));

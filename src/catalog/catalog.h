@@ -58,8 +58,7 @@ enum class DatasetState : std::uint8_t {
 /// Returns "loading" / "ready" / "failed" / "empty".
 const char* DatasetStateName(DatasetState state);
 
-/// Point-in-time counters for one dataset (the `stats` verb and the
-/// `datasets` listing).
+/// Point-in-time counters for one dataset (the `datasets` listing).
 struct DatasetInfo {
   std::string name;
   DatasetState state = DatasetState::kLoading;
@@ -76,23 +75,16 @@ struct DatasetInfo {
   /// Per-part backend summary (PartitionedIndex::BackendSummary), empty
   /// until the index is loaded.
   std::string backends;
-  /// Aggregate index size across parts (label entries / up-edges and
-  /// their bytes), from DistanceIndex::Info.
-  std::uint64_t index_entries = 0;
-  std::uint64_t index_bytes = 0;
-  /// The dataset's distance cache (null if none installed) — surfaced
-  /// here so stats assembly needs no per-dataset catalog lookups.
-  std::shared_ptr<DistanceCache> cache;
 };
 
 class Catalog {
  public:
   /// A catalog always has a metric registry (DESIGN.md §16): the
   /// injected one when given, an owned one otherwise. Per-dataset
-  /// request/error/reload counters, the generation gauge and the reload
-  /// duration histogram register there, and every loaded index gets
-  /// InstallMetrics so backend pools feed the same registry. An injected
-  /// registry must outlive the catalog.
+  /// request/error/reload counters, the generation and index-size gauges
+  /// and the reload duration histogram register there, and every loaded
+  /// index gets InstallMetrics so backend pools feed the same registry.
+  /// An injected registry must outlive the catalog.
   explicit Catalog(obs::MetricRegistry* metrics = nullptr);
   ~Catalog();
 

@@ -201,7 +201,7 @@ class PartitionedIndex : public DistanceIndex {
   DistanceIndexInfo Info() const override;
 
   /// Per-part "p<idx>=<backend>/<entries>" summary (comma-joined, first
-  /// 8 parts, "+N" for the rest) for the `stats` verb — colon- and
+  /// 8 parts, "+N" for the rest) for the `datasets` verb — colon- and
   /// space-free so it stays one wire token.
   std::string BackendSummary() const;
 

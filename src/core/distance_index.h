@@ -74,8 +74,8 @@ const char* BackendKindName(BackendKind kind);
 /// Parses a backend name; false (out untouched) for unknown names.
 bool ParseBackendKind(std::string_view name, BackendKind* out);
 
-/// Operator-facing size summary of one backend instance (the `stats`
-/// verb and the partition-build per-part report).
+/// Operator-facing size summary of one backend instance (the catalog's
+/// index-size gauges and the partition-build per-part report).
 struct DistanceIndexInfo {
   std::string backend;        // BackendKindName of the concrete backend
   VertexId vertices = 0;

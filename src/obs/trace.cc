@@ -35,22 +35,6 @@ TraceScope::TraceScope(QueryTrace* trace) : prev_(g_current_trace) {
 
 TraceScope::~TraceScope() { g_current_trace = prev_; }
 
-std::string FormatSlowQueryLine(const char* verb, std::uint64_t total_us,
-                                const QueryTrace& trace) {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "slow-query verb=%s total_us=%" PRIu64 " parse_us=%" PRIu64
-      " cache_us=%" PRIu64 " pool_wait_us=%" PRIu64 " kernel_us=%" PRIu64
-      " encode_us=%" PRIu64,
-      verb, total_us, trace.StageMicros(Stage::kParse),
-      trace.StageMicros(Stage::kCacheLookup),
-      trace.StageMicros(Stage::kPoolWait),
-      trace.StageMicros(Stage::kKernel),
-      trace.StageMicros(Stage::kEncode));
-  return std::string(buf);
-}
-
 std::string FormatTraceId(std::uint64_t id) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%" PRIx64, id);

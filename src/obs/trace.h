@@ -116,12 +116,6 @@ class StageTimer {
   std::uint64_t start_us_ = 0;
 };
 
-/// The slow-query log line (format pinned in DESIGN.md §16):
-///   slow-query verb=distance total_us=N parse_us=N cache_us=N
-///   pool_wait_us=N kernel_us=N encode_us=N
-std::string FormatSlowQueryLine(const char* verb, std::uint64_t total_us,
-                                const QueryTrace& trace);
-
 /// Wire form of a trace id: 1-16 lowercase hex digits, no "0x" prefix
 /// (DESIGN.md §17). FormatTraceId never emits leading zeros; 0 formats
 /// as "0" but is never a valid wire id.

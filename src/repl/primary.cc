@@ -90,15 +90,5 @@ std::string PrimaryHooks::HandleReplicate(const std::string& name,
          " keeps reloading mid-snapshot, retry";
 }
 
-void PrimaryHooks::FillStats(server::ServeStats* stats) {
-  stats->extra.emplace_back("repl_primary", 1);
-  stats->extra.emplace_back("repl_heartbeats", heartbeats_->Value());
-  stats->extra.emplace_back("repl_snapshots_sent", snapshots_sent_->Value());
-  stats->extra.emplace_back("repl_snapshot_bytes_sent",
-                            snapshot_bytes_sent_->Value());
-  stats->extra.emplace_back("repl_uptodate_replies",
-                            uptodate_replies_->Value());
-}
-
 }  // namespace repl
 }  // namespace islabel

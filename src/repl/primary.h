@@ -38,7 +38,7 @@ class PrimaryHooks : public server::ReplicationHooks {
  public:
   /// Counters register in the catalog's metric registry (a catalog
   /// always has one), so snapshot traffic shows up in the `metrics`
-  /// verb alongside the `stats` extra pairs.
+  /// verb.
   explicit PrimaryHooks(Catalog* catalog,
                         std::size_t chunk_bytes = 256 * 1024);
 
@@ -46,7 +46,6 @@ class PrimaryHooks : public server::ReplicationHooks {
   std::string HandleHeartbeat() override;
   std::string HandleReplicate(const std::string& name,
                               std::uint64_t have_gen) override;
-  void FillStats(server::ServeStats* stats) override;
 
  private:
   Catalog* catalog_;

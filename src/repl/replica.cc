@@ -401,17 +401,5 @@ std::string ReplicaAgent::HandleReplicate(const std::string& name,
          ")";
 }
 
-void ReplicaAgent::FillStats(server::ServeStats* stats) {
-  const Stats s = this->stats();
-  stats->extra.emplace_back("repl_replica", 1);
-  stats->extra.emplace_back("repl_primary_up", s.primary_up ? 1 : 0);
-  stats->extra.emplace_back("repl_lag_gens", s.lag_gens);
-  stats->extra.emplace_back("repl_polls", s.polls);
-  stats->extra.emplace_back("repl_pulls", s.pulls);
-  stats->extra.emplace_back("repl_installs", s.installs);
-  stats->extra.emplace_back("repl_failures", s.failures);
-  stats->extra.emplace_back("repl_ms_since_contact", s.ms_since_contact);
-}
-
 }  // namespace repl
 }  // namespace islabel

@@ -11,7 +11,8 @@
 // and the old version serving; a truncated or bit-flipped container is
 // rejected as Corruption before a byte is written. Between successful
 // polls the replica keeps answering queries from whatever generation
-// it has (stale-but-consistent) and reports its lag in `stats`.
+// it has (stale-but-consistent) and reports its lag in the
+// islabel_repl_* gauges of the `metrics` verb.
 //
 // Determinism: time comes from an injected Clock, the network from an
 // injected Transport — drive Tick() with a ManualClock and a
@@ -20,9 +21,9 @@
 // and RunBackground(), which just calls Tick() on a cadence.
 //
 // The agent doubles as the replica's ReplicationHooks: its server
-// answers `version` (own generations — how clients measure staleness),
-// `heartbeat`, and reports lag counters in `stats`. `replicate` is
-// refused — chained replication is out of scope.
+// answers `version` (own generations — how clients measure staleness)
+// and `heartbeat`. `replicate` is refused — chained replication is out
+// of scope.
 
 #ifndef ISLABEL_REPL_REPLICA_H_
 #define ISLABEL_REPL_REPLICA_H_
@@ -113,7 +114,6 @@ class ReplicaAgent : public server::ReplicationHooks {
   std::string HandleHeartbeat() override;
   std::string HandleReplicate(const std::string& name,
                               std::uint64_t have_gen) override;
-  void FillStats(server::ServeStats* stats) override;
 
  private:
   Status SyncOnce(std::uint64_t trace_id);

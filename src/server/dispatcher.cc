@@ -3,9 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "server/query_cache.h"
-#include "util/logging.h"
-
 namespace islabel {
 namespace server {
 
@@ -59,7 +56,7 @@ std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
 }
 
 /// Wire name of a dispatched verb, used as the `verb` label of
-/// islabel_server_request_seconds and in slow-query lines.
+/// islabel_server_request_seconds and in slow-query events.
 const char* VerbName(RequestKind kind) {
   switch (kind) {
     case RequestKind::kDistance:
@@ -225,7 +222,6 @@ std::string RequestDispatcher::ExecuteInternal(const Request& req,
       errors_c_->Inc();
       return req.error;
     case RequestKind::kNone:
-    case RequestKind::kStats:
     case RequestKind::kQuit:
       errors_c_->Inc();
       return "error: internal: request kind not dispatchable";
@@ -278,10 +274,7 @@ std::string RequestDispatcher::Execute(const Request& req, Session* session) {
   if (slow_query_threshold_ms_ > 0 &&
       total_us >= slow_query_threshold_ms_ * 1000) {
     if (slow_queries_ != nullptr) slow_queries_->Inc();
-    if (slow_query_sink_) {
-      slow_query_sink_(
-          obs::FormatSlowQueryLine(VerbName(req.kind), total_us, trace));
-    } else if (event_log_ != nullptr) {
+    if (event_log_ != nullptr) {
       // The TraceScope is still active, so the event auto-attaches the
       // request's trace id.
       event_log_->Log(
@@ -298,9 +291,6 @@ std::string RequestDispatcher::Execute(const Request& req, Session* session) {
             obs::EventLog::U64(trace.StageMicros(obs::Stage::kKernel))},
            {"encode_us",
             obs::EventLog::U64(trace.StageMicros(obs::Stage::kEncode))}});
-    } else {
-      ISLABEL_LOG(kWarn) << obs::FormatSlowQueryLine(VerbName(req.kind),
-                                                     total_us, trace);
     }
   }
   return response;
@@ -313,7 +303,6 @@ void RequestDispatcher::InstallMetrics(const MetricsOptions& options) {
   }
   clock_ = options.clock != nullptr ? options.clock : DefaultMetricsClock();
   slow_query_threshold_ms_ = options.slow_query_threshold_ms;
-  slow_query_sink_ = options.slow_query_sink;
   recorder_ = options.flight_recorder;
   event_log_ = options.event_log;
   if (options.registry == nullptr) return;
@@ -349,19 +338,6 @@ void RequestDispatcher::InstallMetrics(const MetricsOptions& options) {
   }
 }
 
-void RequestDispatcher::FillServeStats(ServeStats* stats) const {
-  stats->requests = requests();
-  stats->errors = errors();
-  if (repl_hooks_ != nullptr) repl_hooks_->FillStats(stats);
-  if (catalog_ == nullptr) return;
-  stats->datasets = DatasetCountersSnapshot();
-  for (const DatasetCounters& d : stats->datasets) {
-    stats->cache_hits += d.cache_hits;
-    stats->cache_misses += d.cache_misses;
-    stats->cache_entries += d.cache_entries;
-  }
-}
-
 std::vector<DatasetCounters> RequestDispatcher::DatasetCountersSnapshot()
     const {
   std::vector<DatasetCounters> out;
@@ -370,23 +346,9 @@ std::vector<DatasetCounters> RequestDispatcher::DatasetCountersSnapshot()
     DatasetCounters c;
     c.name = info.name;
     c.state = DatasetStateName(info.state);
-    c.requests = info.requests;
-    c.errors = info.errors;
-    c.reloads = info.reloads;
-    c.generation = info.generation;
     c.parts = info.parts;
     c.vertices = info.vertices;
     c.backends = info.backends;
-    c.index_entries = info.index_entries;
-    c.index_bytes = info.index_bytes;
-    // The catalog only knows the DistanceCache seam; counters exist on
-    // the serving layer's concrete QueryCache.
-    if (auto* cache = dynamic_cast<QueryCache*>(info.cache.get())) {
-      const QueryCacheStats cs = cache->GetStats();
-      c.cache_hits = cs.hits;
-      c.cache_misses = cs.misses;
-      c.cache_entries = cs.entries;
-    }
     out.push_back(std::move(c));
   }
   return out;

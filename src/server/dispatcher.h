@@ -20,15 +20,14 @@
 // the counters are atomic, and a Session is only ever touched by the one
 // worker currently processing its connection.
 //
-// kNone, kQuit and kStats are front-end concerns (no response / session
-// close / front-end counters) and are not handled here.
+// kNone and kQuit are front-end concerns (no response / session close)
+// and are not handled here.
 
 #ifndef ISLABEL_SERVER_DISPATCHER_H_
 #define ISLABEL_SERVER_DISPATCHER_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,10 +67,6 @@ class ReplicationHooks {
   /// treats it as one response blob.
   virtual std::string HandleReplicate(const std::string& name,
                                       std::uint64_t have_gen) = 0;
-
-  /// Appends replication counters (lag, pulls, heartbeats...) to a
-  /// `stats` response via `stats->extra`.
-  virtual void FillStats(ServeStats* stats) = 0;
 };
 
 class RequestDispatcher {
@@ -99,7 +94,8 @@ class RequestDispatcher {
   /// request, bumping the request/error counters as a side effect. With
   /// metrics installed, also runs the request under a QueryTrace: the
   /// per-verb latency histogram, the per-stage histograms and the
-  /// slow-query log all record here, once, for both front ends.
+  /// slow-query counter and event all record here, once, for both front
+  /// ends.
   std::string Execute(const Request& req, Session* session);
 
   /// Session-less convenience for single-index callers.
@@ -117,13 +113,10 @@ class RequestDispatcher {
     obs::MetricRegistry* registry = nullptr;
     /// Clock for request/stage timing; null uses the system clock.
     const Clock* clock = nullptr;
-    /// Requests with total latency >= this many ms hit the slow-query
-    /// log; 0 disables it.
+    /// Requests with total latency >= this many ms bump
+    /// islabel_server_slow_queries_total and, with an event log, emit
+    /// islabel.server.slow_query; 0 disables both.
     std::uint64_t slow_query_threshold_ms = 0;
-    /// Receives each formatted slow-query line; null routes to the
-    /// event log (islabel.server.slow_query) when one is installed,
-    /// else ISLABEL_LOG(kWarn).
-    std::function<void(const std::string&)> slow_query_sink;
     /// Flight recorder behind the `tracez` verb (DESIGN.md §17): every
     /// dispatched request except tracez itself is recorded. Must
     /// outlive the dispatcher; null answers tracez with NotSupported.
@@ -149,39 +142,21 @@ class RequestDispatcher {
     return metrics_enabled() ||
            (recorder_ != nullptr && recorder_->enabled());
   }
-  obs::FlightRecorder* flight_recorder() const { return recorder_; }
-  obs::EventLog* event_log() const { return event_log_; }
 
   std::uint64_t requests() const { return requests_c_->Value(); }
   std::uint64_t errors() const { return errors_c_->Value(); }
 
-  /// Counts a served `stats` request (issued by the front end, which owns
-  /// the stats response).
-  void CountStatsRequest() { requests_c_->Inc(); }
-
   bool has_catalog() const { return catalog_ != nullptr; }
   Catalog* catalog() const { return catalog_; }
-  DistanceIndex* index() const { return index_; }
-  const std::string& default_dataset() const { return default_dataset_; }
 
   /// Installs the replication verb handlers. Not thread-safe against
   /// in-flight requests — install before serving starts. `hooks` must
   /// outlive the dispatcher; nullptr uninstalls.
   void set_replication_hooks(ReplicationHooks* hooks) { repl_hooks_ = hooks; }
-  ReplicationHooks* replication_hooks() const { return repl_hooks_; }
-
-  /// Per-dataset counters for `stats` / `datasets` responses (catalog
-  /// mode; empty otherwise). Cache counters are read through the
-  /// dataset's DistanceCache when it is a QueryCache.
-  std::vector<DatasetCounters> DatasetCountersSnapshot() const;
-
-  /// Fills the dispatcher-owned fields of a `stats` response: request /
-  /// error totals, the per-dataset split, and the catalog-mode cache
-  /// aggregates (added onto whatever cache fields are already set). The
-  /// front end fills connection counters and single-index cache fields.
-  void FillServeStats(ServeStats* stats) const;
 
  private:
+  /// One entry per hosted dataset, for the `datasets` verb.
+  std::vector<DatasetCounters> DatasetCountersSnapshot() const;
   std::string ExecuteOnHandle(const Request& req, Session* session);
   std::string ExecuteInternal(const Request& req, Session* session);
 
@@ -202,10 +177,9 @@ class RequestDispatcher {
   obs::EventLog* event_log_ = nullptr;
   const Clock* clock_ = nullptr;
   std::uint64_t slow_query_threshold_ms_ = 0;
-  std::function<void(const std::string&)> slow_query_sink_;
   obs::Counter* slow_queries_ = nullptr;
   // Indexed by RequestKind; null for kinds never dispatched (kNone,
-  // kQuit, kStats).
+  // kQuit).
   std::array<obs::Histogram*, 16> verb_hist_{};
   std::array<obs::Histogram*, obs::kNumStages> stage_hist_{};
 };

@@ -63,13 +63,6 @@ Request Invalid(std::string_view usage) {
   return r;
 }
 
-void AppendU64(std::string* out, const char* key, std::uint64_t v) {
-  *out += ' ';
-  *out += key;
-  *out += '=';
-  *out += std::to_string(v);
-}
-
 }  // namespace
 
 // [A-Za-z0-9._-] keeps every response line free of spaces/colons inside
@@ -108,11 +101,6 @@ Request ParseRequest(std::string_view line) {
   if (head == "quit" || head == "exit") {
     if (tokens.size() != 1) return Invalid("error: usage: quit");
     r.kind = RequestKind::kQuit;
-    return r;
-  }
-  if (head == "stats") {
-    if (tokens.size() != 1) return Invalid("error: usage: stats");
-    r.kind = RequestKind::kStats;
     return r;
   }
   if (head == "metrics") {
@@ -259,40 +247,6 @@ std::string FormatPath(Distance d, const std::vector<VertexId>& path) {
 
 std::string FormatError(const Status& st) {
   return "error: " + st.ToString();
-}
-
-std::string FormatStats(const ServeStats& s) {
-  std::string out = "stats:";
-  AppendU64(&out, "connections_open", s.connections_open);
-  AppendU64(&out, "connections_accepted", s.connections_accepted);
-  AppendU64(&out, "requests", s.requests);
-  AppendU64(&out, "errors", s.errors);
-  AppendU64(&out, "cache_hits", s.cache_hits);
-  AppendU64(&out, "cache_misses", s.cache_misses);
-  AppendU64(&out, "cache_entries", s.cache_entries);
-  AppendU64(&out, "cache_generation", s.cache_generation);
-  AppendU64(&out, "accept_shed", s.accept_shed);
-  AppendU64(&out, "idle_closed", s.idle_closed);
-  for (const DatasetCounters& d : s.datasets) {
-    const std::string prefix = d.name + ".";
-    out += ' ';
-    out += prefix + "state=" + d.state;
-    AppendU64(&out, (prefix + "requests").c_str(), d.requests);
-    AppendU64(&out, (prefix + "errors").c_str(), d.errors);
-    AppendU64(&out, (prefix + "reloads").c_str(), d.reloads);
-    AppendU64(&out, (prefix + "generation").c_str(), d.generation);
-    AppendU64(&out, (prefix + "cache_hits").c_str(), d.cache_hits);
-    AppendU64(&out, (prefix + "cache_misses").c_str(), d.cache_misses);
-    AppendU64(&out, (prefix + "cache_entries").c_str(), d.cache_entries);
-    out += ' ';
-    out += prefix + "backends=" + (d.backends.empty() ? "-" : d.backends);
-    AppendU64(&out, (prefix + "index_entries").c_str(), d.index_entries);
-    AppendU64(&out, (prefix + "index_bytes").c_str(), d.index_bytes);
-  }
-  for (const auto& [key, value] : s.extra) {
-    AppendU64(&out, key.c_str(), value);
-  }
-  return out;
 }
 
 std::string FormatDatasets(const std::vector<DatasetCounters>& datasets) {

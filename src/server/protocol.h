@@ -6,7 +6,6 @@
 //   S T              exact distance         → "D" | "unreachable"
 //   one S T1 [T2...] one-to-many            → one value per target, spaces
 //   path S T         shortest path          → "D: v0 v1 ... vk"
-//   stats            serving counters       → "stats: k=v k=v ..."
 //   use NAME         select catalog dataset → "ok: using NAME"
 //   datasets         list catalog datasets  → "datasets: name:state:..."
 //   reload NAME      hot-swap reload        → "ok: reloaded NAME"
@@ -53,7 +52,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "graph/graph_defs.h"
@@ -67,7 +65,6 @@ enum class RequestKind : std::uint8_t {
   kDistance,    // "S T"
   kOneToMany,   // "one S T1 [T2 ...]"
   kPath,        // "path S T"
-  kStats,       // "stats"
   kUse,         // "use NAME" (catalog mode)
   kDatasets,    // "datasets" (catalog mode)
   kReload,      // "reload NAME" (catalog mode)
@@ -109,55 +106,17 @@ Request ParseRequest(std::string_view line);
 /// same grammar so every hosted dataset is addressable by `use`.
 bool IsValidDatasetName(std::string_view name);
 
-/// Per-dataset counters appended to catalog-mode `stats` responses and
-/// listed by the `datasets` verb.
+/// One dataset as the `datasets` verb lists it. Counters live in the
+/// metric registry (`islabel_dataset_*`), not here.
 struct DatasetCounters {
   std::string name;
-  std::string state;  // "loading" | "ready" | "failed"
-  std::uint64_t requests = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t reloads = 0;
-  /// Monotonic data version (Catalog generation); what `replicate`
-  /// compares. 0 while the dataset has never held data.
-  std::uint64_t generation = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_entries = 0;
+  std::string state;  // "loading" | "ready" | "failed" | "empty"
   std::uint32_t parts = 0;
   std::uint64_t vertices = 0;
   /// Per-part backend summary ("p0=islabel/123,p1=ch/45,..."), colon- and
   /// space-free by construction so it stays one wire token. Empty until
   /// the dataset finishes loading.
   std::string backends;
-  /// Aggregate index size across parts: label entries (IS-LABEL) or
-  /// up-edges (CH), and the bytes they occupy.
-  std::uint64_t index_entries = 0;
-  std::uint64_t index_bytes = 0;
-};
-
-/// Serving counters reported by the `stats` request. The stdin loop
-/// reports connections == 0; the TCP server fills all fields. In catalog
-/// mode the cache_* fields aggregate over every dataset and `datasets`
-/// carries the per-dataset split (empty in single-index mode).
-struct ServeStats {
-  std::uint64_t connections_open = 0;
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_entries = 0;
-  std::uint64_t cache_generation = 0;
-  /// Connections shed because the process ran out of file descriptors
-  /// (EMFILE/ENFILE in the accept loop).
-  std::uint64_t accept_shed = 0;
-  /// Connections closed by the idle-timeout sweep (slowloris guard).
-  std::uint64_t idle_closed = 0;
-  std::vector<DatasetCounters> datasets;
-  /// Free-form k=v pairs appended to the stats line — how the
-  /// replication layer reports lag/heartbeat counters without the
-  /// protocol knowing replication exists.
-  std::vector<std::pair<std::string, std::uint64_t>> extra;
 };
 
 // ---- Response formatting (no trailing '\n') ----
@@ -166,7 +125,6 @@ std::string FormatDistance(Distance d);
 std::string FormatDistances(const std::vector<Distance>& dists);
 std::string FormatPath(Distance d, const std::vector<VertexId>& path);
 std::string FormatError(const Status& st);
-std::string FormatStats(const ServeStats& stats);
 /// "datasets: name:state:parts:vertices:backends ..." (one token per
 /// dataset; `backends` is the comma-joined per-part summary, "-" until
 /// the dataset is loaded).

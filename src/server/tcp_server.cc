@@ -59,11 +59,8 @@ struct TcpServer::Connection {
   RequestDispatcher::Session session GUARDED_BY(mu);
 };
 
-TcpServer::TcpServer(ISLabelIndex* index, QueryCache* cache,
-                     const TcpServerOptions& options)
-    : index_(index),
-      cache_(cache),
-      options_(options),
+TcpServer::TcpServer(ISLabelIndex* index, const TcpServerOptions& options)
+    : options_(options),
       clock_(options.clock != nullptr ? options.clock : DefaultClock()),
       dispatcher_(index) {
   InitMetrics();
@@ -111,7 +108,6 @@ void TcpServer::InitMetrics() {
   mo.registry = registry;
   mo.clock = clock_;
   mo.slow_query_threshold_ms = options_.slow_query_threshold_ms;
-  mo.slow_query_sink = options_.slow_query_sink;
   mo.flight_recorder = options_.flight_recorder;
   mo.event_log = options_.event_log;
   dispatcher_.InstallMetrics(mo);
@@ -625,21 +621,12 @@ void TcpServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
     std::string responses;
     bool quit = false;
     for (const Request& req : batch) {
-      if (quit) break;  // nothing after quit is answered
-      switch (req.kind) {
-        case RequestKind::kQuit:
-          quit = true;
-          break;
-        case RequestKind::kStats:
-          dispatcher_.CountStatsRequest();
-          responses += FormatStats(ServeStatsSnapshot());
-          responses += '\n';
-          break;
-        default:
-          responses += dispatcher_.Execute(req, &session);
-          responses += '\n';
-          break;
+      if (req.kind == RequestKind::kQuit) {
+        quit = true;
+        break;
       }
+      responses += dispatcher_.Execute(req, &session);
+      responses += '\n';
     }
     {
       MutexLock lock(&conn->mu);
@@ -675,25 +662,6 @@ TcpServerStats TcpServer::stats() const {
   s.bytes_out = bytes_out_->Value();
   s.accept_shed = accept_shed_->Value();
   s.idle_closed = idle_closed_->Value();
-  return s;
-}
-
-ServeStats TcpServer::ServeStatsSnapshot() const {
-  ServeStats s;
-  s.connections_open = static_cast<std::uint64_t>(open_->Value());
-  s.connections_accepted = accepted_->Value();
-  s.accept_shed = accept_shed_->Value();
-  s.idle_closed = idle_closed_->Value();
-  if (cache_ != nullptr) {
-    const QueryCacheStats cs = cache_->GetStats();
-    s.cache_hits = cs.hits;
-    s.cache_misses = cs.misses;
-    s.cache_entries = cs.entries;
-    s.cache_generation = cs.generation;
-  }
-  // Request/error totals, the per-dataset split, and the catalog cache
-  // aggregates (added onto the single-index fields above).
-  dispatcher_.FillServeStats(&s);
   return s;
 }
 

@@ -32,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,7 +44,6 @@
 #include "obs/metrics.h"
 #include "server/dispatcher.h"
 #include "server/protocol.h"
-#include "server/query_cache.h"
 #include "util/clock.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -92,12 +90,10 @@ struct TcpServerOptions {
   /// owns, so `metrics` and the telemetry counters work in both modes
   /// out of the box. Must outlive the server when set.
   obs::MetricRegistry* metrics = nullptr;
-  /// Requests slower than this many ms hit the slow-query log (0 = off).
-  /// Only effective when a registry is resolved.
+  /// Requests slower than this many ms bump
+  /// islabel_server_slow_queries_total and, with an event log, emit
+  /// islabel.server.slow_query (0 = off).
   std::uint64_t slow_query_threshold_ms = 0;
-  /// Receives slow-query lines; null routes to the event log when one
-  /// is installed, else ISLABEL_LOG(kWarn).
-  std::function<void(const std::string&)> slow_query_sink;
   /// Flight recorder behind the `tracez` verb (DESIGN.md §17). Null
   /// answers tracez with NotSupported. Must outlive the server.
   obs::FlightRecorder* flight_recorder = nullptr;
@@ -121,18 +117,14 @@ struct TcpServerStats {
 
 class TcpServer {
  public:
-  /// Single-index server. `index` must outlive the server. `cache`
-  /// (nullable) is only used to fill the cache fields of `stats`
-  /// responses — install it on the index with set_distance_cache to
-  /// actually cache answers.
-  TcpServer(ISLabelIndex* index, QueryCache* cache,
-            const TcpServerOptions& options);
+  /// Single-index server. `index` must outlive the server. A result
+  /// cache is installed on the index itself (set_distance_cache).
+  TcpServer(ISLabelIndex* index, const TcpServerOptions& options);
 
   /// Catalog server: hosts every dataset in `catalog` (which must
   /// outlive the server). Connections start on `default_dataset` and
   /// switch with the `use` verb; `reload NAME` hot-swaps a dataset while
-  /// the other workers keep serving. `stats` responses carry per-dataset
-  /// counters and aggregate the per-dataset caches.
+  /// the other workers keep serving.
   TcpServer(Catalog* catalog, const std::string& default_dataset,
             const TcpServerOptions& options);
 
@@ -161,8 +153,6 @@ class TcpServer {
   }
 
   TcpServerStats stats() const;
-  /// The counters behind a `stats` response, cache fields included.
-  ServeStats ServeStatsSnapshot() const;
 
   /// The resolved metric registry: options, the catalog's, or (in
   /// single-index mode) the server-owned default. Never null after
@@ -197,8 +187,6 @@ class TcpServer {
   void NotifyFlush(std::shared_ptr<Connection> conn);
   void UpdateEpollOut(const std::shared_ptr<Connection>& conn, bool want);
 
-  ISLabelIndex* index_ = nullptr;  // single-index mode only
-  QueryCache* cache_ = nullptr;    // single-index mode only
   TcpServerOptions options_;
   const Clock* clock_ = nullptr;  // never null after construction
   /// Fallback registry for single-index servers with no injected one,
@@ -237,20 +225,15 @@ class TcpServer {
   Mutex flush_mu_;
   std::deque<std::shared_ptr<Connection>> flush_queue_ GUARDED_BY(flush_mu_);
 
-  // One counter system (DESIGN.md §16): private instruments unless
-  // InitMetrics re-points them at registry series. Either way the update
-  // sites are identical relaxed atomics, so the loop/worker threads never
-  // branch on "is telemetry on".
-  obs::Counter own_accepted_, own_bytes_in_, own_bytes_out_;
-  obs::Counter own_accept_shed_, own_idle_closed_;
-  obs::Gauge own_open_, own_queue_depth_;
-  obs::Counter* accepted_ = &own_accepted_;
-  obs::Gauge* open_ = &own_open_;
-  obs::Counter* bytes_in_ = &own_bytes_in_;
-  obs::Counter* bytes_out_ = &own_bytes_out_;
-  obs::Counter* accept_shed_ = &own_accept_shed_;
-  obs::Counter* idle_closed_ = &own_idle_closed_;
-  obs::Gauge* queue_depth_ = &own_queue_depth_;
+  // Series of the resolved registry, set once by InitMetrics and never
+  // null afterwards: the loop/worker threads update them unconditionally.
+  obs::Counter* accepted_ = nullptr;
+  obs::Gauge* open_ = nullptr;
+  obs::Counter* bytes_in_ = nullptr;
+  obs::Counter* bytes_out_ = nullptr;
+  obs::Counter* accept_shed_ = nullptr;
+  obs::Counter* idle_closed_ = nullptr;
+  obs::Gauge* queue_depth_ = nullptr;
 };
 
 }  // namespace server

@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,11 +17,6 @@ LogLevel LevelFromEnv() {
   if (std::strcmp(env, "error") == 0) return LogLevel::kError;
   if (std::strcmp(env, "off") == 0) return LogLevel::kOff;
   return LogLevel::kWarn;
-}
-
-std::atomic<int>& LevelStorage() {
-  static std::atomic<int> level(static_cast<int>(LevelFromEnv()));
-  return level;
 }
 
 const char* LevelTag(LogLevel level) {
@@ -44,11 +38,8 @@ const char* LevelTag(LogLevel level) {
 }  // namespace
 
 LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(LevelStorage().load(std::memory_order_relaxed));
-}
-
-void SetLogLevel(LogLevel level) {
-  LevelStorage().store(static_cast<int>(level), std::memory_order_relaxed);
+  static const LogLevel level = LevelFromEnv();
+  return level;
 }
 
 namespace internal {

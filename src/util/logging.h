@@ -1,5 +1,7 @@
-// Minimal leveled logger. Intended for construction progress reporting and
-// debugging; benches/tests default to kWarn to keep output machine-parseable.
+// Minimal leveled stderr logger for index construction progress, plus
+// ISLABEL_DCHECK. Serving-path diagnostics go through obs/log.h (the
+// structured event log) instead. Defaults to kWarn so bench and test
+// output stays machine-parseable.
 
 #ifndef ISLABEL_UTIL_LOGGING_H_
 #define ISLABEL_UTIL_LOGGING_H_
@@ -21,7 +23,6 @@ enum class LogLevel : int {
 /// overridable with the ISLABEL_LOG environment variable
 /// (debug|info|warn|error|off) read on first use.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

@@ -723,25 +723,6 @@ TEST_F(CatalogServerTest, ClientsQueryAcrossConcurrentReloads) {
   EXPECT_GT(infos[0].reloads + infos[1].reloads, 0u);
 }
 
-TEST_F(CatalogServerTest, StatsCarryPerDatasetCounters) {
-  TestClient client(server_->port());
-  ASSERT_TRUE(client.connected());
-  client.Send("1 2\nuse b\n1 2\nstats\ndatasets\nquit\n");
-  (void)client.ReadLine();  // d_a(1,2)
-  ASSERT_EQ(client.ReadLine(), "ok: using b");
-  (void)client.ReadLine();  // d_b(1,2)
-  const std::string stats = client.ReadLine();
-  EXPECT_EQ(stats.rfind("stats:", 0), 0u) << stats;
-  EXPECT_NE(stats.find("a.requests=1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("b.requests=1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("a.state=ready"), std::string::npos) << stats;
-  const std::string datasets = client.ReadLine();
-  EXPECT_EQ(datasets.rfind("datasets:", 0), 0u) << datasets;
-  EXPECT_NE(datasets.find("a:ready:"), std::string::npos) << datasets;
-  EXPECT_NE(datasets.find("b:ready:"), std::string::npos) << datasets;
-  EXPECT_EQ(client.ReadLine(), "<eof>");
-}
-
 TEST_F(CatalogServerTest, CrossComponentAnswersUnreachableOverTheWire) {
   // graph_a_ is Family::kDisconnected: vertex 0 and vertex n/2+1 live in
   // different halves.
@@ -766,11 +747,16 @@ TEST_F(CatalogServerTest, MetricsVerbExposesCatalogFamilies) {
   // Catalog mode needs no explicit wiring: the server scrapes the
   // catalog's own registry (a catalog always has one).
   TestClient client(server_->port());
-  client.Send("1 2\nuse b\n0 1\nreload a\nmetrics\n");
+  client.Send("1 2\nuse b\n0 1\nreload a\ndatasets\nmetrics\n");
   (void)client.ReadLine();  // distance on a
   ASSERT_EQ(client.ReadLine(), "ok: using b");
   (void)client.ReadLine();  // distance on b
   ASSERT_EQ(client.ReadLine(), "ok: reloaded a");
+  // Load state and shape stay on `datasets`; counters are metrics.
+  const std::string datasets = client.ReadLine();
+  EXPECT_EQ(datasets.rfind("datasets:", 0), 0u) << datasets;
+  EXPECT_NE(datasets.find(" a:ready:"), std::string::npos) << datasets;
+  EXPECT_NE(datasets.find(" b:ready:"), std::string::npos) << datasets;
 
   std::vector<std::string> lines;
   for (;;) {
@@ -793,9 +779,17 @@ TEST_F(CatalogServerTest, MetricsVerbExposesCatalogFamilies) {
   EXPECT_EQ(value("islabel_dataset_requests_total{dataset=\"b\"}"), 1u);
   EXPECT_EQ(value("islabel_dataset_reloads_total{dataset=\"a\"}"), 1u);
   EXPECT_EQ(value("islabel_catalog_reload_seconds_count"), 1u);
+  // The index-size gauges describe the installed version, reload included.
+  for (const std::string name : {"a", "b"}) {
+    const DistanceIndexInfo info = catalog_.Get(name).Info();
+    const std::string label = "{dataset=\"" + name + "\"}";
+    EXPECT_GT(info.entries, 0u) << name;
+    EXPECT_EQ(value("islabel_dataset_index_entries" + label), info.entries);
+    EXPECT_EQ(value("islabel_dataset_index_bytes" + label), info.bytes);
+  }
   // Server-level families live in the same registry: use + reload +
-  // 2 distances + the metrics scrape itself.
-  EXPECT_EQ(value("islabel_server_requests_total"), 5u);
+  // datasets + 2 distances + the metrics scrape itself.
+  EXPECT_EQ(value("islabel_server_requests_total"), 6u);
   // The exposition spans the required subsystem breadth.
   std::set<std::string> families;
   for (const std::string& line : lines) {

@@ -394,19 +394,6 @@ TEST(QueryTrace, StageNamesArePinned) {
   EXPECT_STREQ(StageName(Stage::kEncode), "encode");
 }
 
-TEST(QueryTrace, SlowQueryLineFormatIsPinned) {
-  ManualClock clock;
-  QueryTrace trace(&clock);
-  trace.Add(Stage::kParse, 10);
-  trace.Add(Stage::kCacheLookup, 2);
-  trace.Add(Stage::kPoolWait, 400);
-  trace.Add(Stage::kKernel, 11800);
-  trace.Add(Stage::kEncode, 3);
-  EXPECT_EQ(FormatSlowQueryLine("distance", 12345, trace),
-            "slow-query verb=distance total_us=12345 parse_us=10 cache_us=2 "
-            "pool_wait_us=400 kernel_us=11800 encode_us=3");
-}
-
 // ---------- Trace id wire form ----------
 
 TEST(TraceId, FormatIsLowercaseHexNoLeadingZeros) {

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -413,10 +414,14 @@ TEST_F(ReplTest, PrimaryAnswersVersionHeartbeatAndStats) {
   EXPECT_EQ(client.Ask("replicate nope 0"),
             "error: NotFound: unknown dataset nope");
   EXPECT_EQ(client.Ask("replicate d"), "error: usage: replicate NAME GEN");
-  const std::string stats = client.Ask("stats");
-  EXPECT_NE(stats.find("repl_primary=1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("repl_heartbeats=1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("d.generation=1"), std::string::npos) << stats;
+  const std::vector<std::string> metrics = client.AskMulti("metrics");
+  ASSERT_EQ(metrics.back(), "# EOF");
+  for (const char* sample : {"islabel_repl_heartbeats_total 1",
+                             "islabel_dataset_generation{dataset=\"d\"} 1"}) {
+    EXPECT_NE(std::find(metrics.begin(), metrics.end(), sample),
+              metrics.end())
+        << sample;
+  }
 }
 
 TEST_F(ReplTest, ReplicationVerbsRefusedWithoutHooks) {
@@ -554,9 +559,14 @@ TEST_F(ReplTest, ReplicaBootstrapsDiscoverInstallServe) {
   EXPECT_EQ(client.Ask("heartbeat"), "pong");
   EXPECT_EQ(client.Ask("replicate d 0"),
             "error: NotSupported: replica does not serve snapshots (d)");
-  const std::string stats_line = client.Ask("stats");
-  EXPECT_NE(stats_line.find("repl_replica=1"), std::string::npos);
-  EXPECT_NE(stats_line.find("repl_lag_gens=0"), std::string::npos);
+  const std::vector<std::string> metrics = client.AskMulti("metrics");
+  ASSERT_EQ(metrics.back(), "# EOF");
+  for (const char* sample :
+       {"islabel_repl_lag_gens 0", "islabel_repl_installs_total 1"}) {
+    EXPECT_NE(std::find(metrics.begin(), metrics.end(), sample),
+              metrics.end())
+        << sample;
+  }
 
   StopReplica(r.get());
 }

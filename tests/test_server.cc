@@ -107,8 +107,10 @@ TEST(Protocol, ParsesPathStatsQuit) {
   EXPECT_EQ(r.t, 9u);
   EXPECT_EQ(ParseRequest("path 3").kind, RequestKind::kInvalid);
   EXPECT_EQ(ParseRequest("path 3 9 2").kind, RequestKind::kInvalid);
-  EXPECT_EQ(ParseRequest("stats").kind, RequestKind::kStats);
-  EXPECT_EQ(ParseRequest("stats now").kind, RequestKind::kInvalid);
+  // `stats` is retired: `metrics` is the one counter exposition.
+  const Request stats = ParseRequest("stats");
+  EXPECT_EQ(stats.kind, RequestKind::kInvalid);
+  EXPECT_EQ(stats.error, "error: unrecognized request: stats");
   EXPECT_EQ(ParseRequest("quit").kind, RequestKind::kQuit);
   EXPECT_EQ(ParseRequest("exit").kind, RequestKind::kQuit);
   EXPECT_EQ(ParseRequest("quit now").kind, RequestKind::kInvalid);
@@ -416,7 +418,7 @@ class TcpServerTest : public ::testing::Test {
     TcpServerOptions opts;
     opts.port = 0;  // ephemeral
     opts.num_workers = 4;
-    server_ = std::make_unique<TcpServer>(&index_, cache_.get(), opts);
+    server_ = std::make_unique<TcpServer>(&index_, opts);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
 
@@ -483,9 +485,7 @@ TEST_F(TcpServerTest, AnswersMixedRequests) {
   EXPECT_EQ(client.ReadLine(), "error: OutOfRange: vertex id out of range");
 
   client.Send("stats\n");
-  const std::string stats_line = client.ReadLine();
-  EXPECT_EQ(stats_line.rfind("stats:", 0), 0u) << stats_line;
-  EXPECT_NE(stats_line.find("requests="), std::string::npos);
+  EXPECT_EQ(client.ReadLine(), "error: unrecognized request: stats");
 
   client.Send("quit\n");
   EXPECT_EQ(client.ReadLine(), "<eof>");
@@ -537,7 +537,7 @@ TEST_F(TcpServerTest, PartialWritesReassemble) {
 
 TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
   // ≥ 4 concurrent connections, each mixing pipelined bursts, one/path
-  // requests, repeated pairs (cache hits), and a stats probe. Every
+  // requests, repeated pairs (cache hits), and a metrics scrape. Every
   // distance is checked against the single-threaded engine.
   constexpr int kClients = 6;
   constexpr std::size_t kPairsPerClient = 40;
@@ -546,7 +546,7 @@ TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
   // not thread-safe, so ground truth is established up front).
   struct Op {
     std::string request;
-    std::string expected;  // empty = skip exact check (stats)
+    std::string expected;  // empty = a metrics scrape, read through # EOF
   };
   std::vector<std::vector<Op>> workloads(kClients);
   for (int c = 0; c < kClients; ++c) {
@@ -562,7 +562,7 @@ TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
                            {Expected(s, t),
                             Expected(s, (t + 1) % graph_.NumVertices())})});
       } else if (i % 10 == 7) {
-        ops.push_back({"stats", ""});
+        ops.push_back({"metrics", ""});
       } else {
         ops.push_back({std::to_string(s) + " " + std::to_string(t),
                        server::FormatDistance(Expected(s, t))});
@@ -600,13 +600,23 @@ TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
           failures[c] = "premature eof at op " + std::to_string(i);
           return;
         }
-        if (!ops[i].expected.empty() && got != ops[i].expected) {
+        if (ops[i].expected.empty()) {
+          // The scrape races the other clients' counter updates; it must
+          // still arrive whole, through its terminator.
+          std::string line = got;
+          while (line != "# EOF" && line != "<eof>" &&
+                 line.rfind("error:", 0) != 0) {
+            line = client.ReadLine();
+          }
+          if (line != "# EOF") {
+            failures[c] = "bad metrics response at: " + line;
+            return;
+          }
+          continue;
+        }
+        if (got != ops[i].expected) {
           failures[c] = "op " + std::to_string(i) + " (" + ops[i].request +
                         "): got '" + got + "' want '" + ops[i].expected + "'";
-          return;
-        }
-        if (ops[i].expected.empty() && got.rfind("stats:", 0) != 0) {
-          failures[c] = "bad stats response: " + got;
           return;
         }
       }
@@ -653,7 +663,7 @@ TEST_F(TcpServerTest, OverlongLineIsRejected) {
   opts.port = 0;
   opts.num_workers = 1;
   opts.max_line_bytes = 64;
-  TcpServer small(&index_, cache_.get(), opts);
+  TcpServer small(&index_, opts);
   ASSERT_TRUE(small.Start().ok());
   TestClient client(small.port());
   ASSERT_TRUE(client.connected());
@@ -684,7 +694,7 @@ TEST_F(TcpServerTest, IdleConnectionIsTimedOut) {
   opts.port = 0;
   opts.num_workers = 1;
   opts.idle_timeout_ms = 150;
-  TcpServer guarded(&index_, cache_.get(), opts);
+  TcpServer guarded(&index_, opts);
   ASSERT_TRUE(guarded.Start().ok());
   TestClient idle(guarded.port());
   ASSERT_TRUE(idle.connected());
@@ -707,7 +717,7 @@ TEST_F(TcpServerTest, ByteDribblingClientIsTimedOut) {
   opts.num_workers = 1;
   opts.idle_timeout_ms = 10'000;  // idle sweep alone won't fire in time
   opts.max_buffered_bytes = 48;
-  TcpServer guarded(&index_, cache_.get(), opts);
+  TcpServer guarded(&index_, opts);
   ASSERT_TRUE(guarded.Start().ok());
   TestClient dribbler(guarded.port());
   ASSERT_TRUE(dribbler.connected());
@@ -730,7 +740,7 @@ TEST_F(TcpServerTest, ActiveClientSurvivesIdleSweeps) {
   opts.port = 0;
   opts.num_workers = 1;
   opts.idle_timeout_ms = 200;
-  TcpServer guarded(&index_, cache_.get(), opts);
+  TcpServer guarded(&index_, opts);
   ASSERT_TRUE(guarded.Start().ok());
   TestClient client(guarded.port());
   ASSERT_TRUE(client.connected());
@@ -929,7 +939,7 @@ TEST(TcpServerMetrics, MetricsVerbRendersPrometheusOverLoopback) {
   opts.port = 0;
   opts.num_workers = 2;
   opts.metrics = &registry;
-  TcpServer server(&index, cache.get(), opts);
+  TcpServer server(&index, opts);
   ASSERT_TRUE(server.Start().ok());
 
   TestClient client(server.port());
@@ -987,17 +997,21 @@ TEST(DispatcherMetrics, SlowQueryLineGoesToSinkWithStageBreakdown) {
   ASSERT_TRUE(built.ok());
   ISLabelIndex index = std::move(built).value();
 
+  ManualClock clock;
+  Mutex mu;
+  std::vector<std::string> events;
+  obs::EventLogOptions lopts;
+  lopts.clock = &clock;
+  lopts.sink = obs_test::CapturingSink(&mu, &events);
+  obs::EventLog log(lopts);
+
   server::RequestDispatcher dispatcher(&index);
   obs::MetricRegistry registry;
-  ManualClock clock;
-  std::vector<std::string> slow_lines;
   server::RequestDispatcher::MetricsOptions mopts;
   mopts.registry = &registry;
   mopts.clock = &clock;
   mopts.slow_query_threshold_ms = 1;
-  mopts.slow_query_sink = [&slow_lines](const std::string& line) {
-    slow_lines.push_back(line);
-  };
+  mopts.event_log = &log;
   dispatcher.InstallMetrics(mopts);
 
   // The manual clock never advances during execution, so total latency
@@ -1005,16 +1019,19 @@ TEST(DispatcherMetrics, SlowQueryLineGoesToSinkWithStageBreakdown) {
   Request fast = ParseRequest("1 2");
   fast.parse_us = 999;  // 0.999ms < 1ms threshold
   (void)dispatcher.Execute(fast);
-  EXPECT_TRUE(slow_lines.empty());
+  EXPECT_TRUE(events.empty());
 
   Request slow = ParseRequest("1 2");
   slow.parse_us = 5000;
   (void)dispatcher.Execute(slow);
-  ASSERT_EQ(slow_lines.size(), 1u);
-  EXPECT_EQ(slow_lines[0].rfind(
-                "slow-query verb=distance total_us=5000 parse_us=5000 ", 0),
-            0u)
-      << slow_lines[0];
+  ASSERT_EQ(events.size(), 1u);
+  for (const char* field :
+       {"\"event\":\"islabel.server.slow_query\"", "\"verb\":\"distance\"",
+        "\"total_us\":\"5000\"", "\"parse_us\":\"5000\"",
+        "\"kernel_us\":\""}) {
+    EXPECT_NE(events[0].find(field), std::string::npos)
+        << field << " in " << events[0];
+  }
   EXPECT_EQ(
       registry.GetCounter("islabel_server_slow_queries_total", "")->Value(),
       1u);
@@ -1040,7 +1057,7 @@ TEST(DispatcherMetrics, SlowQueryFallsBackToEventLogWithTraceId) {
   mopts.registry = &registry;
   mopts.clock = &clock;
   mopts.slow_query_threshold_ms = 1;
-  mopts.event_log = &log;  // no sink installed: the event log is next
+  mopts.event_log = &log;
   dispatcher.InstallMetrics(mopts);
 
   Request slow = ParseRequest("1 2 tid=abc");
@@ -1070,8 +1087,8 @@ TEST_F(TcpServerTest, TrailingTidTokenIsAcceptedOnEveryVerbAndValidated) {
   EXPECT_EQ(client.ReadLine(), server::FormatDistance(Expected(1, 2)));
   client.Send("1 2 tid=DEADBEEF\n");  // either case parses
   EXPECT_EQ(client.ReadLine(), server::FormatDistance(Expected(1, 2)));
-  client.Send("stats tid=ff\n");
-  EXPECT_EQ(client.ReadLine().rfind("error:", 0), std::string::npos);
+  client.Send("metrics tid=ff\n");
+  EXPECT_EQ(ReadMetricsResponse(&client).back(), "# EOF");
 
   const std::string usage = "error: usage: tid=HEX (1-16 hex digits, nonzero)";
   client.Send("1 2 tid=xyz\n");
@@ -1126,7 +1143,7 @@ TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
   opts.port = 0;
   opts.num_workers = 2;
   opts.flight_recorder = &recorder;
-  TcpServer server(&index, nullptr, opts);
+  TcpServer server(&index, opts);
   ASSERT_TRUE(server.Start().ok());
 
   TestClient client(server.port());

@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "catalog/partitioned_index.h"
 #include "core/index.h"
 #include "graph/graph_io.h"
+#include "repl/primary.h"
+#include "server/tcp_server.h"
 #include "tests/test_common.h"
 
 namespace islabel {
@@ -119,13 +123,13 @@ TEST_F(ToolTest, QueryCommandAnswersPairs) {
 TEST_F(ToolTest, ServeAnswersProtocolOverPipes) {
   std::string out;
   const std::string script =
-      "printf '1 2\\none 1 2 3\\npath 1 5\\nstats\\nquit\\n'";
+      "printf '1 2\\none 1 2 3\\npath 1 5\\nmetrics\\nquit\\n'";
   ASSERT_EQ(RunCommand(script + " | " + tool_ + " serve --index " +
                            index_dir_ + " --cache-mb 8",
                        &out),
             0);
   const std::vector<std::string> lines = SplitLines(out);
-  ASSERT_EQ(lines.size(), 4u) << out;
+  ASSERT_GT(lines.size(), 4u) << out;
   EXPECT_EQ(lines[0], DistStr(1, 2));
   EXPECT_EQ(lines[1],
             DistStr(1, 2) + " " + DistStr(1, 3));
@@ -135,8 +139,9 @@ TEST_F(ToolTest, ServeAnswersProtocolOverPipes) {
   } else {
     EXPECT_EQ(lines[2].substr(0, lines[2].find(':')), DistStr(1, 5));
   }
-  EXPECT_EQ(lines[3].rfind("stats:", 0), 0u) << lines[3];
-  EXPECT_NE(lines[3].find("requests=4"), std::string::npos) << lines[3];
+  EXPECT_EQ(lines.back(), "# EOF") << out;
+  EXPECT_NE(out.find("\nislabel_server_requests_total 4\n"), std::string::npos)
+      << out;
 }
 
 TEST_F(ToolTest, ServeRejectsMalformedRequests) {
@@ -144,17 +149,19 @@ TEST_F(ToolTest, ServeRejectsMalformedRequests) {
   // with a usage error instead of being silently truncated.
   std::string out;
   const std::string script =
-      "printf '1 2 junk\\n1 x\\nnonsense req\\n7 8\\nquit\\n'";
+      "printf '1 2 junk\\n1 x\\nnonsense req\\nstats\\n7 8\\nquit\\n'";
   ASSERT_EQ(RunCommand(script + " | " + tool_ + " serve --index " +
                            index_dir_,
                        &out),
             0);
   const std::vector<std::string> lines = SplitLines(out);
-  ASSERT_EQ(lines.size(), 4u) << out;
+  ASSERT_EQ(lines.size(), 5u) << out;
   EXPECT_EQ(lines[0], "error: usage: S T");
   EXPECT_EQ(lines[1], "error: usage: S T");
   EXPECT_EQ(lines[2], "error: unrecognized request: nonsense req");
-  EXPECT_EQ(lines[3], DistStr(7, 8));  // the loop keeps serving
+  // The retired `stats` verb; `metrics` is the counter exposition.
+  EXPECT_EQ(lines[3], "error: unrecognized request: stats");
+  EXPECT_EQ(lines[4], DistStr(7, 8));  // the loop keeps serving
 }
 
 TEST_F(ToolTest, ServeDiskModeMatchesInMemory) {
@@ -220,7 +227,7 @@ TEST_F(ToolTest, PartitionBuildAndCatalogServe) {
 
   const std::string script =
       "printf '0 1\\n0 " + std::to_string(cross) +
-      "\\nuse beta\\n0 1\\nreload alpha\\nuse nope\\ndatasets\\nstats\\n"
+      "\\nuse beta\\n0 1\\nreload alpha\\nuse nope\\ndatasets\\nmetrics\\n"
       "quit\\n'";
   ASSERT_EQ(RunCommand(script + " | " + tool_ + " serve --dataset alpha=" +
                            cat_dir + " --dataset beta=" + cat_dir +
@@ -228,7 +235,7 @@ TEST_F(ToolTest, PartitionBuildAndCatalogServe) {
                        &out),
             0);
   const std::vector<std::string> lines = SplitLines(out);
-  ASSERT_EQ(lines.size(), 8u) << out;
+  ASSERT_GT(lines.size(), 8u) << out;
   EXPECT_EQ(lines[0], dist(0, 1));
   EXPECT_EQ(lines[1], "unreachable");
   EXPECT_EQ(lines[2], "ok: using beta");
@@ -238,10 +245,46 @@ TEST_F(ToolTest, PartitionBuildAndCatalogServe) {
   EXPECT_EQ(lines[6].rfind("datasets:", 0), 0u) << lines[6];
   EXPECT_NE(lines[6].find("alpha:ready:"), std::string::npos) << lines[6];
   EXPECT_NE(lines[6].find("beta:ready:"), std::string::npos) << lines[6];
-  EXPECT_EQ(lines[7].rfind("stats:", 0), 0u) << lines[7];
-  EXPECT_NE(lines[7].find("alpha.requests=2"), std::string::npos) << lines[7];
-  EXPECT_NE(lines[7].find("beta.requests=1"), std::string::npos) << lines[7];
-  EXPECT_NE(lines[7].find("alpha.reloads=1"), std::string::npos) << lines[7];
+  EXPECT_EQ(lines.back(), "# EOF") << out;
+  for (const char* sample :
+       {"islabel_dataset_requests_total{dataset=\"alpha\"} 2",
+        "islabel_dataset_requests_total{dataset=\"beta\"} 1",
+        "islabel_dataset_reloads_total{dataset=\"alpha\"} 1"}) {
+    EXPECT_NE(std::find(lines.begin(), lines.end(), sample), lines.end())
+        << sample << "\n" << out;
+  }
+}
+
+TEST_F(ToolTest, ReplStatusReportsUpAndDownEndpoints) {
+  // An in-process primary over the fixture's index, and an endpoint
+  // nothing listens on.
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Add("d", index_dir_).ok());
+  ASSERT_TRUE(catalog.WaitReady().ok());
+  repl::PrimaryHooks hooks(&catalog);
+  server::TcpServerOptions opts;
+  opts.num_workers = 1;
+  server::TcpServer primary(&catalog, "d", opts);
+  primary.SetReplicationHooks(&hooks);
+  ASSERT_TRUE(primary.Start().ok());
+  const std::string up = "127.0.0.1:" + std::to_string(primary.port());
+
+  std::string out;
+  EXPECT_EQ(RunCommand(tool_ + " repl-status --timeout-ms 2000 --endpoints " +
+                           up + ",127.0.0.1:1",
+                       &out),
+            1)
+      << out;
+  const std::vector<std::string> lines = SplitLines(out);
+  EXPECT_NE(std::find(lines.begin(), lines.end(), up + " UP version: d:1"),
+            lines.end())
+      << out;
+  EXPECT_NE(out.find(up + "    islabel_repl_heartbeats_total "),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("127.0.0.1:1 DOWN "), std::string::npos) << out;
+  primary.Stop();
+  primary.Wait();
 }
 
 TEST_F(ToolTest, ServeMetricsVerbSingleIndexMode) {

@@ -30,7 +30,7 @@
 // pulls snapshots from the primary, serves whatever generation it has,
 // and keeps polling. `query --endpoints` queries a whole replica set
 // with failover; `repl-status` prints per-endpoint generations and
-// replication counters.
+// the islabel_repl_* series of each endpoint's `metrics`.
 
 #include <cstdio>
 #include <cstdlib>
@@ -520,8 +520,8 @@ int CmdBatch(const Args& args) {
 }
 
 // serve: the line-oriented wire protocol of server/protocol.h
-// ("S T", "one S T1 T2...", "path S T", "stats", "quit"), one response
-// line per request. Default front end is stdin/stdout (trivially
+// ("S T", "one S T1 T2...", "path S T", "metrics", "quit"), one response
+// per request. Default front end is stdin/stdout (trivially
 // scriptable); --listen HOST:PORT serves the same protocol over TCP with
 // the epoll server (--threads workers, SIGINT/SIGTERM shut it down
 // gracefully). --cache-mb M puts a sharded LRU distance cache in front
@@ -626,10 +626,8 @@ int RunTcpServer(server::TcpServer* tcp_server) {
 }
 
 /// The stdin/stdout front end, shared by both serve modes: one response
-/// line per request, `stats` assembled here (the dispatcher owns the
-/// per-dataset split in catalog mode).
-int ServeStdin(server::RequestDispatcher* dispatcher,
-               server::QueryCache* cache) {
+/// per request.
+int ServeStdin(server::RequestDispatcher* dispatcher) {
   server::RequestDispatcher::Session session;
   // Parse timing feeds the QueryTrace, exactly like the TCP front end.
   static const SystemClock kParseClock;
@@ -644,22 +642,7 @@ int ServeStdin(server::RequestDispatcher* dispatcher,
     }
     if (req.kind == server::RequestKind::kNone) continue;
     if (req.kind == server::RequestKind::kQuit) break;
-    std::string response;
-    if (req.kind == server::RequestKind::kStats) {
-      dispatcher->CountStatsRequest();
-      server::ServeStats stats;
-      if (cache != nullptr) {
-        const server::QueryCacheStats cs = cache->GetStats();
-        stats.cache_hits = cs.hits;
-        stats.cache_misses = cs.misses;
-        stats.cache_entries = cs.entries;
-        stats.cache_generation = cs.generation;
-      }
-      dispatcher->FillServeStats(&stats);
-      response = server::FormatStats(stats);
-    } else {
-      response = dispatcher->Execute(req, &session);
-    }
+    const std::string response = dispatcher->Execute(req, &session);
     std::printf("%s\n", response.c_str());
     std::fflush(stdout);
   }
@@ -760,7 +743,7 @@ int ServeCatalog(const Args& args,
   std::fprintf(stderr,
                "serving %zu datasets (default %s); 'S T', 'one S T...', "
                "'path S T', 'use NAME', 'datasets', 'reload NAME', "
-               "'stats', 'quit'\n",
+               "'metrics', 'quit'\n",
                names.size(), names.front().c_str());
   server::RequestDispatcher dispatcher(&catalog, names.front());
   server::RequestDispatcher::MetricsOptions mopts;
@@ -770,7 +753,7 @@ int ServeCatalog(const Args& args,
   mopts.slow_query_threshold_ms =
       static_cast<std::uint64_t>(args.GetInt("slow-query-ms", 0));
   dispatcher.InstallMetrics(mopts);
-  return ServeStdin(&dispatcher, nullptr);
+  return ServeStdin(&dispatcher);
 }
 
 /// Replica serve: an initially-empty catalog that pulls snapshots from
@@ -867,7 +850,7 @@ int CmdServe(const Args& args) {
     sopts.metrics = &registry;
     sopts.flight_recorder = sobs.recorder.get();
     sopts.event_log = sobs.event_log.get();
-    server::TcpServer tcp_server(&index, cache.get(), sopts);
+    server::TcpServer tcp_server(&index, sopts);
     Status st = tcp_server.Start();
     if (!st.ok()) {
       std::fprintf(stderr, "server start failed: %s\n",
@@ -885,7 +868,7 @@ int CmdServe(const Args& args) {
 
   std::fprintf(stderr,
                "serving %u vertices (%s labels); 'S T', 'one S T...', "
-               "'path S T', 'stats', 'quit'\n",
+               "'path S T', 'metrics', 'quit'\n",
                index.NumVertices(), args.Has("disk") ? "disk" : "in-memory");
   server::RequestDispatcher dispatcher(&index);
   server::RequestDispatcher::MetricsOptions mopts;
@@ -895,12 +878,12 @@ int CmdServe(const Args& args) {
   mopts.slow_query_threshold_ms =
       static_cast<std::uint64_t>(args.GetInt("slow-query-ms", 0));
   dispatcher.InstallMetrics(mopts);
-  return ServeStdin(&dispatcher, cache.get());
+  return ServeStdin(&dispatcher);
 }
 
-// repl-status: one line per endpoint — reachability, dataset
-// generations (`version`) and the full `stats` counters, so an
-// operator can see replica lag at a glance.
+// repl-status: per endpoint, reachability and dataset generations
+// (`version`), then the islabel_repl_* samples of its `metrics`
+// exposition, so an operator can see replica lag at a glance.
 int CmdReplStatus(const Args& args) {
   const std::vector<std::string> endpoints =
       SplitEndpoints(args.Get("endpoints", ""));
@@ -921,18 +904,29 @@ int CmdReplStatus(const Args& args) {
     }
     repl::Channel channel(std::move(conn).value());
     const Deadline deadline = Deadline::After(timeout_ms, &clock);
-    std::string version, stats;
+    std::string version;
+    std::vector<std::string> repl_samples;
     Status st = channel.SendLine("version");
     if (st.ok()) st = channel.ReadLine(&version, deadline);
-    if (st.ok()) st = channel.SendLine("stats");
-    if (st.ok()) st = channel.ReadLine(&stats, deadline);
+    if (st.ok()) st = channel.SendLine("metrics");
+    // The exposition runs through a final "# EOF" line.
+    std::string line;
+    while (st.ok()) {
+      st = channel.ReadLine(&line, deadline);
+      if (!st.ok() || line == "# EOF" || line.rfind("error: ", 0) == 0) {
+        break;
+      }
+      if (line.rfind("islabel_repl_", 0) == 0) repl_samples.push_back(line);
+    }
     if (!st.ok()) {
       std::printf("%s DOWN %s\n", endpoint.c_str(), st.ToString().c_str());
       ++down;
       continue;
     }
     std::printf("%s UP %s\n", endpoint.c_str(), version.c_str());
-    std::printf("%s    %s\n", endpoint.c_str(), stats.c_str());
+    for (const std::string& sample : repl_samples) {
+      std::printf("%s    %s\n", endpoint.c_str(), sample.c_str());
+    }
   }
   return down == 0 ? 0 : 1;
 }
