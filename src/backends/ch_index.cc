@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/query.h"
 #include "storage/block_file.h"
 #include "util/timer.h"
 #include "util/varint.h"
@@ -47,16 +46,9 @@ Result<CHIndex> CHIndex::Build(const Graph& g) {
   return index;
 }
 
-Status CHIndex::QueryUncached(VertexId s, VertexId t, Distance* out,
-                              QueryStats* stats) {
+Status CHIndex::QueryUncached(VertexId s, VertexId t, Distance* out) {
   ScratchLease lease(pool_.get());
-  std::uint64_t settled = 0;
-  *out = ch_.Query(s, t, lease.get(), &settled);
-  if (stats != nullptr) {
-    *stats = QueryStats{};
-    stats->used_search = true;
-    stats->settled = settled;
-  }
+  *out = ch_.Query(s, t, lease.get());
   return Status::OK();
 }
 

@@ -70,8 +70,7 @@ class CHIndex : public DistanceIndex {
   double build_seconds() const { return build_seconds_; }
 
  protected:
-  Status QueryUncached(VertexId s, VertexId t, Distance* out,
-                       QueryStats* stats) override;
+  Status QueryUncached(VertexId s, VertexId t, Distance* out) override;
 
  private:
   /// Mutex-guarded free list of query scratch (engine-pool pattern).

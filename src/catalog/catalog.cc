@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/clock.h"
 
 namespace islabel {
@@ -73,17 +72,12 @@ DatasetState Catalog::Handle::state() const {
   return dataset_->state;
 }
 
-Status Catalog::Handle::load_status() const {
-  MutexLock lock(&dataset_->mu);
-  return dataset_->load_status;
-}
-
 std::shared_ptr<PartitionedIndex> Catalog::Handle::index() const {
   MutexLock lock(&dataset_->mu);
   return dataset_->index;
 }
 
-DistanceCache* Catalog::Handle::cache() const {
+DistanceCache* Catalog::Handle::distance_cache() const {
   return dataset_->cache.get();
 }
 
@@ -112,42 +106,19 @@ Status Catalog::Handle::CheckQueryable(VertexId, VertexId) const {
   // Deliberately no range check here: the index snapshot in
   // QueryUncached owns validation, so a still-loading dataset reports
   // FailedPrecondition rather than OutOfRange-against-zero-vertices.
+  dataset_->requests->Inc();
   return Status::OK();
 }
 
-Status Catalog::Handle::QueryUncached(VertexId s, VertexId t, Distance* out,
-                                      QueryStats* stats) {
-  dataset_->requests->Inc();
-  // Generation FIRST, index snapshot second: if a reload lands between
-  // the two, this query runs on the NEW index and its insert (under the
-  // pre-bump generation) is dropped — conservative but never stale. An
-  // answer computed on the OLD index always inserts under a generation
-  // the reload's bump has moved past, so it is dropped too. Either way a
-  // cached answer can only describe the index that was current when its
-  // generation was minted.
-  DistanceCache* cache = dataset_->cache.get();
-  const bool use_cache = cache != nullptr && stats == nullptr;
-  std::uint64_t cache_gen = 0;
-  if (use_cache) {
-    obs::StageTimer span(obs::Stage::kCacheLookup);
-    cache_gen = cache->generation();
-    if (cache->Lookup(s, t, out)) {
-      // Mirror DistanceIndex::Query: flag the hit on the active trace so
-      // the flight recorder can tell cached answers apart (§17).
-      obs::QueryTrace* trace = obs::CurrentTrace();
-      if (trace != nullptr) trace->set_cache_hit(true);
-      return Status::OK();
-    }
-  }
+Status Catalog::Handle::QueryUncached(VertexId s, VertexId t, Distance* out) {
+  // DistanceIndex::Query snapshotted the cache generation before this
+  // index snapshot; that order is what keeps a reload from leaving a
+  // stale answer in the cache (DESIGN.md §12.4).
   std::shared_ptr<PartitionedIndex> index;
   Status st = Ready(&index);
-  if (st.ok()) st = index->Query(s, t, out, stats);
-  if (!st.ok()) {
-    dataset_->errors->Inc();
-    return st;
-  }
-  if (use_cache) cache->Insert(s, t, *out, cache_gen);
-  return Status::OK();
+  if (st.ok()) st = index->Query(s, t, out);
+  if (!st.ok()) dataset_->errors->Inc();
+  return st;
 }
 
 Status Catalog::Handle::ShortestPath(VertexId s, VertexId t,
@@ -163,12 +134,11 @@ Status Catalog::Handle::ShortestPath(VertexId s, VertexId t,
 
 Status Catalog::Handle::QueryOneToMany(VertexId s,
                                        const std::vector<VertexId>& targets,
-                                       std::vector<Distance>* out,
-                                       QueryStats* stats) {
+                                       std::vector<Distance>* out) {
   dataset_->requests->Inc();
   std::shared_ptr<PartitionedIndex> index;
   Status st = Ready(&index);
-  if (st.ok()) st = index->QueryOneToMany(s, targets, out, stats);
+  if (st.ok()) st = index->QueryOneToMany(s, targets, out);
   if (!st.ok()) dataset_->errors->Inc();
   return st;
 }

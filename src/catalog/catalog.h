@@ -15,14 +15,15 @@
 //     snapshot copy).
 //
 // Cache coherence across a swap: each dataset may carry a DistanceCache
-// (installed by the serving layer). Handle::Query snapshots the cache
-// generation BEFORE snapshotting the index, and Reload publishes the new
-// index BEFORE bumping the generation. Any answer computed on the old
-// index therefore inserts under a generation that has moved on by the
-// time the new index is visible, so the cache (whose Insert drops
-// stale-generation entries by contract) can never serve an answer that
-// outlives a swapped index. See DESIGN.md §12 for the interleaving
-// argument.
+// (installed by the serving layer). A handle's Query (the DistanceIndex
+// template method, reading Handle::distance_cache()) snapshots the cache
+// generation BEFORE QueryUncached snapshots the index, and Reload
+// publishes the new index BEFORE bumping the generation. Any answer
+// computed on the old index therefore inserts under a generation that
+// has moved on by the time the new index is visible, so the cache (whose
+// Insert drops stale-generation entries by contract) can never serve an
+// answer that outlives a swapped index. See DESIGN.md §12 for the
+// interleaving argument.
 
 #ifndef ISLABEL_CATALOG_CATALOG_H_
 #define ISLABEL_CATALOG_CATALOG_H_
@@ -107,10 +108,11 @@ class Catalog {
   /// index version) alive. Query calls snapshot the current index, so
   /// they are safe across Reload.
   ///
-  /// Caching: the dataset's DistanceCache (SetDistanceCache) is consulted
-  /// inside QueryUncached with the generation-before-snapshot ordering
-  /// described above — NOT via DistanceIndex::set_distance_cache, whose
-  /// per-instance cache would not survive Handle copies.
+  /// Caching: distance_cache() returns the dataset's DistanceCache
+  /// (SetDistanceCache), so the DistanceIndex template method consults it
+  /// with the generation-before-snapshot ordering described above — NOT
+  /// DistanceIndex::set_distance_cache, whose per-instance cache would
+  /// not survive Handle copies.
   class Handle : public DistanceIndex {
    public:
     Handle() = default;
@@ -122,24 +124,21 @@ class Catalog {
     explicit operator bool() const { return dataset_ != nullptr; }
     const std::string& name() const;
     DatasetState state() const;
-    /// The load error when state() == kFailed.
-    Status load_status() const;
 
     /// Snapshot of the current index (nullptr until loaded). Holding the
     /// returned pointer pins that index version across reloads.
     std::shared_ptr<PartitionedIndex> index() const;
 
-    /// The dataset's distance cache, if the serving layer installed one.
-    DistanceCache* cache() const;
+    /// The dataset's distance cache, if the serving layer installed one;
+    /// the one Query consults.
+    DistanceCache* distance_cache() const override;
 
-    // -- DistanceIndex surface: routes to the current index snapshot,
-    // consults the dataset cache (stats-free Query only), and bumps the
-    // per-dataset request/error counters. All thread-safe. --
+    // -- DistanceIndex surface: routes to the current index snapshot and
+    // bumps the per-dataset request/error counters. All thread-safe. --
     Status ShortestPath(VertexId s, VertexId t, std::vector<VertexId>* path,
                         Distance* dist) override;
     Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
-                          std::vector<Distance>* out,
-                          QueryStats* stats = nullptr) override;
+                          std::vector<Distance>* out) override;
 
     /// 0 until the dataset finishes loading (queries before then fail in
     /// QueryUncached with FailedPrecondition, not OutOfRange — see
@@ -150,14 +149,14 @@ class Catalog {
     DistanceIndexInfo Info() const override;
 
    protected:
-    /// Counters + dataset cache + index snapshot + route; the full
-    /// uncached query path for one validated pair.
-    Status QueryUncached(VertexId s, VertexId t, Distance* out,
-                         QueryStats* stats) override;
-    /// Always OK: range validation belongs to the index snapshot taken
-    /// inside QueryUncached. The base range check against NumVertices()
-    /// would misreport a still-loading dataset (0 vertices) as
-    /// OutOfRange instead of FailedPrecondition.
+    /// Index snapshot + route after a cache miss; counts the dataset
+    /// error on failure.
+    Status QueryUncached(VertexId s, VertexId t, Distance* out) override;
+    /// Counts the dataset request (once per Query, cache hits included)
+    /// and returns OK: range validation belongs to the index snapshot
+    /// taken inside QueryUncached. The base range check against
+    /// NumVertices() would misreport a still-loading dataset (0 vertices)
+    /// as OutOfRange instead of FailedPrecondition.
     Status CheckQueryable(VertexId s, VertexId t) const override;
 
    private:

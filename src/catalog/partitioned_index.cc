@@ -167,25 +167,23 @@ Status PartitionedIndex::CheckQueryable(VertexId s, VertexId t) const {
   return Status::OK();
 }
 
-Status PartitionedIndex::QueryUncached(VertexId s, VertexId t, Distance* out,
-                                       QueryStats* stats) {
+Status PartitionedIndex::QueryUncached(VertexId s, VertexId t,
+                                       Distance* out) {
   const std::uint32_t cs = component_[s];
   if (cs != component_[t]) {
     // The partition map IS the reachability oracle: answer straight from
     // it, no backend call, no label fetch.
     *out = kInfDistance;
-    if (stats != nullptr) *stats = QueryStats{};
     counters_->cross_component.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
   const std::uint32_t p = part_of_component_[cs];
   if (p == GraphPartition::kNoPart) {  // singleton component: s == t
     *out = 0;
-    if (stats != nullptr) *stats = QueryStats{};
     return Status::OK();
   }
   counters_->routed.fetch_add(1, std::memory_order_relaxed);
-  return parts_[p].index->Query(local_id_[s], local_id_[t], out, stats);
+  return parts_[p].index->Query(local_id_[s], local_id_[t], out);
 }
 
 Status PartitionedIndex::ShortestPath(VertexId s, VertexId t,
@@ -218,14 +216,12 @@ Status PartitionedIndex::ShortestPath(VertexId s, VertexId t,
 
 Status PartitionedIndex::QueryOneToMany(VertexId s,
                                         const std::vector<VertexId>& targets,
-                                        std::vector<Distance>* out,
-                                        QueryStats* stats) {
+                                        std::vector<Distance>* out) {
   ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, s));
   for (VertexId t : targets) {
     ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, t));
   }
   out->assign(targets.size(), kInfDistance);
-  if (stats != nullptr) *stats = QueryStats{};
 
   const std::uint32_t cs = component_[s];
   const std::uint32_t p = part_of_component_[cs];
@@ -248,7 +244,7 @@ Status PartitionedIndex::QueryOneToMany(VertexId s,
   counters_->routed.fetch_add(1, std::memory_order_relaxed);
   std::vector<Distance> local_out;
   ISLABEL_RETURN_IF_ERROR(parts_[p].index->QueryOneToMany(
-      local_id_[s], local_targets, &local_out, stats));
+      local_id_[s], local_targets, &local_out));
   for (std::size_t i = 0; i < positions.size(); ++i) {
     (*out)[positions[i]] = local_out[i];
   }

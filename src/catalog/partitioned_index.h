@@ -25,7 +25,7 @@
 //   * the sub-graph of a component contains exactly its induced edges,
 //     so every s-t path of the original graph survives the remap;
 //   * local ids are assigned in ascending global-id order per part, and
-//     GlobalId(PartOf(v), LocalId(v)) == v for every vertex;
+//     part_global_ids(PartOf(v))[LocalId(v)] == v for every vertex;
 //   * singleton components build no sub-index at all — the only
 //     same-component query they can receive is s == t, answered 0
 //     directly (and `{s}` for paths), exactly as a backend would.
@@ -138,8 +138,7 @@ class PartitionedIndex : public DistanceIndex {
   /// touching it. All endpoints validated up front, any invalid endpoint
   /// fails the whole call. Thread-safe.
   Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
-                        std::vector<Distance>* out,
-                        QueryStats* stats = nullptr) override;
+                        std::vector<Distance>* out) override;
 
   // ---- Persistence ----
 
@@ -179,9 +178,6 @@ class PartitionedIndex : public DistanceIndex {
     return part_of_component_[component_[v]];
   }
   VertexId LocalId(VertexId v) const { return local_id_[v]; }
-  VertexId GlobalId(std::uint32_t part, VertexId local) const {
-    return parts_[part].global_ids[local];
-  }
   const DistanceIndex& part(std::uint32_t p) const {
     return *parts_[p].index;
   }
@@ -217,8 +213,7 @@ class PartitionedIndex : public DistanceIndex {
  protected:
   /// Routes one validated pair: O(1) for cross-component/singleton,
   /// otherwise the owning part's backend.
-  Status QueryUncached(VertexId s, VertexId t, Distance* out,
-                       QueryStats* stats) override;
+  Status QueryUncached(VertexId s, VertexId t, Distance* out) override;
   Status CheckQueryable(VertexId s, VertexId t) const override;
 
  private:

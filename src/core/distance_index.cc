@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/query.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
 
@@ -45,19 +44,18 @@ Status DistanceIndex::CheckQueryable(VertexId s, VertexId t) const {
   return Status::OK();
 }
 
-Status DistanceIndex::Query(VertexId s, VertexId t, Distance* out,
-                            QueryStats* stats) {
+Status DistanceIndex::Query(VertexId s, VertexId t, Distance* out) {
   ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, t));
   // Generation BEFORE compute: if a mutation lands mid-query, Insert sees
   // a moved generation and drops the answer instead of stamping a stale
-  // distance as current. Stats-carrying calls bypass the cache so they
-  // always measure the real backend.
-  const bool use_cache = distance_cache_ != nullptr && stats == nullptr;
+  // distance as current. For a catalog handle the snapshot also precedes
+  // the index snapshot taken inside QueryUncached (DESIGN.md §12.4).
+  DistanceCache* cache = distance_cache();
   std::uint64_t cache_gen = 0;
-  if (use_cache) {
+  if (cache != nullptr) {
     obs::StageTimer span(obs::Stage::kCacheLookup);
-    cache_gen = distance_cache_->generation();
-    if (distance_cache_->Lookup(s, t, out)) {
+    cache_gen = cache->generation();
+    if (cache->Lookup(s, t, out)) {
       // Flag the hit on the active trace so the flight recorder can
       // tell cached answers from computed ones (DESIGN.md §17).
       obs::QueryTrace* hit_trace = obs::CurrentTrace();
@@ -75,21 +73,17 @@ Status DistanceIndex::Query(VertexId s, VertexId t, Distance* out,
     const std::uint64_t pool_before =
         trace->StageMicros(obs::Stage::kPoolWait);
     const std::uint64_t t0 = trace->clock()->NowMicros();
-    st = QueryUncached(s, t, out, stats);
+    st = QueryUncached(s, t, out);
     const std::uint64_t dt = trace->clock()->NowMicros() - t0;
     const std::uint64_t pool_dt =
         trace->StageMicros(obs::Stage::kPoolWait) - pool_before;
     trace->Add(obs::Stage::kKernel, dt > pool_dt ? dt - pool_dt : 0);
     trace->EndKernel();
   } else {
-    if (trace != nullptr) {
-      st = QueryUncached(s, t, out, stats);
-      trace->EndKernel();
-    } else {
-      st = QueryUncached(s, t, out, stats);
-    }
+    st = QueryUncached(s, t, out);
+    if (trace != nullptr) trace->EndKernel();
   }
-  if (st.ok() && use_cache) distance_cache_->Insert(s, t, *out, cache_gen);
+  if (st.ok() && cache != nullptr) cache->Insert(s, t, *out, cache_gen);
   return st;
 }
 
@@ -129,26 +123,14 @@ Status DistanceIndex::QueryBatch(
 
 Status DistanceIndex::QueryOneToMany(VertexId s,
                                      const std::vector<VertexId>& targets,
-                                     std::vector<Distance>* out,
-                                     QueryStats* stats) {
+                                     std::vector<Distance>* out) {
   ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, s));
   for (VertexId t : targets) {
     ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, t));
   }
   out->assign(targets.size(), kInfDistance);
-  if (stats != nullptr) *stats = QueryStats{};
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    QueryStats one;
-    ISLABEL_RETURN_IF_ERROR(QueryUncached(s, targets[i], &(*out)[i],
-                                          stats != nullptr ? &one : nullptr));
-    if (stats != nullptr) {
-      stats->label_fetch_seconds += one.label_fetch_seconds;
-      stats->search_seconds += one.search_seconds;
-      stats->label_ios += one.label_ios;
-      stats->used_search = stats->used_search || one.used_search;
-      stats->settled += one.settled;
-      stats->relaxed += one.relaxed;
-    }
+    ISLABEL_RETURN_IF_ERROR(QueryUncached(s, targets[i], &(*out)[i]));
   }
   return Status::OK();
 }

@@ -16,15 +16,16 @@
 //     pattern); the index structure itself is immutable at query time.
 //     Mutation (updates, Save/Load) must be quiesced by the caller.
 //
-//   * Cache generations: Query() is a template method. The base class
-//     owns the optional DistanceCache and enforces the ordering that
-//     makes cached answers safe across mutation: the generation is
-//     snapshotted BEFORE the backend computes, and the answer is
-//     inserted under that snapshot — any concurrent generation bump
-//     (update, reload) makes the insert a no-op, so a cached answer can
-//     only describe the index state current when its generation was
-//     minted. Backends signal "answers may have changed" with
-//     BumpCacheGeneration(); they never touch cache entries directly.
+//   * Cache generations: Query() is a template method and the only
+//     place a result cache is consulted. It reads the cache through
+//     distance_cache() and enforces the ordering that makes cached
+//     answers safe across mutation: the generation is snapshotted
+//     BEFORE the backend computes, and the answer is inserted under that
+//     snapshot — any concurrent generation bump (update, reload) makes
+//     the insert a no-op, so a cached answer can only describe the index
+//     state current when its generation was minted. Backends signal
+//     "answers may have changed" with BumpCacheGeneration(); they never
+//     touch cache entries directly.
 //
 //   * Persistence: Save() writes a self-identifying directory (each
 //     backend has its own magic-tagged files); backends/registry.h sniffs
@@ -51,8 +52,6 @@
 #include "util/status.h"
 
 namespace islabel {
-
-struct QueryStats;  // core/query.h
 
 namespace obs {
 class MetricRegistry;  // obs/metrics.h
@@ -94,11 +93,10 @@ class DistanceIndex {
   // ---- Queries (all thread-safe) ----
 
   /// Exact distance from s to t; kInfDistance if disconnected.
-  /// Non-virtual template method: consults the installed cache (stats-free
-  /// calls only, so instrumented queries always measure the real backend)
-  /// with the generation snapshotted before QueryUncached runs.
-  Status Query(VertexId s, VertexId t, Distance* out,
-               QueryStats* stats = nullptr);
+  /// Non-virtual template method: consults distance_cache() with the
+  /// generation snapshotted before QueryUncached runs, and attributes
+  /// the QueryUncached span to the active trace's kernel stage.
+  Status Query(VertexId s, VertexId t, Distance* out);
 
   /// Exact shortest path (original-graph vertices, s first, t last);
   /// empty path + kInfDistance when disconnected. Backends built without
@@ -119,8 +117,7 @@ class DistanceIndex {
   /// Distances from s to every target. All endpoints validated up front;
   /// any invalid endpoint fails the whole call.
   virtual Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
-                                std::vector<Distance>* out,
-                                QueryStats* stats = nullptr);
+                                std::vector<Distance>* out);
 
   /// Row-major |sources| x |targets| rectangle, rows in parallel.
   virtual Status QueryManyToMany(const std::vector<VertexId>& sources,
@@ -147,12 +144,17 @@ class DistanceIndex {
   void set_distance_cache(std::shared_ptr<DistanceCache> cache) {
     distance_cache_ = std::move(cache);
   }
-  DistanceCache* distance_cache() const { return distance_cache_.get(); }
+  /// The cache Query consults: the installed one by default. A routing
+  /// wrapper whose cache outlives the instance (Catalog::Handle)
+  /// overrides this to return it.
+  virtual DistanceCache* distance_cache() const {
+    return distance_cache_.get();
+  }
 
   // ---- Optional telemetry (DESIGN.md §16) ----
 
-  /// Registers backend-owned instruments (engine-pool gauges, lease-wait
-  /// histograms) into `registry` and keeps them wired across internal
+  /// Registers backend-owned instruments (engine-pool gauges and
+  /// counters) into `registry` and keeps them wired across internal
   /// pool resets. Idempotent; composite backends forward to their parts.
   /// Default: no-op. Call before serving, and again after a mutation
   /// that rebuilds internal pools is fine too.
@@ -167,8 +169,7 @@ class DistanceIndex {
 
   /// The backend computation behind Query(); runs after CheckQueryable
   /// and a cache miss. Must be thread-safe.
-  virtual Status QueryUncached(VertexId s, VertexId t, Distance* out,
-                               QueryStats* stats) = 0;
+  virtual Status QueryUncached(VertexId s, VertexId t, Distance* out) = 0;
 
   /// Endpoint validation, run before the cache is consulted (so e.g. a
   /// cached pair naming a since-deleted endpoint still fails). Default:

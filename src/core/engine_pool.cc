@@ -4,34 +4,26 @@
 
 namespace islabel {
 
-QueryEnginePool::Lease QueryEnginePool::AcquireInternal() {
+QueryEnginePool::Lease QueryEnginePool::Acquire() {
+  obs::StageTimer span(obs::Stage::kPoolWait);
+  std::unique_ptr<QueryEngine> engine;
   {
     MutexLock lock(&mu_);
     if (!free_.empty()) {
-      std::unique_ptr<QueryEngine> engine = std::move(free_.back());
+      engine = std::move(free_.back());
       free_.pop_back();
-      return Lease(this, std::move(engine));
+    } else {
+      ++created_;
     }
-    ++created_;
   }
-  if (auto* c = engines_created_.load(std::memory_order_acquire)) c->Inc();
-  // Construction happens outside the lock; the constructor only stores
-  // pointers (scratch is lazily sized at the engine's first query).
-  return Lease(this, std::make_unique<QueryEngine>(hierarchy_, provider_));
-}
-
-QueryEnginePool::Lease QueryEnginePool::Acquire() {
-  obs::StageTimer span(obs::Stage::kPoolWait);
-  obs::Histogram* hist = lease_wait_.load(std::memory_order_acquire);
-  const Clock* clock = metrics_clock_.load(std::memory_order_acquire);
-  const std::uint64_t t0 =
-      (hist != nullptr && clock != nullptr) ? clock->NowMicros() : 0;
-  Lease lease = AcquireInternal();
-  if (hist != nullptr && clock != nullptr) {
-    hist->Record(clock->NowMicros() - t0);
+  if (engine == nullptr) {
+    if (auto* c = engines_created_.load(std::memory_order_acquire)) c->Inc();
+    // Construction happens outside the lock; the constructor only stores
+    // pointers (scratch is lazily sized at the engine's first query).
+    engine = std::make_unique<QueryEngine>(hierarchy_, provider_);
   }
   if (auto* g = leases_active_.load(std::memory_order_acquire)) g->Add(1);
-  return lease;
+  return Lease(this, std::move(engine));
 }
 
 void QueryEnginePool::Return(std::unique_ptr<QueryEngine> engine) {

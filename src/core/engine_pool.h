@@ -24,7 +24,6 @@
 
 #include "core/query.h"
 #include "obs/metrics.h"
-#include "util/clock.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -90,24 +89,20 @@ class QueryEnginePool {
   /// are SHARED across pools via Add/Inc deltas, so pool occupancy
   /// survives ResetPool and sums across partitioned-index parts. All
   /// pointers must outlive the pool; null fields disable that signal.
+  /// Lease wait is timed by the trace's pool_wait stage, not here.
   struct PoolMetrics {
-    obs::Histogram* lease_wait = nullptr;   // Acquire latency, µs
     obs::Gauge* leases_active = nullptr;    // +1 per live lease
     obs::Counter* engines_created = nullptr;
-    const Clock* clock = nullptr;           // needed for lease_wait
   };
   void SetMetrics(const PoolMetrics& metrics) {
-    lease_wait_.store(metrics.lease_wait, std::memory_order_release);
     leases_active_.store(metrics.leases_active, std::memory_order_release);
     engines_created_.store(metrics.engines_created,
                            std::memory_order_release);
-    metrics_clock_.store(metrics.clock, std::memory_order_release);
   }
 
  private:
   friend class Lease;
   void Return(std::unique_ptr<QueryEngine> engine);
-  Lease AcquireInternal();
 
   const VertexHierarchy* hierarchy_;
   LabelProvider provider_;
@@ -116,10 +111,8 @@ class QueryEnginePool {
   std::size_t created_ GUARDED_BY(mu_) = 0;
 
   // Installed once before serving; read lock-free on the query path.
-  std::atomic<obs::Histogram*> lease_wait_{nullptr};
   std::atomic<obs::Gauge*> leases_active_{nullptr};
   std::atomic<obs::Counter*> engines_created_{nullptr};
-  std::atomic<const Clock*> metrics_clock_{nullptr};
 };
 
 }  // namespace islabel

@@ -7,7 +7,6 @@
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
 #include "storage/label_store.h"
-#include "util/clock.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 #include "util/varint.h"
@@ -83,20 +82,12 @@ void ISLabelIndex::InstallMetrics(obs::MetricRegistry* registry) {
 
 void ISLabelIndex::ApplyPoolMetrics() {
   if (metrics_registry_ == nullptr || pool_ == nullptr) return;
-  // Lease-wait latency is real wall time by definition, so the system
-  // clock is correct here even in tests (trace tests drive pool-wait
-  // attribution through the ManualClock seam instead).
-  static const SystemClock kPoolClock;
   QueryEnginePool::PoolMetrics m;
-  m.lease_wait = metrics_registry_->GetHistogram(
-      "islabel_pool_lease_wait_seconds",
-      "Engine-pool lease acquisition latency");
   m.leases_active = metrics_registry_->GetGauge(
       "islabel_pool_leases_active", "Engine leases currently held");
   m.engines_created = metrics_registry_->GetCounter(
       "islabel_pool_engines_created_total",
       "Query engines constructed across all pools");
-  m.clock = &kPoolClock;
   pool_->SetMetrics(m);
 }
 
@@ -112,11 +103,17 @@ Status ISLabelIndex::CheckQueryable(VertexId s, VertexId t) const {
   return Status::OK();
 }
 
-Status ISLabelIndex::QueryUncached(VertexId s, VertexId t, Distance* out,
-                                   QueryStats* stats) {
+Status ISLabelIndex::QueryUncached(VertexId s, VertexId t, Distance* out) {
   // The base class ran CheckQueryable (deleted-endpoint check included,
   // before the cache) and snapshotted the cache generation; all that is
   // left is the real engine query.
+  QueryEnginePool::Lease lease = pool_->Acquire();
+  return lease->Query(s, t, out);
+}
+
+Status ISLabelIndex::Query(VertexId s, VertexId t, Distance* out,
+                           QueryStats* stats) {
+  ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, t));
   QueryEnginePool::Lease lease = pool_->Acquire();
   return lease->Query(s, t, out, stats);
 }
@@ -166,14 +163,13 @@ Status ISLabelIndex::QueryBatch(
 
 Status ISLabelIndex::QueryOneToMany(VertexId s,
                                     const std::vector<VertexId>& targets,
-                                    std::vector<Distance>* out,
-                                    QueryStats* stats) {
+                                    std::vector<Distance>* out) {
   ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, s));
   for (VertexId t : targets) {
     ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, t));
   }
   QueryEnginePool::Lease lease = pool_->Acquire();
-  return lease->QueryOneToMany(s, targets, out, stats);
+  return lease->QueryOneToMany(s, targets, out);
 }
 
 Status ISLabelIndex::QueryManyToMany(const std::vector<VertexId>& sources,

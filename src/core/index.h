@@ -69,6 +69,13 @@ class ISLabelIndex : public DistanceIndex {
   static Result<ISLabelIndex> Build(const Graph& g,
                                     const IndexOptions& options = {});
 
+  using DistanceIndex::Query;
+  /// Measured query for the paper-table benches and the CLI: validates
+  /// the endpoints, leases one engine and fills *stats (Time (a)/(b),
+  /// label I/Os, search counters). Never consults the cache and never
+  /// enters the active trace, so it always measures the real engine.
+  Status Query(VertexId s, VertexId t, Distance* out, QueryStats* stats);
+
   /// Exact shortest path (sequence of original-graph vertices, s first,
   /// t last). Requires the index to have been built with keep_vias.
   /// Outputs an empty path and kInfDistance when disconnected.
@@ -94,8 +101,7 @@ class ISLabelIndex : public DistanceIndex {
   /// validated up front; any deleted/out-of-range endpoint fails the whole
   /// call. Thread-safe.
   Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
-                        std::vector<Distance>* out,
-                        QueryStats* stats = nullptr) override;
+                        std::vector<Distance>* out) override;
 
   /// The kNN-style rectangle: out is row-major |sources| x |targets|,
   /// (*out)[i * targets.size() + j] = d(sources[i], targets[j]). Rows run
@@ -159,23 +165,20 @@ class ISLabelIndex : public DistanceIndex {
   /// to hold a lease across many queries (serve loops, benches).
   QueryEnginePool* engine_pool() { return pool_.get(); }
 
-  /// Wires the engine pool's lease-wait histogram and occupancy gauges
-  /// into `registry`, and keeps them wired across every ResetPool
-  /// (updates, reloads). The shared Add/Inc instruments mean partitioned
-  /// parts and reloaded pools all feed the same series.
+  /// Wires the engine pool's occupancy gauge and creation counter into
+  /// `registry`, and keeps them wired across every ResetPool (updates,
+  /// reloads). The shared Add/Inc instruments mean partitioned parts and
+  /// reloaded pools all feed the same series.
   void InstallMetrics(obs::MetricRegistry* registry) override;
 
  protected:
   /// Leases an engine and runs the real query; the base class has already
   /// validated endpoints and missed the cache.
-  Status QueryUncached(VertexId s, VertexId t, Distance* out,
-                       QueryStats* stats) override;
+  Status QueryUncached(VertexId s, VertexId t, Distance* out) override;
   /// Adds the built/deleted-endpoint checks to the base range check.
   Status CheckQueryable(VertexId s, VertexId t) const override;
 
  private:
-  friend class PathReconstructor;
-
   /// (Re)creates the engine pool over the current hierarchy/labels; called
   /// eagerly at Build/Load and after every update, so the query entry
   /// points never construct shared state lazily (and thus never race).

@@ -15,21 +15,6 @@ LabelArena::LabelArena(std::vector<LabelEntry> slab,
   n_ = arena_n_;
 }
 
-LabelArena LabelArena::FromNestedConsuming(
-    std::vector<std::vector<LabelEntry>>* nested) {
-  std::vector<std::uint64_t> offsets(nested->size() + 1, 0);
-  for (std::size_t v = 0; v < nested->size(); ++v) {
-    offsets[v + 1] = offsets[v] + (*nested)[v].size();
-  }
-  std::vector<LabelEntry> slab;
-  slab.reserve(static_cast<std::size_t>(offsets.back()));
-  for (auto& label : *nested) {
-    slab.insert(slab.end(), label.begin(), label.end());
-    std::vector<LabelEntry>().swap(label);  // release as we go
-  }
-  return LabelArena(std::move(slab), std::move(offsets));
-}
-
 void LabelArena::ComputeSeedCuts(const std::vector<std::uint32_t>& level,
                                  std::uint32_t k) {
   seed_cut_.assign(arena_n_, 0);

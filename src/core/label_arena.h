@@ -34,12 +34,6 @@ class LabelArena {
   /// default to 0 until ComputeSeedCuts() runs.
   LabelArena(std::vector<LabelEntry> slab, std::vector<std::uint64_t> offsets);
 
-  /// Flattens a nested label set into the slab layout, freeing each
-  /// nested label as it is copied so peak memory stays ~one label set,
-  /// not two (the memory-budgeted external pipeline depends on this).
-  static LabelArena FromNestedConsuming(
-      std::vector<std::vector<LabelEntry>>* nested);
-
   /// Number of labels, including side-table appends.
   VertexId NumVertices() const { return n_; }
   std::size_t size() const { return n_; }

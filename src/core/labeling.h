@@ -33,10 +33,6 @@
 
 namespace islabel {
 
-/// Nested per-vertex labels. The LabelArena is the production layout; this
-/// alias survives as the working representation of the external pipeline.
-using LabelSet = std::vector<std::vector<LabelEntry>>;
-
 /// Counters describing a labeling run.
 struct LabelingStats {
   std::uint64_t total_entries = 0;

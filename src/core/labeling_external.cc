@@ -12,6 +12,10 @@
 // This realizes the paper's I/O bound O(Σ_i (bL(i)/M) · (bU(i)/B)): the
 // number of BU scans per level is the number of BL blocks. Results are
 // bit-identical to ComputeLabelsTopDown (tests assert this).
+//
+// Completed labels are not kept in RAM: only their lengths are. After the
+// last level one more sequential BU scan reads every payload straight
+// into its slot of the arena slab, so the peak is one label set.
 
 #include <algorithm>
 #include <unordered_map>
@@ -46,40 +50,37 @@ Status AppendLabel(BlockFile* file, VertexId v,
   return Status::OK();
 }
 
-// Sequential scanner over a BU file.
+// Sequential scanner over a BU file: Next() reads a record header, then
+// ReadEntries() reads its payload before the next Next().
 class LabelScanner {
  public:
-  explicit LabelScanner(BlockFile* file) : file_(file) {}
+  explicit LabelScanner(BlockFile* file)
+      : file_(file), end_(file->FileSize()) {}
 
-  /// Reads the next (vertex, label) record; false at end-of-file.
-  Status Next(VertexId* v, std::vector<LabelEntry>* label, bool* ok) {
-    if (pos_ >= end_) {
-      *ok = false;
-      return Status::OK();
-    }
-    LabelHeader h;
-    ISLABEL_RETURN_IF_ERROR(file_->ReadAt(pos_, &h, sizeof(h)));
-    pos_ += sizeof(h);
-    label->resize(h.count);
-    if (h.count > 0) {
-      ISLABEL_RETURN_IF_ERROR(
-          file_->ReadAt(pos_, label->data(), h.count * sizeof(LabelEntry)));
-      pos_ += h.count * sizeof(LabelEntry);
-    }
-    *v = h.vertex;
-    *ok = true;
+  /// Reads the next record header; false at end-of-file. The scan covers
+  /// the file as it was at construction (records appended later belong
+  /// to lower levels and must not be seen by this scan).
+  Status Next(LabelHeader* h, bool* ok) {
+    *ok = pos_ < end_;
+    if (!*ok) return Status::OK();
+    ISLABEL_RETURN_IF_ERROR(file_->ReadAt(pos_, h, sizeof(*h)));
+    pos_ += sizeof(*h);
     return Status::OK();
   }
 
-  /// Restricts the scan to the file's current contents (records appended
-  /// later belong to lower levels and must not be seen by this scan).
-  void SnapshotEnd() { end_ = file_->FileSize(); }
-  void Rewind() { pos_ = 0; }
+  /// Reads the current record's `count` entries into dst.
+  Status ReadEntries(std::uint32_t count, LabelEntry* dst) {
+    if (count == 0) return Status::OK();
+    ISLABEL_RETURN_IF_ERROR(
+        file_->ReadAt(pos_, dst, count * sizeof(LabelEntry)));
+    pos_ += count * sizeof(LabelEntry);
+    return Status::OK();
+  }
 
  private:
   BlockFile* file_;
   std::uint64_t pos_ = 0;
-  std::uint64_t end_ = 0;
+  std::uint64_t end_;
 };
 
 }  // namespace
@@ -89,18 +90,20 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
                                                 LabelingStats* stats,
                                                 IoStats* io) {
   const VertexId n = h.NumVertices();
-  LabelSet labels(n);
+  // |label(v)| of every label appended to BU; the only per-vertex state
+  // kept in RAM until the final scan.
+  std::vector<std::uint32_t> lengths(n, 0);
 
   BlockFile bu;
   const std::string bu_path = NextTempPath(options.tmp_dir, "labels_bu");
   ISLABEL_RETURN_IF_ERROR(bu.Open(bu_path, /*truncate=*/true));
 
   // Initialization (lines 1-4): residual-core labels are trivial; they seed
-  // BU. (Their records are also final, so they go straight to the output.)
+  // BU.
   for (VertexId v = 0; v < n; ++v) {
     if (h.level[v] == h.k) {
-      labels[v] = {LabelEntry(v, 0)};
-      ISLABEL_RETURN_IF_ERROR(AppendLabel(&bu, v, labels[v]));
+      ISLABEL_RETURN_IF_ERROR(AppendLabel(&bu, v, {LabelEntry(v, 0)}));
+      lengths[v] = 1;
     }
   }
 
@@ -146,14 +149,15 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
       // One sequential BU scan joins every completed upper label into the
       // block (lines 8-17).
       LabelScanner scan(&bu);
-      scan.SnapshotEnd();
-      scan.Rewind();
-      VertexId u = 0;
+      LabelHeader rec;
       std::vector<LabelEntry> label_u;
       bool ok = false;
       while (true) {
-        ISLABEL_RETURN_IF_ERROR(scan.Next(&u, &label_u, &ok));
+        ISLABEL_RETURN_IF_ERROR(scan.Next(&rec, &ok));
         if (!ok) break;
+        label_u.resize(rec.count);
+        ISLABEL_RETURN_IF_ERROR(scan.ReadEntries(rec.count, label_u.data()));
+        const VertexId u = rec.vertex;
         auto it = consumers.find(u);
         if (it == consumers.end()) continue;
         for (VertexId v : it->second) {
@@ -172,18 +176,38 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
         }
       }
 
-      // Finish the block: dedupe, emit to the output and to BU.
+      // Finish the block: dedupe and append to BU.
       for (std::size_t b = begin; b < end; ++b) {
         const VertexId v = level[b];
         auto& acc = accumulators[b - begin];
         // The shared collapse rule keeps this pipeline bit-identical to
         // the in-memory one.
         acc.resize(SortAndDedupeRange(acc.data(), acc.size()));
-        labels[v] = acc;
-        ISLABEL_RETURN_IF_ERROR(AppendLabel(&bu, v, labels[v]));
+        ISLABEL_RETURN_IF_ERROR(AppendLabel(&bu, v, acc));
+        lengths[v] = static_cast<std::uint32_t>(acc.size());
       }
       begin = end;
     }
+  }
+  consumers.clear();
+  accumulators.clear();
+  acc_index.clear();
+
+  // BU now holds every final label once. Size the CSR from the recorded
+  // lengths and read each payload straight into its slab slot — the same
+  // vertex-ordered layout the in-memory path builds (tests assert arena
+  // equality).
+  std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + lengths[v];
+  std::vector<LabelEntry> slab(static_cast<std::size_t>(offsets[n]));
+  LabelScanner scan(&bu);
+  LabelHeader rec;
+  bool ok = false;
+  while (true) {
+    ISLABEL_RETURN_IF_ERROR(scan.Next(&rec, &ok));
+    if (!ok) break;
+    ISLABEL_RETURN_IF_ERROR(
+        scan.ReadEntries(rec.count, slab.data() + offsets[rec.vertex]));
   }
 
   if (io != nullptr) *io += bu.stats();
@@ -192,17 +216,13 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
 
   if (stats != nullptr) {
     *stats = LabelingStats{};
-    for (const auto& l : labels) {
-      stats->total_entries += l.size();
-      stats->max_entries =
-          std::max<std::uint64_t>(stats->max_entries, l.size());
-      stats->bytes_in_memory += l.size() * sizeof(LabelEntry);
+    for (std::uint32_t len : lengths) {
+      stats->total_entries += len;
+      stats->max_entries = std::max<std::uint64_t>(stats->max_entries, len);
+      stats->bytes_in_memory += len * sizeof(LabelEntry);
     }
   }
-  // Flatten into the arena layout the query layer serves, releasing each
-  // nested label as it is copied so peak memory stays ~one label set;
-  // identical to the in-memory path (tests assert arena equality).
-  LabelArena arena = LabelArena::FromNestedConsuming(&labels);
+  LabelArena arena(std::move(slab), std::move(offsets));
   arena.ComputeSeedCuts(h.level, h.k);
   return arena;
 }

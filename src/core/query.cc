@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "util/timer.h"
 
@@ -79,11 +80,10 @@ Status QueryEngine::Query(VertexId s, VertexId t, Distance* out,
 }
 
 Status QueryEngine::DistanceWithCapture(VertexId s, VertexId t,
-                                        PathCapture* capture,
-                                        QueryStats* stats) {
+                                        PathCapture* capture) {
   *capture = PathCapture{};
   Distance d = kInfDistance;
-  ISLABEL_RETURN_IF_ERROR(Run(s, t, &d, stats, capture));
+  ISLABEL_RETURN_IF_ERROR(Run(s, t, &d, nullptr, capture));
   capture->dist = d;
   return Status::OK();
 }
@@ -115,7 +115,10 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   // carry the trivial label {(v, 0)}, so their lookup is synthesized from
   // engine-owned storage without touching the provider; this is why the
   // paper's Type 1 queries (both endpoints in G_k) have Time (a) = 0.
-  WallTimer fetch_timer;
+  // Time (a) and (b) are timed only for callers that asked for stats; a
+  // served query reads no clock in the engine.
+  std::optional<WallTimer> timer;
+  if (stats != nullptr) timer.emplace();
   std::uint64_t ios = 0;
   LabelView label_s, label_t;
   std::uint32_t cut_s = 0, cut_t = 0;
@@ -135,7 +138,7 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   }
   const Eq1Result eq1 = EvaluateEq1(label_s, label_t);
   if (stats != nullptr) {
-    stats->label_fetch_seconds = fetch_timer.ElapsedSeconds();
+    stats->label_fetch_seconds = timer->ElapsedSeconds();
     stats->label_ios = ios;
     const int in_core =
         (h_->InCore(s) ? 1 : 0) + (h_->InCore(t) ? 1 : 0);
@@ -163,19 +166,20 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   }
 
   // Stage 2: label-based bidirectional Dijkstra on G_k — Time (b).
-  WallTimer search_timer;
-  if (stats != nullptr) stats->used_search = true;
+  if (stats != nullptr) {
+    timer->Restart();
+    stats->used_search = true;
+  }
   const Distance mu = disable_mu_pruning_ ? kInfDistance : eq1.dist;
   Distance d = BiDijkstra(mu, stats, capture);
   if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;
-  if (stats != nullptr) stats->search_seconds = search_timer.ElapsedSeconds();
+  if (stats != nullptr) stats->search_seconds = timer->ElapsedSeconds();
   *out = d;
   return Status::OK();
 }
 
 Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
-                                   std::size_t num_targets, Distance* out,
-                                   QueryStats* stats) {
+                                   std::size_t num_targets, Distance* out) {
   const VertexId n = h_->NumVertices();
   if (s >= n) return Status::OutOfRange("query vertex id out of range");
   for (std::size_t i = 0; i < num_targets; ++i) {
@@ -183,13 +187,11 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
       return Status::OutOfRange("query vertex id out of range");
     }
   }
-  if (stats != nullptr) *stats = QueryStats{};
   if (num_targets == 0) return Status::OK();
 
   // label(s) is fetched and its Algorithm 1 seeds extracted exactly once.
   // The view stays valid for the whole batch: the arena slab is immutable
   // and the disk decode lands in fetch_[0], which only this side uses.
-  std::uint64_t ios = 0;
   LabelView label_s;
   std::uint32_t cut_s = 0;
   if (h_->InCore(s)) {
@@ -197,7 +199,7 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
     label_s = LabelView(&self_[0], 1);
   } else {
     ISLABEL_RETURN_IF_ERROR(
-        provider_.View(s, &label_s, &fetch_[0], &ios, &cut_s));
+        provider_.View(s, &label_s, &fetch_[0], nullptr, &cut_s));
   }
   ExtractSeeds(label_s, cut_s, &seeds_[0]);
 
@@ -230,7 +232,7 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
       label_t = LabelView(&self_[1], 1);
     } else {
       ISLABEL_RETURN_IF_ERROR(
-          provider_.View(t, &label_t, &fetch_[1], &ios, &cut_t));
+          provider_.View(t, &label_t, &fetch_[1], nullptr, &cut_t));
     }
     const Eq1Result eq1 = EvaluateEq1(label_s, label_t);
     ExtractSeeds(label_t, cut_t, &seeds_[1]);
@@ -261,12 +263,10 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
         if (cand < best) best = cand;
       }
     }
-    if (stats != nullptr) stats->used_search = true;
-    Distance d = SearchLoop(best, fwd_epoch, rev_epoch, stats, nullptr);
+    Distance d = SearchLoop(best, fwd_epoch, rev_epoch, nullptr, nullptr);
     if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;
     out[i] = d;
   }
-  if (stats != nullptr) stats->label_ios = ios;
   return Status::OK();
 }
 

@@ -114,25 +114,19 @@ class QueryEngine {
                QueryStats* stats = nullptr);
 
   /// Distance plus the bookkeeping needed to reconstruct the path.
-  Status DistanceWithCapture(VertexId s, VertexId t, PathCapture* capture,
-                             QueryStats* stats = nullptr);
+  Status DistanceWithCapture(VertexId s, VertexId t, PathCapture* capture);
 
   /// One-to-many: distances from s to every target (out[i] = d(s,
   /// targets[i])). label(s) is fetched and its Algorithm 1 seeds extracted
   /// once, and the forward bi-Dijkstra state (the "forward ball") is a
   /// single Dijkstra shared by all targets — it only ever grows, so work
-  /// spent expanding from s amortizes across the batch. `stats` (optional)
-  /// receives aggregate counters (label_ios/settled/relaxed summed over
-  /// the batch; location/intersection fields are not meaningful here).
+  /// spent expanding from s amortizes across the batch.
   Status QueryOneToMany(VertexId s, const VertexId* targets,
-                        std::size_t num_targets, Distance* out,
-                        QueryStats* stats = nullptr);
+                        std::size_t num_targets, Distance* out);
   Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
-                        std::vector<Distance>* out,
-                        QueryStats* stats = nullptr) {
+                        std::vector<Distance>* out) {
     out->assign(targets.size(), kInfDistance);
-    return QueryOneToMany(s, targets.data(), targets.size(), out->data(),
-                          stats);
+    return QueryOneToMany(s, targets.data(), targets.size(), out->data());
   }
 
   /// Ablation hook (bench_ablation_pruning): when true, the bi-Dijkstra

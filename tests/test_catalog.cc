@@ -24,13 +24,19 @@
 
 #include "catalog/catalog.h"
 #include "catalog/partitioned_index.h"
+#include "core/distance_cache.h"
 #include "core/index.h"
 #include "graph/components.h"
+#include "obs/log.h"
+#include "obs/metrics.h"
+#include "obs_test_util.h"
 #include "server/dispatcher.h"
 #include "server/protocol.h"
 #include "server/query_cache.h"
 #include "server/tcp_server.h"
 #include "tests/test_common.h"
+#include "util/clock.h"
+#include "util/mutex.h"
 
 namespace islabel {
 namespace {
@@ -522,6 +528,76 @@ TEST_F(CatalogHostTest, DispatcherRoutesPerSession) {
   EXPECT_NE(datasets.find("st:ready:1:6"), std::string::npos) << datasets;
 }
 
+/// A DistanceCache that always hits with `answer` and charges `lookup_us`
+/// of manual-clock time to every lookup: a deterministic slow shard.
+class SlowHitCache : public DistanceCache {
+ public:
+  SlowHitCache(ManualClock* clock, std::uint64_t lookup_us, Distance answer)
+      : clock_(clock), lookup_us_(lookup_us), answer_(answer) {}
+
+  std::uint64_t generation() const override { return 0; }
+  bool Lookup(VertexId, VertexId, Distance* out) override {
+    clock_->AdvanceMicros(lookup_us_);
+    *out = answer_;
+    return true;
+  }
+  void Insert(VertexId, VertexId, Distance, std::uint64_t) override {}
+  void BumpGeneration() override {}
+
+ private:
+  ManualClock* clock_;
+  std::uint64_t lookup_us_;
+  Distance answer_;
+};
+
+TEST(CatalogDispatcher, DatasetCacheHitIsCacheTimeNotKernelTime) {
+  auto built = PartitionedIndex::Build(MakeTestGraph(Family::kPath, 8, true, 1));
+  ASSERT_TRUE(built.ok());
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddIndex("d", std::move(built).value()).ok());
+  ManualClock clock;
+  ASSERT_TRUE(catalog
+                  .SetDistanceCache("d", std::make_shared<SlowHitCache>(
+                                             &clock, /*lookup_us=*/40, 7))
+                  .ok());
+
+  Mutex mu;
+  std::vector<std::string> events;
+  obs::EventLogOptions lopts;
+  lopts.clock = &clock;
+  lopts.sink = obs_test::CapturingSink(&mu, &events);
+  obs::EventLog log(lopts);
+
+  RequestDispatcher dispatcher(&catalog, "d");
+  obs::MetricRegistry registry;
+  RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = &registry;
+  mopts.clock = &clock;
+  mopts.slow_query_threshold_ms = 1;
+  mopts.event_log = &log;
+  dispatcher.InstallMetrics(mopts);
+
+  // Only the cache lookup advances the clock, so every stage is exact:
+  // the hit is cache time, no kernel ran, and the stages sum to the total.
+  Request req = ParseRequest("0 7");
+  req.parse_us = 5000;
+  RequestDispatcher::Session session;
+  EXPECT_EQ(dispatcher.Execute(req, &session), "7");
+  ASSERT_EQ(events.size(), 1u);
+  for (const char* field :
+       {"\"total_us\":\"5040\"", "\"parse_us\":\"5000\"",
+        "\"cache_us\":\"40\"", "\"pool_wait_us\":\"0\"",
+        "\"kernel_us\":\"0\"", "\"encode_us\":\"0\""}) {
+    EXPECT_NE(events[0].find(field), std::string::npos)
+        << field << " in " << events[0];
+  }
+  // The hit still counts as one request on the dataset.
+  const std::vector<DatasetInfo> infos = catalog.List();
+  ASSERT_EQ(infos.size(), 1u);
+  EXPECT_EQ(infos[0].requests, 1u);
+  EXPECT_EQ(infos[0].errors, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Loopback TCP: concurrent clients querying across live reloads
 // ---------------------------------------------------------------------------
@@ -804,7 +880,7 @@ TEST_F(CatalogServerTest, MetricsVerbExposesCatalogFamilies) {
   for (const char* want :
        {"islabel_server_requests_total", "islabel_server_connections_open",
         "islabel_dataset_requests_total", "islabel_catalog_reload_seconds",
-        "islabel_pool_lease_wait_seconds", "islabel_query_stage_seconds"}) {
+        "islabel_pool_leases_active", "islabel_query_stage_seconds"}) {
     EXPECT_NE(families.count(want), 0u) << want;
   }
 }

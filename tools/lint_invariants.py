@@ -41,6 +41,13 @@ this linter proves the conventions that make that proof meaningful:
   test-registered  Every tests/test_*.cc is registered in
                    tests/CMakeLists.txt — an unregistered test compiles
                    nowhere and silently stops running.
+  stats-seam       QueryStats is named in src/ only by core/query,
+                   core/index and core/directed: it is an output of
+                   QueryEngine::Query and of the measured
+                   ISLabelIndex::Query overload, never a parameter of
+                   the serving interface (DistanceIndex and everything
+                   above it), so statistics cannot creep back onto the
+                   path a served query takes.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -400,6 +407,22 @@ def rule_log_events(root):
     return violations
 
 
+STATS_PATTERNS = [r"\bQueryStats\b"]
+STATS_ALLOWED = {
+    os.path.join("src", "core", name)
+    for name in ("query.h", "query.cc", "index.h", "index.cc",
+                 "directed.h", "directed.cc")
+}
+
+
+def rule_stats_seam(root):
+    files = [f for f in walk_sources(root, "src") if f not in STATS_ALLOWED]
+    return scan_forbidden(
+        root, files, STATS_PATTERNS, "stats-seam",
+        "QueryStats belongs to the engine and the measured "
+        "ISLabelIndex::Query overload, not the serving interface")
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -429,6 +452,7 @@ RULES = [
     rule_metric_names,
     rule_log_events,
     rule_tests_registered,
+    rule_stats_seam,
 ]
 
 
@@ -455,6 +479,7 @@ SELF_TEST_EXPECTED = {
     # the fixture DESIGN.md log-events marker)
     "log-events": 4,
     "test-registered": 1,
+    "stats-seam": 1,
 }
 
 
