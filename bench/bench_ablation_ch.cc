@@ -55,11 +55,12 @@ int main() {
       auto ch = ContractionHierarchy::Build(c.graph);
       const double build_s = t.ElapsedSeconds();
       if (ch.ok()) {
+        ContractionHierarchy::Scratch scratch;
         std::uint64_t settled = 0;
         WallTimer qt;
         for (auto [s, u] : queries) {
           std::uint64_t st = 0;
-          (void)ch->Query(s, u, &st);
+          (void)ch->Query(s, u, &scratch, &st);
           settled += st;
         }
         std::printf("%-16s %-9s %10.2f %12.1f %12.2f %14.1f\n", c.name, "CH",

@@ -42,6 +42,7 @@
 #include "repl/replica.h"
 #include "repl/replica_set_client.h"
 #include "repl/transport.h"
+#include "server/dispatcher.h"
 #include "server/protocol.h"
 #include "server/tcp_server.h"
 #include "util/clock.h"
@@ -85,13 +86,15 @@ class FreshPartEngines {
 };
 
 /// A full replica node: its own catalog, a real-network agent that
-/// pulled the snapshot from the primary, and a serving TCP server.
+/// pulled the snapshot from the primary, and a serving TCP server whose
+/// dispatcher carries the agent's replication hooks.
 struct ReplicaNode {
   Catalog catalog;
   repl::TcpTransport transport;
   SystemClock clock;
   Rng rng{12345};
   std::unique_ptr<repl::ReplicaAgent> agent;
+  std::unique_ptr<server::RequestDispatcher> dispatcher;
   std::unique_ptr<server::TcpServer> server;
   std::string endpoint;
 };
@@ -217,12 +220,16 @@ int main() {
     return 2;
   }
   repl::PrimaryHooks primary_hooks(&primary_catalog);
+  server::RequestDispatcher primary_dispatcher(&primary_catalog, "d");
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = primary_catalog.metrics();
+  primary_dispatcher.InstallMetrics(mopts);
+  primary_dispatcher.set_replication_hooks(&primary_hooks);
   server::TcpServerOptions sopts;
   sopts.port = 0;
   sopts.num_workers = kClients;
-  auto primary = std::make_unique<server::TcpServer>(&primary_catalog, "d",
-                                                     sopts);
-  primary->SetReplicationHooks(&primary_hooks);
+  auto primary =
+      std::make_unique<server::TcpServer>(&primary_dispatcher, sopts);
   if (!primary->Start().ok()) {
     std::fprintf(stderr, "!! primary failed to start\n");
     return 2;
@@ -246,9 +253,14 @@ int main() {
                    synced.ToString().c_str());
       return 2;
     }
+    node->dispatcher =
+        std::make_unique<server::RequestDispatcher>(&node->catalog, "d");
+    server::RequestDispatcher::MetricsOptions node_mopts;
+    node_mopts.registry = node->catalog.metrics();
+    node->dispatcher->InstallMetrics(node_mopts);
+    node->dispatcher->set_replication_hooks(node->agent.get());
     node->server =
-        std::make_unique<server::TcpServer>(&node->catalog, "d", sopts);
-    node->server->SetReplicationHooks(node->agent.get());
+        std::make_unique<server::TcpServer>(node->dispatcher.get(), sopts);
     if (!node->server->Start().ok()) {
       std::fprintf(stderr, "!! replica %u failed to start\n", i);
       return 2;

@@ -57,6 +57,7 @@
 #include "core/index.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "server/dispatcher.h"
 #include "server/protocol.h"
 #include "server/query_cache.h"
 #include "server/tcp_server.h"
@@ -211,7 +212,7 @@ LegResult RunWorkload(std::uint16_t port,
 /// One instrumentation switch priced by an on/off pair of runs.
 struct AbLeg {
   const char* name;
-  server::TcpServerOptions opts;
+  server::RequestDispatcher::MetricsOptions telemetry;
   std::function<void(bool)> set_enabled;
   /// Archives what the enabled run recorded.
   std::function<void()> snapshot;
@@ -224,14 +225,21 @@ struct AbResult {
   double overhead_pct = 0.0;
 };
 
-/// Serves `index` from a fresh server for one run of `workload`. A leg
-/// that cannot even start counts in `infra_failures`, so it fails the
-/// gate instead of vacuously passing it with zero verified answers.
+/// Serves `index` from a fresh dispatcher and server for one run of
+/// `workload`, with `telemetry` installed on the dispatcher (a fresh
+/// registry when it names none: every TCP server records into one). A
+/// leg that cannot even start counts in `infra_failures`, so it fails
+/// the gate instead of vacuously passing it with zero verified answers.
 LegResult RunServerLeg(const std::string& leg, ISLabelIndex* index,
+                       server::RequestDispatcher::MetricsOptions telemetry,
                        const server::TcpServerOptions& opts,
                        const std::vector<std::vector<WorkloadOp>>& workload,
                        std::uint64_t* infra_failures) {
-  server::TcpServer srv(index, opts);
+  obs::MetricRegistry fresh;
+  if (telemetry.registry == nullptr) telemetry.registry = &fresh;
+  server::RequestDispatcher dispatcher(index);
+  dispatcher.InstallMetrics(telemetry);
+  server::TcpServer srv(&dispatcher, opts);
   if (!srv.Start().ok()) {
     std::fprintf(stderr, "!! %s leg failed to start\n", leg.c_str());
     ++*infra_failures;
@@ -243,22 +251,23 @@ LegResult RunServerLeg(const std::string& leg, ISLabelIndex* index,
   return result;
 }
 
-/// Runs `workload` against a server built from `leg.opts`, first with the
-/// switch on, then off. Each run gets a fresh cache (counting into the
-/// server's registry), so both start cold.
+/// Runs `workload` against a server with `leg.telemetry` installed, first
+/// with the switch on, then off. Each run gets a fresh cache (counting
+/// into the leg's registry), so both start cold.
 AbResult RunAbLeg(const AbLeg& leg, ISLabelIndex* index,
+                  const server::TcpServerOptions& opts,
                   const std::vector<std::vector<WorkloadOp>>& workload,
                   const std::string& dataset,
                   std::uint64_t* infra_failures) {
   AbResult result;
   for (const bool enabled : {true, false}) {
     server::QueryCacheOptions copts;
-    copts.metrics = leg.opts.metrics;
+    copts.metrics = leg.telemetry.registry;
     index->set_distance_cache(std::make_shared<server::QueryCache>(copts));
     leg.set_enabled(enabled);
     LegResult& out = enabled ? result.on : result.off;
     out = RunServerLeg(dataset + " " + leg.name + (enabled ? " on" : " off"),
-                       index, leg.opts, workload, infra_failures);
+                       index, leg.telemetry, opts, workload, infra_failures);
     if (enabled && out.requests > 0) leg.snapshot();
   }
   leg.set_enabled(true);
@@ -428,10 +437,14 @@ CatalogLegResult RunCatalogLeg(double scale, std::size_t num_pairs) {
     }
   }
 
+  server::RequestDispatcher dispatcher(&catalog, names[0]);
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = catalog.metrics();
+  dispatcher.InstallMetrics(mopts);
   server::TcpServerOptions sopts;
   sopts.port = 0;
   sopts.num_workers = kClients + 1;  // clients + the reloader
-  server::TcpServer srv(&catalog, names[0], sopts);
+  server::TcpServer srv(&dispatcher, sopts);
   if (!srv.Start().ok()) {
     std::fprintf(stderr, "!! catalog server failed to start\n");
     ++result.mismatches;
@@ -586,14 +599,16 @@ int main() {
     std::uint64_t infra_failures = 0;
 
     // Leg 1: no cache.
-    const LegResult uncached = RunServerLeg(d.name + " uncached", &index,
-                                            sopts, workload, &infra_failures);
+    const LegResult uncached =
+        RunServerLeg(d.name + " uncached", &index, /*telemetry=*/{}, sopts,
+                     workload, &infra_failures);
 
     // Leg 2: sharded LRU cache in front of the engine.
     auto cache = std::make_shared<server::QueryCache>();
     index.set_distance_cache(cache);
-    const LegResult cached = RunServerLeg(d.name + " cached", &index, sopts,
-                                          workload, &infra_failures);
+    const LegResult cached =
+        RunServerLeg(d.name + " cached", &index, /*telemetry=*/{}, sopts,
+                     workload, &infra_failures);
     const server::QueryCacheStats cache_stats = cache->GetStats();
     const double hit_rate =
         cache_stats.hits + cache_stats.misses > 0
@@ -608,8 +623,8 @@ int main() {
     // both and toggling the recorder isolates Record() from the trace
     // stamping the telemetry pair already priced.
     index.InstallMetrics(&registry);
-    server::TcpServerOptions mopts = sopts;
-    mopts.metrics = &registry;
+    server::RequestDispatcher::MetricsOptions mopts;
+    mopts.registry = &registry;
     const AbResult telemetry = RunAbLeg(
         {"telemetry", mopts,
          [&](bool on) { registry.set_enabled(on); },
@@ -620,9 +635,9 @@ int main() {
                  WriteTextFile(metrics_path, registry.RenderPrometheus());
            }
          }},
-        &index, workload, d.name, &infra_failures);
+        &index, sopts, workload, d.name, &infra_failures);
     obs::FlightRecorder recorder{obs::FlightRecorderOptions{}};
-    server::TcpServerOptions fopts = mopts;
+    server::RequestDispatcher::MetricsOptions fopts = mopts;
     fopts.flight_recorder = &recorder;
     const AbResult recorder_ab = RunAbLeg(
         {"recorder", fopts,
@@ -636,7 +651,7 @@ int main() {
                      "\n");
            }
          }},
-        &index, workload, d.name, &infra_failures);
+        &index, sopts, workload, d.name, &infra_failures);
     // Leg 4 verifies the leg-2 cache's generation bump; point the index
     // back at it.
     index.set_distance_cache(cache);
@@ -667,8 +682,9 @@ int main() {
             }
           }
         }
-        post_update = RunServerLeg(d.name + " post-update", &index, sopts,
-                                   verify, &infra_failures);
+        post_update =
+            RunServerLeg(d.name + " post-update", &index, /*telemetry=*/{},
+                         sopts, verify, &infra_failures);
       } else {
         std::fprintf(stderr, "!! post-update leg skipped (%s): %s\n",
                      d.name.c_str(), updated.ToString().c_str());

@@ -222,11 +222,6 @@ double ContractionHierarchy::MeanUpDegree() const {
          static_cast<double>(up_.size());
 }
 
-Distance ContractionHierarchy::Query(VertexId s, VertexId t,
-                                     std::uint64_t* settled_out) {
-  return Query(s, t, &scratch_, settled_out);
-}
-
 Distance ContractionHierarchy::Query(VertexId s, VertexId t, Scratch* scratch,
                                      std::uint64_t* settled_out) const {
   const VertexId n = NumVertices();

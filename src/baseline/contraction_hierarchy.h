@@ -7,7 +7,7 @@
 // power-law graphs contraction degenerates (dense shortcut fill-in around
 // hubs) — see bench_ablation_ch. Promoted to a full serving backend
 // (backends/ch_index.h wraps it behind DistanceIndex): every shortcut
-// records its contracted middle vertex, queries can run on caller-owned
+// records its contracted middle vertex, queries run on caller-owned
 // scratch from any number of threads, and path queries unpack shortcuts
 // back to original-graph vertices.
 //
@@ -66,12 +66,8 @@ class ContractionHierarchy {
                                         std::vector<std::vector<UpEdge>> up,
                                         std::uint64_t num_shortcuts);
 
-  /// Exact distance (kInfDistance if disconnected). Uses internal scratch:
-  /// NOT thread-safe; kept for the single-threaded baseline drivers.
-  Distance Query(VertexId s, VertexId t, std::uint64_t* settled = nullptr);
-
-  /// Exact distance on caller-owned scratch. Thread-safe (const; all
-  /// mutable state lives in *scratch).
+  /// Exact distance (kInfDistance if disconnected) on caller-owned
+  /// scratch. Thread-safe (const; all mutable state lives in *scratch).
   Distance Query(VertexId s, VertexId t, Scratch* scratch,
                  std::uint64_t* settled = nullptr) const;
 
@@ -115,9 +111,6 @@ class ContractionHierarchy {
   std::vector<std::uint32_t> order_;
   std::vector<std::vector<UpEdge>> up_;
   std::uint64_t num_shortcuts_ = 0;
-
-  // Scratch behind the legacy non-const Query.
-  Scratch scratch_;
 };
 
 }  // namespace islabel

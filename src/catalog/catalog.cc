@@ -356,8 +356,7 @@ Status Catalog::Reload(const std::string& name) {
     return Status::FailedPrecondition("dataset " + name +
                                       " has no backing directory");
   }
-  static const SystemClock kReloadClock;
-  const std::uint64_t t0 = kReloadClock.NowMicros();
+  const std::uint64_t t0 = SystemClock::Default()->NowMicros();
   // The expensive load runs without any lock; queries proceed on the old
   // index throughout.
   auto loaded = PartitionedIndex::Load(dir, labels_in_memory);
@@ -379,7 +378,7 @@ Status Catalog::Reload(const std::string& name) {
   metrics_
       ->GetHistogram("islabel_catalog_reload_seconds",
                      "Reload/install duration (load + swap)")
-      ->Record(kReloadClock.NowMicros() - t0);
+      ->Record(SystemClock::Default()->NowMicros() - t0);
   if (event_log_ != nullptr) {
     event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
                     {{"dataset", name},
@@ -401,8 +400,7 @@ Status Catalog::ReloadFrom(const std::string& name, const std::string& dir,
         std::to_string(ds->generation.load(std::memory_order_acquire)) +
         " >= " + std::to_string(gen));
   }
-  static const SystemClock kInstallClock;
-  const std::uint64_t t0 = kInstallClock.NowMicros();
+  const std::uint64_t t0 = SystemClock::Default()->NowMicros();
   // Load before touching any dataset state: a corrupt or truncated
   // directory must leave the currently-serving version untouched.
   auto loaded = PartitionedIndex::Load(dir, ds->labels_in_memory);
@@ -429,7 +427,7 @@ Status Catalog::ReloadFrom(const std::string& name, const std::string& dir,
   metrics_
       ->GetHistogram("islabel_catalog_reload_seconds",
                      "Reload/install duration (load + swap)")
-      ->Record(kInstallClock.NowMicros() - t0);
+      ->Record(SystemClock::Default()->NowMicros() - t0);
   if (event_log_ != nullptr) {
     event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
                     {{"dataset", name},

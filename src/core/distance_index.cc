@@ -63,25 +63,13 @@ Status DistanceIndex::Query(VertexId s, VertexId t, Distance* out) {
       return Status::OK();
     }
   }
-  // Kernel attribution happens here, once, for every backend: the span
-  // around QueryUncached minus whatever the engine pool charged to
-  // kPoolWait inside it. Only the outermost frame records (a catalog
-  // handle's QueryUncached re-enters this template method).
-  obs::QueryTrace* trace = obs::CurrentTrace();
+  // Kernel time for every backend: the span around QueryUncached (a
+  // catalog handle's QueryUncached re-enters this template method, and
+  // only the outermost span records).
   Status st;
-  if (trace != nullptr && trace->BeginKernel()) {
-    const std::uint64_t pool_before =
-        trace->StageMicros(obs::Stage::kPoolWait);
-    const std::uint64_t t0 = trace->clock()->NowMicros();
+  {
+    obs::KernelSpan span;
     st = QueryUncached(s, t, out);
-    const std::uint64_t dt = trace->clock()->NowMicros() - t0;
-    const std::uint64_t pool_dt =
-        trace->StageMicros(obs::Stage::kPoolWait) - pool_before;
-    trace->Add(obs::Stage::kKernel, dt > pool_dt ? dt - pool_dt : 0);
-    trace->EndKernel();
-  } else {
-    st = QueryUncached(s, t, out);
-    if (trace != nullptr) trace->EndKernel();
   }
   if (st.ok() && cache != nullptr) cache->Insert(s, t, *out, cache_gen);
   return st;

@@ -10,11 +10,6 @@ namespace obs {
 
 namespace {
 
-const Clock* DefaultRecorderClock() {
-  static const SystemClock clock;
-  return &clock;
-}
-
 std::size_t RoundUpPow2(std::size_t n) {
   std::size_t p = 2;
   while (p < n) p <<= 1;
@@ -76,7 +71,7 @@ FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
                                 ? 2
                                 : options.capacity_per_thread)),
       clock_(options.clock != nullptr ? options.clock
-                                      : DefaultRecorderClock()),
+                                      : SystemClock::Default()),
       recorder_id_(NextRecorderId()) {}
 
 FlightRecorder::~FlightRecorder() = default;

@@ -10,11 +10,6 @@ namespace obs {
 
 namespace {
 
-const Clock* DefaultLogClock() {
-  static const SystemClock clock;
-  return &clock;
-}
-
 /// Appends `value` as a JSON string literal (quotes, backslashes and
 /// control characters escaped — everything a sink needs to stay one
 /// line per event).
@@ -84,7 +79,8 @@ bool ParseEventLevel(std::string_view text, EventLevel* out) {
 
 EventLog::EventLog(const EventLogOptions& options)
     : options_(options),
-      clock_(options.clock != nullptr ? options.clock : DefaultLogClock()) {}
+      clock_(options.clock != nullptr ? options.clock
+                                       : SystemClock::Default()) {}
 
 std::string EventLog::U64(std::uint64_t v) { return std::to_string(v); }
 

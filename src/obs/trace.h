@@ -51,9 +51,9 @@ class QueryTrace {
     return stage_us_[static_cast<int>(stage)];
   }
 
-  /// Nesting guard for the kernel stage: a catalog handle's QueryUncached
+  /// Nesting guard for KernelSpan: a catalog handle's QueryUncached
   /// runs the inner index's template method, and only the OUTERMOST
-  /// frame may attribute kernel time or it would double-count. Returns
+  /// span may attribute kernel time or it would double-count. Returns
   /// true when this frame is outermost; every Begin pairs with an End.
   bool BeginKernel() { return kernel_depth_++ == 0; }
   void EndKernel() { --kernel_depth_; }
@@ -113,6 +113,41 @@ class StageTimer {
  private:
   QueryTrace* trace_;
   Stage stage_;
+  std::uint64_t start_us_ = 0;
+};
+
+/// RAII kernel span against the current trace: charges its duration,
+/// minus whatever the engine pool charged to kPoolWait inside it, to
+/// kKernel. Only the outermost span records, so a backend call that
+/// re-enters DistanceIndex::Query is counted once. No trace installed →
+/// no clock reads at all.
+class KernelSpan {
+ public:
+  KernelSpan() : trace_(CurrentTrace()) {
+    if (trace_ != nullptr && trace_->BeginKernel()) {
+      outermost_ = true;
+      pool_before_us_ = trace_->StageMicros(Stage::kPoolWait);
+      start_us_ = trace_->clock()->NowMicros();
+    }
+  }
+  ~KernelSpan() {
+    if (trace_ == nullptr) return;
+    if (outermost_) {
+      const std::uint64_t dt = trace_->clock()->NowMicros() - start_us_;
+      const std::uint64_t pool_dt =
+          trace_->StageMicros(Stage::kPoolWait) - pool_before_us_;
+      trace_->Add(Stage::kKernel, dt > pool_dt ? dt - pool_dt : 0);
+    }
+    trace_->EndKernel();
+  }
+
+  KernelSpan(const KernelSpan&) = delete;
+  KernelSpan& operator=(const KernelSpan&) = delete;
+
+ private:
+  QueryTrace* trace_;
+  bool outermost_ = false;
+  std::uint64_t pool_before_us_ = 0;
   std::uint64_t start_us_ = 0;
 };
 

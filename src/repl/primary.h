@@ -1,5 +1,5 @@
 // PrimaryHooks: the primary side of the replication protocol, installed
-// on a catalog-mode server via TcpServer::SetReplicationHooks.
+// on a catalog-mode server via RequestDispatcher::set_replication_hooks.
 //
 // The primary is passive: replicas pull. Three verbs:
 //

@@ -11,8 +11,10 @@ namespace {
 /// The verb→API mapping, written once against the DistanceIndex
 /// interface: single-index mode passes the raw backend, catalog mode
 /// passes the session's Catalog::Handle (itself a DistanceIndex).
-/// Response formatting runs under the encode stage span so a traced
-/// request splits kernel time from serialization time.
+/// `one` and `path` run under a kernel span here (`S T` opens its own in
+/// DistanceIndex::Query, after the cache lookup); response formatting
+/// runs under the encode span, so a traced request splits kernel time
+/// from serialization time.
 std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
                              bool* error) {
   *error = false;
@@ -29,7 +31,11 @@ std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
     }
     case RequestKind::kOneToMany: {
       std::vector<Distance> dists;
-      Status st = backend.QueryOneToMany(req.s, req.targets, &dists);
+      Status st;
+      {
+        obs::KernelSpan span;
+        st = backend.QueryOneToMany(req.s, req.targets, &dists);
+      }
       if (!st.ok()) {
         *error = true;
         return FormatError(st);
@@ -40,7 +46,11 @@ std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
     case RequestKind::kPath: {
       std::vector<VertexId> path;
       Distance d = 0;
-      Status st = backend.ShortestPath(req.s, req.t, &path, &d);
+      Status st;
+      {
+        obs::KernelSpan span;
+        st = backend.ShortestPath(req.s, req.t, &path, &d);
+      }
       if (!st.ok()) {
         *error = true;
         return FormatError(st);
@@ -86,11 +96,6 @@ const char* VerbName(RequestKind kind) {
     default:
       return "other";
   }
-}
-
-const Clock* DefaultMetricsClock() {
-  static const SystemClock clock;
-  return &clock;
 }
 
 }  // namespace
@@ -301,7 +306,7 @@ void RequestDispatcher::InstallMetrics(const MetricsOptions& options) {
       options.event_log == nullptr) {
     return;
   }
-  clock_ = options.clock != nullptr ? options.clock : DefaultMetricsClock();
+  clock_ = options.clock != nullptr ? options.clock : SystemClock::Default();
   slow_query_threshold_ms_ = options.slow_query_threshold_ms;
   recorder_ = options.flight_recorder;
   event_log_ = options.event_log;

@@ -3,10 +3,11 @@
 //
 // Shared by the stdin serve loop and the TCP server's worker threads so
 // request semantics (which API each verb maps to, error formatting,
-// request/error counting) are defined exactly once. Both modes execute
-// query verbs through the one DistanceIndex virtual surface —
-// Catalog::Handle IS-A DistanceIndex, so there is exactly one
-// verb→API mapping, not one per backend type. Two modes:
+// request/error counting) and telemetry (InstallMetrics) are defined
+// exactly once; the TCP server is a transport over the dispatcher it is
+// given. Both modes execute query verbs through the one DistanceIndex
+// virtual surface — Catalog::Handle IS-A DistanceIndex, so there is
+// exactly one verb→API mapping, not one per backend type. Two modes:
 //
 //   * single-index: constructed over any DistanceIndex; the catalog
 //     verbs (use / datasets / reload) answer an error.
@@ -128,8 +129,16 @@ class RequestDispatcher {
   void InstallMetrics(const MetricsOptions& options);
 
   /// The registry installed via InstallMetrics, or null. The `metrics`
-  /// verb renders exactly this registry.
+  /// verb renders exactly this registry, and a TcpServer serving this
+  /// dispatcher registers its connection instruments there.
   obs::MetricRegistry* metrics() const { return metrics_; }
+  /// The installed clock (the process-wide SystemClock until
+  /// InstallMetrics sets one); never null. Front ends time parses,
+  /// idle sweeps and shutdown drains with it.
+  const Clock* clock() const { return clock_; }
+  /// The installed event log, or null. Front ends log their lifecycle
+  /// events to it.
+  obs::EventLog* event_log() const { return event_log_; }
   /// True when per-request tracing should run (registry present and
   /// enabled) — front ends consult this before timing parses.
   bool metrics_enabled() const {
@@ -145,9 +154,6 @@ class RequestDispatcher {
 
   std::uint64_t requests() const { return requests_c_->Value(); }
   std::uint64_t errors() const { return errors_c_->Value(); }
-
-  bool has_catalog() const { return catalog_ != nullptr; }
-  Catalog* catalog() const { return catalog_; }
 
   /// Installs the replication verb handlers. Not thread-safe against
   /// in-flight requests — install before serving starts. `hooks` must
@@ -175,7 +181,7 @@ class RequestDispatcher {
   obs::MetricRegistry* metrics_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   obs::EventLog* event_log_ = nullptr;
-  const Clock* clock_ = nullptr;
+  const Clock* clock_ = SystemClock::Default();
   std::uint64_t slow_query_threshold_ms_ = 0;
   obs::Counter* slow_queries_ = nullptr;
   // Indexed by RequestKind; null for kinds never dispatched (kNone,

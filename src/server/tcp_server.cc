@@ -20,6 +20,14 @@ namespace server {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+/// How long shutdown keeps draining buffered responses before
+/// force-closing connections.
+constexpr std::uint64_t kDrainTimeoutMs = 5000;
+/// A request line longer than this (no '\n' seen) closes the connection
+/// with an error response.
+constexpr std::size_t kMaxLineBytes = 1u << 20;
+
 /// The server whose Stop() the SIGINT/SIGTERM handlers call. One server
 /// per process may install handlers (the CLI case).
 std::atomic<TcpServer*> g_signal_server{nullptr};
@@ -28,11 +36,6 @@ void HandleStopSignal(int /*signo*/) {
   // Stop() is an atomic store plus an eventfd write — async-signal-safe.
   TcpServer* s = g_signal_server.load(std::memory_order_acquire);
   if (s != nullptr) s->Stop();
-}
-
-const Clock* DefaultClock() {
-  static SystemClock clock;
-  return &clock;
 }
 
 }  // namespace
@@ -44,9 +47,9 @@ struct TcpServer::Connection {
   int fd = -1;                  // loop-thread private; -1 once closed
   std::string in;               // loop-thread private: bytes before '\n'
   bool epollout_armed = false;  // loop-thread private
-  /// Last time the peer delivered bytes or a response was flushed
-  /// (clock_->NowMs()). Loop-thread private (read/written only by the
-  /// event loop).
+  /// Last time the peer delivered bytes or a response was flushed (the
+  /// dispatcher's clock, in ms). Loop-thread private (read/written only
+  /// by the event loop).
   std::uint64_t last_activity_ms = 0;
 
   Mutex mu;
@@ -59,33 +62,11 @@ struct TcpServer::Connection {
   RequestDispatcher::Session session GUARDED_BY(mu);
 };
 
-TcpServer::TcpServer(ISLabelIndex* index, const TcpServerOptions& options)
-    : options_(options),
-      clock_(options.clock != nullptr ? options.clock : DefaultClock()),
-      dispatcher_(index) {
-  InitMetrics();
-}
-
-TcpServer::TcpServer(Catalog* catalog, const std::string& default_dataset,
+TcpServer::TcpServer(RequestDispatcher* dispatcher,
                      const TcpServerOptions& options)
-    : options_(options),
-      clock_(options.clock != nullptr ? options.clock : DefaultClock()),
-      dispatcher_(catalog, default_dataset) {
-  InitMetrics();
-}
+    : options_(options), dispatcher_(dispatcher) {}
 
-void TcpServer::InitMetrics() {
-  obs::MetricRegistry* registry = options_.metrics;
-  if (registry == nullptr && dispatcher_.has_catalog()) {
-    registry = dispatcher_.catalog()->metrics();
-  }
-  if (registry == nullptr) {
-    // Single-index server with no injected registry: fall back to the
-    // owned one, so `metrics` and the telemetry counters work in both
-    // modes without wiring.
-    registry = &own_registry_;
-  }
-
+void TcpServer::InitMetrics(obs::MetricRegistry* registry) {
   accepted_ = registry->GetCounter("islabel_server_connections_accepted_total",
                                    "Connections accepted since start.");
   open_ = registry->GetGauge("islabel_server_connections_open",
@@ -103,14 +84,6 @@ void TcpServer::InitMetrics() {
   queue_depth_ = registry->GetGauge(
       "islabel_server_worker_queue_depth",
       "Connections queued for (or held by) a worker right now.");
-
-  RequestDispatcher::MetricsOptions mo;
-  mo.registry = registry;
-  mo.clock = clock_;
-  mo.slow_query_threshold_ms = options_.slow_query_threshold_ms;
-  mo.flight_recorder = options_.flight_recorder;
-  mo.event_log = options_.event_log;
-  dispatcher_.InstallMetrics(mo);
 }
 
 TcpServer::~TcpServer() {
@@ -129,6 +102,11 @@ TcpServer::~TcpServer() {
 
 Status TcpServer::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
+  if (dispatcher_->metrics() == nullptr) {
+    return Status::FailedPrecondition(
+        "dispatcher has no metric registry: call InstallMetrics first");
+  }
+  InitMetrics(dispatcher_->metrics());
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -155,7 +133,7 @@ Status TcpServer::Start() {
     listen_fd_ = -1;
     return st;
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     Status st = Status::IOError(std::string("listen: ") +
                                 std::strerror(errno));
     ::close(listen_fd_);
@@ -206,8 +184,8 @@ Status TcpServer::Start() {
   }
   loop_thread_ = std::thread([this] { EventLoop(); });
   started_ = true;
-  if (options_.event_log != nullptr) {
-    options_.event_log->Log(
+  if (dispatcher_->event_log() != nullptr) {
+    dispatcher_->event_log()->Log(
         obs::EventLevel::kInfo, "islabel.server.started",
         {{"host", options_.host},
          {"port", obs::EventLog::U64(bound_port_)},
@@ -234,10 +212,10 @@ void TcpServer::Wait() {
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
-  if (started_ && !stop_event_logged_ && options_.event_log != nullptr) {
+  if (started_ && !stop_event_logged_ && dispatcher_->event_log() != nullptr) {
     stop_event_logged_ = true;
     const TcpServerStats s = stats();
-    options_.event_log->Log(
+    dispatcher_->event_log()->Log(
         obs::EventLevel::kInfo, "islabel.server.stopped",
         {{"requests", obs::EventLog::U64(s.requests)},
          {"errors", obs::EventLog::U64(s.errors)},
@@ -289,11 +267,11 @@ void TcpServer::EventLoop() {
     if (!stopping_) SweepIdle();
     if (stop_requested_.load(std::memory_order_acquire) && !stopping_) {
       BeginShutdown();
-      drain_deadline_ms = clock_->NowMs() + options_.drain_timeout_ms;
+      drain_deadline_ms = dispatcher_->clock()->NowMs() + kDrainTimeoutMs;
     }
     if (stopping_) {
       if (conns_.empty()) break;
-      if (clock_->NowMs() >= drain_deadline_ms) {
+      if (dispatcher_->clock()->NowMs() >= drain_deadline_ms) {
         auto snapshot = conns_;  // CloseConn mutates conns_
         for (auto& [fd, conn] : snapshot) CloseConn(conn);
         break;
@@ -353,7 +331,7 @@ void TcpServer::AcceptAll() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    conn->last_activity_ms = clock_->NowMs();
+    conn->last_activity_ms = dispatcher_->clock()->NowMs();
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
     ev.data.fd = fd;
@@ -405,7 +383,7 @@ bool TcpServer::ShedForAccept() {
 
 void TcpServer::SweepIdle() {
   if (options_.idle_timeout_ms == 0 || conns_.empty()) return;
-  const std::uint64_t now_ms = clock_->NowMs();
+  const std::uint64_t now_ms = dispatcher_->clock()->NowMs();
   auto snapshot = conns_;  // TimeoutConn may flush-close and erase
   for (auto& [fd, conn] : snapshot) {
     if (now_ms - conn->last_activity_ms < options_.idle_timeout_ms) continue;
@@ -454,7 +432,7 @@ void TcpServer::HandleRead(const std::shared_ptr<Connection>& conn) {
     if (n > 0) {
       bytes_in_->Inc(static_cast<std::uint64_t>(n));
       conn->in.append(buf, static_cast<std::size_t>(n));
-      conn->last_activity_ms = clock_->NowMs();
+      conn->last_activity_ms = dispatcher_->clock()->NowMs();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -474,23 +452,24 @@ void TcpServer::HandleRead(const std::shared_ptr<Connection>& conn) {
 void TcpServer::ParseLines(const std::shared_ptr<Connection>& conn) {
   // Parse latency feeds the request's QueryTrace; only pay the clock
   // reads when telemetry (metrics or the flight recorder) is on.
-  const bool time_parse = dispatcher_.tracing_enabled();
+  const bool time_parse = dispatcher_->tracing_enabled();
+  const Clock* clock = dispatcher_->clock();
   std::deque<Request> parsed;
   std::size_t begin = 0;
   for (;;) {
     const std::size_t nl = conn->in.find('\n', begin);
     if (nl == std::string::npos) break;
-    const std::uint64_t t0 = time_parse ? clock_->NowMicros() : 0;
+    const std::uint64_t t0 = time_parse ? clock->NowMicros() : 0;
     Request req = ParseRequest(
         std::string_view(conn->in).substr(begin, nl - begin));
     if (time_parse) {
-      req.parse_us = static_cast<std::uint32_t>(clock_->NowMicros() - t0);
+      req.parse_us = static_cast<std::uint32_t>(clock->NowMicros() - t0);
     }
     begin = nl + 1;
     if (req.kind != RequestKind::kNone) parsed.push_back(std::move(req));
   }
   conn->in.erase(0, begin);
-  const bool overlong = conn->in.size() > options_.max_line_bytes;
+  const bool overlong = conn->in.size() > kMaxLineBytes;
   const bool overcap = !overlong && options_.max_buffered_bytes > 0 &&
                        conn->in.size() > options_.max_buffered_bytes;
   if (overlong || overcap) {
@@ -543,7 +522,7 @@ void TcpServer::Flush(const std::shared_ptr<Connection>& conn) {
       if (n > 0) {
         bytes_out_->Inc(static_cast<std::uint64_t>(n));
         conn->out.erase(0, static_cast<std::size_t>(n));
-        conn->last_activity_ms = clock_->NowMs();
+        conn->last_activity_ms = dispatcher_->clock()->NowMs();
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -625,7 +604,7 @@ void TcpServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
         quit = true;
         break;
       }
-      responses += dispatcher_.Execute(req, &session);
+      responses += dispatcher_->Execute(req, &session);
       responses += '\n';
     }
     {
@@ -656,8 +635,8 @@ TcpServerStats TcpServer::stats() const {
   TcpServerStats s;
   s.connections_accepted = accepted_->Value();
   s.connections_open = static_cast<std::uint64_t>(open_->Value());
-  s.requests = dispatcher_.requests();
-  s.errors = dispatcher_.errors();
+  s.requests = dispatcher_->requests();
+  s.errors = dispatcher_->errors();
   s.bytes_in = bytes_in_->Value();
   s.bytes_out = bytes_out_->Value();
   s.accept_shed = accept_shed_->Value();

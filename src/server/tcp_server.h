@@ -1,5 +1,11 @@
 // TcpServer: epoll-based TCP front end for the IS-LABEL wire protocol.
 //
+// A transport: it parses, schedules and writes lines for the
+// RequestDispatcher it is given, and takes everything else from that
+// dispatcher — the metric registry its connection instruments record
+// into, the clock, and the event log. Telemetry is configured once, by
+// RequestDispatcher::InstallMetrics, for this and the stdin front end.
+//
 // Threading model (one event loop + a worker pool):
 //
 //   * The event-loop thread owns every file descriptor: it accepts
@@ -23,8 +29,8 @@
 // Shutdown: Stop() (async-signal-safe: an atomic store plus an eventfd
 // write, also reachable from the optional SIGINT/SIGTERM handlers) makes
 // the loop stop accepting, flush every connection's buffered responses,
-// close drained connections, and force-close stragglers after
-// drain_timeout_ms. Wait() joins the loop and the workers.
+// close drained connections, and force-close stragglers after a 5 s
+// drain timeout. Wait() joins the loop and the workers.
 
 #ifndef ISLABEL_SERVER_TCP_SERVER_H_
 #define ISLABEL_SERVER_TCP_SERVER_H_
@@ -38,13 +44,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/index.h"
-#include "obs/flight_recorder.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "server/dispatcher.h"
 #include "server/protocol.h"
-#include "util/clock.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -59,13 +61,6 @@ struct TcpServerOptions {
   std::uint16_t port = 0;
   /// Request-executing workers; 0 = hardware concurrency.
   std::uint32_t num_workers = 0;
-  /// A request line longer than this (no '\n' seen) closes the
-  /// connection with an error response.
-  std::size_t max_line_bytes = 1u << 20;
-  int listen_backlog = 128;
-  /// How long Stop() keeps draining buffered responses before
-  /// force-closing connections.
-  std::uint32_t drain_timeout_ms = 5000;
   /// Install SIGINT/SIGTERM handlers that call Stop() (CLI mode).
   bool install_signal_handlers = false;
   /// Slowloris guard: a connection that has neither delivered bytes nor
@@ -75,31 +70,8 @@ struct TcpServerOptions {
   /// Cap on unparsed buffered input per connection (bytes before a
   /// '\n'). A connection exceeding it is answered "error: timeout" and
   /// closed — dribbling bytes forever cannot pin memory. 0 disables
-  /// (the per-line max_line_bytes still applies).
+  /// (the 1 MiB request-line limit still applies).
   std::size_t max_buffered_bytes = 0;
-  /// Time source for idle sweeps, the shutdown drain deadline, and (when
-  /// metrics are on) request/stage latency timing. nullptr = the
-  /// process-wide SystemClock; tests inject a ManualClock to drive
-  /// timeouts without real sleeps. Must outlive the server.
-  const Clock* clock = nullptr;
-  /// Metric registry (DESIGN.md §16). When set, the server registers its
-  /// connection/byte/queue instruments there and installs it on the
-  /// dispatcher (per-verb histograms, stage traces, the `metrics` verb).
-  /// nullptr in catalog mode falls back to the catalog's registry;
-  /// nullptr in single-index mode falls back to a registry the server
-  /// owns, so `metrics` and the telemetry counters work in both modes
-  /// out of the box. Must outlive the server when set.
-  obs::MetricRegistry* metrics = nullptr;
-  /// Requests slower than this many ms bump
-  /// islabel_server_slow_queries_total and, with an event log, emit
-  /// islabel.server.slow_query (0 = off).
-  std::uint64_t slow_query_threshold_ms = 0;
-  /// Flight recorder behind the `tracez` verb (DESIGN.md §17). Null
-  /// answers tracez with NotSupported. Must outlive the server.
-  obs::FlightRecorder* flight_recorder = nullptr;
-  /// Structured event log (server lifecycle + slow-query events,
-  /// DESIGN.md §17). Null disables. Must outlive the server.
-  obs::EventLog* event_log = nullptr;
 };
 
 struct TcpServerStats {
@@ -117,16 +89,9 @@ struct TcpServerStats {
 
 class TcpServer {
  public:
-  /// Single-index server. `index` must outlive the server. A result
-  /// cache is installed on the index itself (set_distance_cache).
-  TcpServer(ISLabelIndex* index, const TcpServerOptions& options);
-
-  /// Catalog server: hosts every dataset in `catalog` (which must
-  /// outlive the server). Connections start on `default_dataset` and
-  /// switch with the `use` verb; `reload NAME` hot-swaps a dataset while
-  /// the other workers keep serving.
-  TcpServer(Catalog* catalog, const std::string& default_dataset,
-            const TcpServerOptions& options);
+  /// Serves `dispatcher`, which must outlive the server and have its
+  /// telemetry installed.
+  TcpServer(RequestDispatcher* dispatcher, const TcpServerOptions& options);
 
   ~TcpServer();
 
@@ -134,6 +99,8 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   /// Binds, listens, and starts the event loop + workers.
+  /// FailedPrecondition, before any socket is opened, when the
+  /// dispatcher has no registry.
   Status Start();
 
   /// Requests shutdown. Async-signal-safe, callable from any thread,
@@ -146,25 +113,15 @@ class TcpServer {
   /// The bound port (resolves port 0 after Start()).
   std::uint16_t port() const { return bound_port_; }
 
-  /// Installs replication verb handlers on the dispatcher. Call before
-  /// Start(); `hooks` must outlive the server.
-  void SetReplicationHooks(ReplicationHooks* hooks) {
-    dispatcher_.set_replication_hooks(hooks);
-  }
-
+  /// Reads the connection instruments and the dispatcher's counters.
+  /// Valid after a successful Start().
   TcpServerStats stats() const;
-
-  /// The resolved metric registry: options, the catalog's, or (in
-  /// single-index mode) the server-owned default. Never null after
-  /// construction.
-  obs::MetricRegistry* metrics() const { return dispatcher_.metrics(); }
 
  private:
   struct Connection;
 
-  /// Resolves the registry (options > catalog > none) and registers the
-  /// server-level instruments + dispatcher metrics. Constructor-time.
-  void InitMetrics();
+  /// Registers the server-level instruments in `registry`.
+  void InitMetrics(obs::MetricRegistry* registry);
 
   void EventLoop();
   void WorkerLoop();
@@ -188,11 +145,7 @@ class TcpServer {
   void UpdateEpollOut(const std::shared_ptr<Connection>& conn, bool want);
 
   TcpServerOptions options_;
-  const Clock* clock_ = nullptr;  // never null after construction
-  /// Fallback registry for single-index servers with no injected one,
-  /// so `metrics` and the telemetry counters work in both modes.
-  obs::MetricRegistry own_registry_;
-  RequestDispatcher dispatcher_;
+  RequestDispatcher* dispatcher_;
   bool stop_event_logged_ = false;  // Wait()-caller private
 
   int epoll_fd_ = -1;
@@ -225,8 +178,8 @@ class TcpServer {
   Mutex flush_mu_;
   std::deque<std::shared_ptr<Connection>> flush_queue_ GUARDED_BY(flush_mu_);
 
-  // Series of the resolved registry, set once by InitMetrics and never
-  // null afterwards: the loop/worker threads update them unconditionally.
+  // Series of the dispatcher's registry, set by InitMetrics before any
+  // thread starts: the loop/worker threads update them unconditionally.
   obs::Counter* accepted_ = nullptr;
   obs::Gauge* open_ = nullptr;
   obs::Counter* bytes_in_ = nullptr;

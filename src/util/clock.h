@@ -32,6 +32,12 @@ class Clock {
 /// The real monotonic clock.
 class SystemClock : public Clock {
  public:
+  /// The process-wide instance: the default wherever a Clock is optional.
+  static const SystemClock* Default() {
+    static const SystemClock clock;
+    return &clock;
+  }
+
   std::uint64_t NowMs() const override {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(

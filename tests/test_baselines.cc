@@ -174,11 +174,12 @@ TEST_P(ChTest, MatchesDijkstra) {
   auto built = ContractionHierarchy::Build(g);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ContractionHierarchy ch = std::move(built).value();
+  ContractionHierarchy::Scratch scratch;
   for (VertexId s = 0; s < std::min<VertexId>(g.NumVertices(), 8); ++s) {
     SsspResult expect = DijkstraSssp(g, s);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
-      ASSERT_EQ(ch.Query(s, t), expect.dist[t]) << "(" << s << "," << t
-                                                << ")";
+      ASSERT_EQ(ch.Query(s, t, &scratch), expect.dist[t])
+          << "(" << s << "," << t << ")";
     }
   }
 }
@@ -202,8 +203,9 @@ TEST(ContractionHierarchies, GridIsCheapToContract) {
   auto built = ContractionHierarchy::Build(g);
   ASSERT_TRUE(built.ok());
   EXPECT_LT(built->MeanUpDegree(), 8.0);
+  ContractionHierarchy::Scratch scratch;
   std::uint64_t settled = 0;
-  (void)built->Query(0, g.NumVertices() - 1, &settled);
+  (void)built->Query(0, g.NumVertices() - 1, &scratch, &settled);
   EXPECT_LT(settled, g.NumVertices() / 2);
 }
 
@@ -212,12 +214,13 @@ TEST(ContractionHierarchies, SettledCountsStaySmallOnGrid) {
   auto built = ContractionHierarchy::Build(g);
   ASSERT_TRUE(built.ok());
   Rng rng(5);
+  ContractionHierarchy::Scratch scratch;
   std::uint64_t total_settled = 0;
   for (int i = 0; i < 50; ++i) {
     VertexId s = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
     VertexId t = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
     std::uint64_t settled = 0;
-    ASSERT_EQ(built->Query(s, t, &settled), DijkstraP2P(g, s, t));
+    ASSERT_EQ(built->Query(s, t, &scratch, &settled), DijkstraP2P(g, s, t));
     total_settled += settled;
   }
   // CH's upward searches touch a tiny fraction of a road-like graph.

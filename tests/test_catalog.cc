@@ -7,11 +7,6 @@
 // clients query across live reloads. The whole file runs under the TSan
 // preset in CI.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +22,7 @@
 #include "core/distance_cache.h"
 #include "core/index.h"
 #include "graph/components.h"
+#include "loopback_client.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs_test_util.h"
@@ -50,6 +46,7 @@ using server::TcpServer;
 using server::TcpServerOptions;
 using testing::AssertValidPath;
 using testing::Family;
+using testing::LoopbackClient;
 using testing::MakeTestGraph;
 using testing::SampleQueryPairs;
 
@@ -602,60 +599,6 @@ TEST(CatalogDispatcher, DatasetCacheHitIsCacheTimeNotKernelTime) {
 // Loopback TCP: concurrent clients querying across live reloads
 // ---------------------------------------------------------------------------
 
-/// Minimal blocking line client (mirrors test_server.cc).
-class TestClient {
- public:
-  explicit TestClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-    EXPECT_TRUE(connected_);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void Send(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n =
-          ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::string ReadLine() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "<eof>";
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
-
 class CatalogServerTest : public CatalogHostTest {
  protected:
   void SetUp() override {
@@ -671,11 +614,14 @@ class CatalogServerTest : public CatalogHostTest {
     cache_b_ = std::make_shared<QueryCache>();
     ASSERT_TRUE(catalog_.SetDistanceCache("a", cache_a_).ok());
     ASSERT_TRUE(catalog_.SetDistanceCache("b", cache_b_).ok());
+    RequestDispatcher::MetricsOptions mopts;
+    mopts.registry = catalog_.metrics();
+    dispatcher_.InstallMetrics(mopts);
 
     TcpServerOptions opts;
     opts.port = 0;
     opts.num_workers = 4;
-    server_ = std::make_unique<TcpServer>(&catalog_, "a", opts);
+    server_ = std::make_unique<TcpServer>(&dispatcher_, opts);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
   }
@@ -711,6 +657,7 @@ class CatalogServerTest : public CatalogHostTest {
   Catalog catalog_;
   std::shared_ptr<QueryCache> cache_a_;
   std::shared_ptr<QueryCache> cache_b_;
+  RequestDispatcher dispatcher_{&catalog_, "a"};
   std::unique_ptr<TcpServer> server_;
 };
 
@@ -747,14 +694,16 @@ TEST_F(CatalogServerTest, ClientsQueryAcrossConcurrentReloads) {
 
   std::atomic<bool> stop_reloading{false};
   std::thread reloader([&] {
-    TestClient client(server_->port());
+    LoopbackClient client(server_->port());
     if (!client.connected()) return;
     int flips = 0;
-    while (!stop_reloading.load(std::memory_order_acquire)) {
+    // At least one reload even if the clients finish before this thread
+    // is scheduled: the reload count is asserted below.
+    do {
       const std::string name = (flips++ % 2 == 0) ? "a" : "b";
       client.Send("reload " + name + "\n");
       if (client.ReadLine() != "ok: reloaded " + name) return;
-    }
+    } while (!stop_reloading.load(std::memory_order_acquire));
     client.Send("quit\n");
   });
 
@@ -762,7 +711,7 @@ TEST_F(CatalogServerTest, ClientsQueryAcrossConcurrentReloads) {
   std::vector<std::string> failures(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TestClient client(server_->port());
+      LoopbackClient client(server_->port());
       if (!client.connected()) {
         failures[c] = "connect failed";
         return;
@@ -813,16 +762,16 @@ TEST_F(CatalogServerTest, CrossComponentAnswersUnreachableOverTheWire) {
     }
   }
   ASSERT_TRUE(found);
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   client.Send(std::to_string(s) + " " + std::to_string(t) + "\nquit\n");
   EXPECT_EQ(client.ReadLine(), "unreachable");
 }
 
 TEST_F(CatalogServerTest, MetricsVerbExposesCatalogFamilies) {
-  // Catalog mode needs no explicit wiring: the server scrapes the
-  // catalog's own registry (a catalog always has one).
-  TestClient client(server_->port());
+  // The fixture's dispatcher records into the catalog's own registry (a
+  // catalog always has one), so one scrape spans every layer.
+  LoopbackClient client(server_->port());
   client.Send("1 2\nuse b\n0 1\nreload a\ndatasets\nmetrics\n");
   (void)client.ReadLine();  // distance on a
   ASSERT_EQ(client.ReadLine(), "ok: using b");
@@ -834,13 +783,8 @@ TEST_F(CatalogServerTest, MetricsVerbExposesCatalogFamilies) {
   EXPECT_NE(datasets.find(" a:ready:"), std::string::npos) << datasets;
   EXPECT_NE(datasets.find(" b:ready:"), std::string::npos) << datasets;
 
-  std::vector<std::string> lines;
-  for (;;) {
-    const std::string line = client.ReadLine();
-    ASSERT_NE(line, "<eof>");
-    lines.push_back(line);
-    if (line == "# EOF") break;
-  }
+  const std::vector<std::string> lines = client.ReadThroughEof();
+  ASSERT_EQ(lines.back(), "# EOF");
   auto value = [&lines](const std::string& series) -> std::uint64_t {
     for (const std::string& line : lines) {
       if (line.rfind(series + " ", 0) == 0) {

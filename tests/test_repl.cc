@@ -12,11 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -27,6 +22,7 @@
 
 #include "catalog/catalog.h"
 #include "catalog/partitioned_index.h"
+#include "loopback_client.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -62,9 +58,11 @@ using repl::ReplicaSetClient;
 using repl::ReplicaSetOptions;
 using repl::SnapshotInfo;
 using repl::TcpTransport;
+using server::RequestDispatcher;
 using server::TcpServer;
 using server::TcpServerOptions;
 using testing::Family;
+using testing::LoopbackClient;
 using testing::MakeTestGraph;
 using testing::SampleQueryPairs;
 
@@ -187,73 +185,6 @@ TEST_F(SnapshotTest, MissingDirectoryIsAnError) {
 // Replication fixture: a real catalog-mode primary on loopback
 // ---------------------------------------------------------------------------
 
-/// Blocking loopback client for asserting served answers directly.
-class LineClient {
- public:
-  explicit LineClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool connected() const { return connected_; }
-
-  std::string Ask(const std::string& line) {
-    std::string data = line + "\n";
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n =
-          ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) return "<send-failed>";
-      off += static_cast<std::size_t>(n);
-    }
-    return ReadOne();
-  }
-
-  /// Sends `line` and reads the multi-line response through its "# EOF"
-  /// terminator (the tracez / metrics shape). Single-line error
-  /// responses return as a one-element vector.
-  std::vector<std::string> AskMulti(const std::string& line) {
-    std::vector<std::string> lines;
-    lines.push_back(Ask(line));
-    if (lines.back().rfind("error:", 0) == 0) return lines;
-    while (lines.back() != "# EOF" && lines.back() != "<eof>" &&
-           lines.back() != "<send-failed>") {
-      lines.push_back(ReadOne());
-    }
-    return lines;
-  }
-
- private:
-  std::string ReadOne() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string out = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return out;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "<eof>";
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
-
 class ReplTest : public SnapshotTest {
  protected:
   void SetUp() override {
@@ -272,6 +203,10 @@ class ReplTest : public SnapshotTest {
     ASSERT_TRUE(primary_catalog_.WaitReady().ok());
     primary_hooks_ = std::make_unique<PrimaryHooks>(&primary_catalog_,
                                                     /*chunk_bytes=*/512);
+    RequestDispatcher::MetricsOptions mopts;
+    mopts.registry = primary_catalog_.metrics();
+    primary_dispatcher_.InstallMetrics(mopts);
+    primary_dispatcher_.set_replication_hooks(primary_hooks_.get());
     StartPrimary(/*port=*/0);
   }
 
@@ -290,9 +225,7 @@ class ReplTest : public SnapshotTest {
     TcpServerOptions opts;
     opts.port = port;
     opts.num_workers = 2;
-    primary_server_ =
-        std::make_unique<TcpServer>(&primary_catalog_, "d", opts);
-    primary_server_->SetReplicationHooks(primary_hooks_.get());
+    primary_server_ = std::make_unique<TcpServer>(&primary_dispatcher_, opts);
     ASSERT_TRUE(primary_server_->Start().ok());
     primary_port_ = primary_server_->port();
     primary_endpoint_ = "127.0.0.1:" + std::to_string(primary_port_);
@@ -316,10 +249,11 @@ class ReplTest : public SnapshotTest {
   }
 
   /// One replica: its own catalog, snapshot root, agent, and serving
-  /// TcpServer wired to the agent's replication hooks.
+  /// TcpServer whose dispatcher carries the agent's replication hooks.
   struct Replica {
     Catalog catalog;
     std::unique_ptr<ReplicaAgent> agent;
+    std::unique_ptr<RequestDispatcher> dispatcher;
     std::unique_ptr<TcpServer> server;
     std::string endpoint;
   };
@@ -340,12 +274,17 @@ class ReplTest : public SnapshotTest {
     opts.event_log = event_log;
     r->agent = std::make_unique<ReplicaAgent>(&r->catalog, transport, clock,
                                               rng, opts);
+    r->dispatcher =
+        std::make_unique<RequestDispatcher>(&r->catalog, default_name);
+    RequestDispatcher::MetricsOptions mopts;
+    mopts.registry = r->catalog.metrics();
+    mopts.flight_recorder = recorder;
+    r->dispatcher->InstallMetrics(mopts);
+    r->dispatcher->set_replication_hooks(r->agent.get());
     TcpServerOptions sopts;
     sopts.port = 0;
     sopts.num_workers = 2;
-    sopts.flight_recorder = recorder;
-    r->server = std::make_unique<TcpServer>(&r->catalog, default_name, sopts);
-    r->server->SetReplicationHooks(r->agent.get());
+    r->server = std::make_unique<TcpServer>(r->dispatcher.get(), sopts);
     EXPECT_TRUE(r->server->Start().ok());
     r->endpoint = "127.0.0.1:" + std::to_string(r->server->port());
     return r;
@@ -382,7 +321,7 @@ class ReplTest : public SnapshotTest {
       std::uint16_t port, const std::string& name,
       const std::vector<std::pair<VertexId, VertexId>>& pairs) {
     const std::vector<std::string> expect = FreshEngineLines(name, pairs);
-    LineClient client(port);
+    LoopbackClient client(port);
     ASSERT_TRUE(client.connected());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       EXPECT_EQ(client.Ask(std::to_string(pairs[i].first) + " " +
@@ -396,6 +335,7 @@ class ReplTest : public SnapshotTest {
   Graph graph_v2_;
   Catalog primary_catalog_;
   std::unique_ptr<PrimaryHooks> primary_hooks_;
+  RequestDispatcher primary_dispatcher_{&primary_catalog_, "d"};
   std::unique_ptr<TcpServer> primary_server_;
   std::uint16_t primary_port_ = 0;
   std::string primary_endpoint_;
@@ -406,7 +346,7 @@ class ReplTest : public SnapshotTest {
 // ---------------------------------------------------------------------------
 
 TEST_F(ReplTest, PrimaryAnswersVersionHeartbeatAndStats) {
-  LineClient client(primary_port_);
+  LoopbackClient client(primary_port_);
   ASSERT_TRUE(client.connected());
   EXPECT_EQ(client.Ask("version"), "version: d:1");
   EXPECT_EQ(client.Ask("heartbeat"), "pong");
@@ -414,7 +354,8 @@ TEST_F(ReplTest, PrimaryAnswersVersionHeartbeatAndStats) {
   EXPECT_EQ(client.Ask("replicate nope 0"),
             "error: NotFound: unknown dataset nope");
   EXPECT_EQ(client.Ask("replicate d"), "error: usage: replicate NAME GEN");
-  const std::vector<std::string> metrics = client.AskMulti("metrics");
+  client.Send("metrics\n");
+  const std::vector<std::string> metrics = client.ReadThroughEof();
   ASSERT_EQ(metrics.back(), "# EOF");
   for (const char* sample : {"islabel_repl_heartbeats_total 1",
                              "islabel_dataset_generation{dataset=\"d\"} 1"}) {
@@ -425,11 +366,15 @@ TEST_F(ReplTest, PrimaryAnswersVersionHeartbeatAndStats) {
 }
 
 TEST_F(ReplTest, ReplicationVerbsRefusedWithoutHooks) {
+  RequestDispatcher dispatcher(&primary_catalog_, "d");
+  RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = primary_catalog_.metrics();
+  dispatcher.InstallMetrics(mopts);
   TcpServerOptions opts;
   opts.port = 0;
-  TcpServer bare(&primary_catalog_, "d", opts);
+  TcpServer bare(&dispatcher, opts);
   ASSERT_TRUE(bare.Start().ok());
-  LineClient client(bare.port());
+  LoopbackClient client(bare.port());
   EXPECT_EQ(client.Ask("version"),
             "error: NotSupported: replication not enabled");
   bare.Stop();
@@ -534,7 +479,7 @@ TEST_F(ReplTest, ReplicaBootstrapsDiscoverInstallServe) {
 
   // Before the first sync the replica has no datasets and says so.
   {
-    LineClient client(r->server->port());
+    LoopbackClient client(r->server->port());
     EXPECT_EQ(client.Ask("1 2"), "error: NotFound: unknown dataset d");
   }
 
@@ -554,12 +499,13 @@ TEST_F(ReplTest, ReplicaBootstrapsDiscoverInstallServe) {
                          SampleQueryPairs(graph_v1_, 40, 401));
 
   // The replica's own serving face answers the replication verbs.
-  LineClient client(r->server->port());
+  LoopbackClient client(r->server->port());
   EXPECT_EQ(client.Ask("version"), "version: d:1");
   EXPECT_EQ(client.Ask("heartbeat"), "pong");
   EXPECT_EQ(client.Ask("replicate d 0"),
             "error: NotSupported: replica does not serve snapshots (d)");
-  const std::vector<std::string> metrics = client.AskMulti("metrics");
+  client.Send("metrics\n");
+  const std::vector<std::string> metrics = client.ReadThroughEof();
   ASSERT_EQ(metrics.back(), "# EOF");
   for (const char* sample :
        {"islabel_repl_lag_gens 0", "islabel_repl_installs_total 1"}) {
@@ -582,7 +528,7 @@ TEST_F(ReplTest, BareQueriesResolveTheOnlyDatasetWithoutDefault) {
   auto r = MakeReplica("r_nodefault", &tcp, &clock, &rng,
                        /*default_name=*/"");
   {
-    LineClient client(r->server->port());
+    LoopbackClient client(r->server->port());
     const std::string pre = client.Ask("1 2");
     EXPECT_NE(pre.find("error: FailedPrecondition: no dataset selected"),
               std::string::npos)
@@ -929,10 +875,10 @@ TEST_F(ReplTest, FailoverQueryIsStitchedIntoOneTraceAcrossReplicas) {
   // each saw it more than once (its two severed attempts) — the
   // stamped line stitched every retry into one trace.
   for (const Replica* r : {r1.get(), r2.get()}) {
-    LineClient scraper(r->server->port());
+    LoopbackClient scraper(r->server->port());
     ASSERT_TRUE(scraper.connected());
-    const std::vector<std::string> lines =
-        scraper.AskMulti("tracez id " + hex);
+    scraper.Send("tracez id " + hex + "\n");
+    const std::vector<std::string> lines = scraper.ReadThroughEof();
     ASSERT_GE(lines.size(), 3u) << r->endpoint << ": " << lines.front();
     EXPECT_EQ(lines.front().rfind("tracez: ", 0), 0u);
     EXPECT_EQ(lines.back(), "# EOF");

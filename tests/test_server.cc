@@ -26,6 +26,7 @@
 
 #include "baseline/dijkstra.h"
 #include "core/index.h"
+#include "loopback_client.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -49,6 +50,7 @@ using server::RequestKind;
 using server::TcpServer;
 using server::TcpServerOptions;
 using testing::Family;
+using testing::LoopbackClient;
 using testing::MakeTestGraph;
 using testing::SampleQueryPairs;
 
@@ -342,69 +344,6 @@ TEST(IndexCache, DeleteVertexInvalidatesAndPinsStaleTransit) {
 // TCP loopback integration
 // ---------------------------------------------------------------------------
 
-/// Minimal blocking line client for the loopback tests. A 10 s receive
-/// timeout turns a protocol bug into a test failure instead of a hang.
-class TestClient {
- public:
-  explicit TestClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-    EXPECT_TRUE(connected_);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void Send(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n =
-          ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  /// Next '\n'-terminated line (without the '\n'); "<eof>" on close.
-  std::string ReadLine() {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "<eof>";
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::vector<std::string> ReadLines(std::size_t count) {
-    std::vector<std::string> lines;
-    lines.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) lines.push_back(ReadLine());
-    return lines;
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buf_;
-};
-
 class TcpServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -414,11 +353,14 @@ class TcpServerTest : public ::testing::Test {
     index_ = std::move(built).value();
     cache_ = std::make_shared<QueryCache>();
     index_.set_distance_cache(cache_);
+    server::RequestDispatcher::MetricsOptions mopts;
+    mopts.registry = &registry_;
+    dispatcher_.InstallMetrics(mopts);
 
     TcpServerOptions opts;
     opts.port = 0;  // ephemeral
     opts.num_workers = 4;
-    server_ = std::make_unique<TcpServer>(&index_, opts);
+    server_ = std::make_unique<TcpServer>(&dispatcher_, opts);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
 
@@ -444,12 +386,14 @@ class TcpServerTest : public ::testing::Test {
   Graph graph_;
   ISLabelIndex index_;
   std::shared_ptr<QueryCache> cache_;
+  obs::MetricRegistry registry_;
+  server::RequestDispatcher dispatcher_{&index_};
   std::unique_ptr<TcpServer> server_;
   std::unique_ptr<QueryEngine> engine_;
 };
 
 TEST_F(TcpServerTest, AnswersMixedRequests) {
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   client.Send("1 2\n");
   EXPECT_EQ(client.ReadLine(), server::FormatDistance(Expected(1, 2)));
@@ -493,7 +437,7 @@ TEST_F(TcpServerTest, AnswersMixedRequests) {
 
 TEST_F(TcpServerTest, PipelinedRequestsAnswerInOrder) {
   const auto pairs = SampleQueryPairs(graph_, 64, 5);
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   std::string burst;
   for (const auto& [s, t] : pairs) {
@@ -507,7 +451,7 @@ TEST_F(TcpServerTest, PipelinedRequestsAnswerInOrder) {
 }
 
 TEST_F(TcpServerTest, PartialWritesReassemble) {
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   // One request dribbled byte-wise across many TCP segments...
   const std::string req = "one 1 2 3\n";
@@ -574,7 +518,7 @@ TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
   std::vector<std::string> failures(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TestClient client(server_->port());
+      LoopbackClient client(server_->port());
       if (!client.connected()) {
         failures[c] = "connect failed";
         return;
@@ -595,24 +539,20 @@ TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
         }
       }
       for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].expected.empty()) {
+          // The scrape races the other clients' counter updates; it must
+          // still arrive whole, through its terminator.
+          const std::string last = client.ReadThroughEof().back();
+          if (last != "# EOF") {
+            failures[c] = "bad metrics response at: " + last;
+            return;
+          }
+          continue;
+        }
         const std::string got = client.ReadLine();
         if (got == "<eof>") {
           failures[c] = "premature eof at op " + std::to_string(i);
           return;
-        }
-        if (ops[i].expected.empty()) {
-          // The scrape races the other clients' counter updates; it must
-          // still arrive whole, through its terminator.
-          std::string line = got;
-          while (line != "# EOF" && line != "<eof>" &&
-                 line.rfind("error:", 0) != 0) {
-            line = client.ReadLine();
-          }
-          if (line != "# EOF") {
-            failures[c] = "bad metrics response at: " + line;
-            return;
-          }
-          continue;
         }
         if (got != ops[i].expected) {
           failures[c] = "op " + std::to_string(i) + " (" + ops[i].request +
@@ -637,7 +577,7 @@ TEST_F(TcpServerTest, ConcurrentClientsGetCorrectAnswers) {
 }
 
 TEST_F(TcpServerTest, RequestsAfterQuitAreDropped) {
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   client.Send("1 2\nquit\n3 4\n5 6\n");
   EXPECT_EQ(client.ReadLine(), server::FormatDistance(Expected(1, 2)));
@@ -646,13 +586,13 @@ TEST_F(TcpServerTest, RequestsAfterQuitAreDropped) {
 
 TEST_F(TcpServerTest, SurvivesAbruptDisconnect) {
   {
-    TestClient client(server_->port());
+    LoopbackClient client(server_->port());
     ASSERT_TRUE(client.connected());
     client.Send("1 2\n");
     // Close without reading the response or sending quit.
   }
   // The server must still serve new connections.
-  TestClient client2(server_->port());
+  LoopbackClient client2(server_->port());
   ASSERT_TRUE(client2.connected());
   client2.Send("3 4\n");
   EXPECT_EQ(client2.ReadLine(), server::FormatDistance(Expected(3, 4)));
@@ -662,12 +602,11 @@ TEST_F(TcpServerTest, OverlongLineIsRejected) {
   TcpServerOptions opts;
   opts.port = 0;
   opts.num_workers = 1;
-  opts.max_line_bytes = 64;
-  TcpServer small(&index_, opts);
+  TcpServer small(&dispatcher_, opts);
   ASSERT_TRUE(small.Start().ok());
-  TestClient client(small.port());
+  LoopbackClient client(small.port());
   ASSERT_TRUE(client.connected());
-  client.Send(std::string(1000, '7'));  // no newline, over the limit
+  client.Send(std::string((1u << 20) + 1, '7'));  // no newline, 1 MiB + 1
   EXPECT_EQ(client.ReadLine(), "error: request line too long");
   EXPECT_EQ(client.ReadLine(), "<eof>");
   small.Stop();
@@ -675,7 +614,7 @@ TEST_F(TcpServerTest, OverlongLineIsRejected) {
 }
 
 TEST_F(TcpServerTest, StopDrainsAndCloses) {
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   client.Send("1 2\n");
   EXPECT_EQ(client.ReadLine(), server::FormatDistance(Expected(1, 2)));
@@ -694,9 +633,9 @@ TEST_F(TcpServerTest, IdleConnectionIsTimedOut) {
   opts.port = 0;
   opts.num_workers = 1;
   opts.idle_timeout_ms = 150;
-  TcpServer guarded(&index_, opts);
+  TcpServer guarded(&dispatcher_, opts);
   ASSERT_TRUE(guarded.Start().ok());
-  TestClient idle(guarded.port());
+  LoopbackClient idle(guarded.port());
   ASSERT_TRUE(idle.connected());
   // Send nothing; the sweep must close us with an error response.
   EXPECT_EQ(idle.ReadLine(), "error: timeout");
@@ -717,17 +656,21 @@ TEST_F(TcpServerTest, ByteDribblingClientIsTimedOut) {
   opts.num_workers = 1;
   opts.idle_timeout_ms = 10'000;  // idle sweep alone won't fire in time
   opts.max_buffered_bytes = 48;
-  TcpServer guarded(&index_, opts);
+  TcpServer guarded(&dispatcher_, opts);
   ASSERT_TRUE(guarded.Start().ok());
-  TestClient dribbler(guarded.port());
+  LoopbackClient dribbler(guarded.port());
   ASSERT_TRUE(dribbler.connected());
-  for (int i = 0; i < 64; ++i) dribbler.Send("7");
+  // One byte past the cap: the server can close only after the last
+  // send, so no send races the close.
+  for (std::size_t i = 0; i <= opts.max_buffered_bytes; ++i) {
+    dribbler.Send("7");
+  }
   EXPECT_EQ(dribbler.ReadLine(), "error: timeout");
   EXPECT_EQ(dribbler.ReadLine(), "<eof>");
   EXPECT_GE(guarded.stats().idle_closed, 1u);
 
   // A well-behaved client on the same server is untouched.
-  TestClient good(guarded.port());
+  LoopbackClient good(guarded.port());
   ASSERT_TRUE(good.connected());
   good.Send("1 2\n");
   EXPECT_EQ(good.ReadLine(), server::FormatDistance(Expected(1, 2)));
@@ -740,9 +683,9 @@ TEST_F(TcpServerTest, ActiveClientSurvivesIdleSweeps) {
   opts.port = 0;
   opts.num_workers = 1;
   opts.idle_timeout_ms = 200;
-  TcpServer guarded(&index_, opts);
+  TcpServer guarded(&dispatcher_, opts);
   ASSERT_TRUE(guarded.Start().ok());
-  TestClient client(guarded.port());
+  LoopbackClient client(guarded.port());
   ASSERT_TRUE(client.connected());
   // Keep issuing requests across several idle windows; activity must
   // keep resetting the timer.
@@ -759,7 +702,7 @@ TEST_F(TcpServerTest, ActiveClientSurvivesIdleSweeps) {
 TEST_F(TcpServerTest, GuardOffByDefault) {
   // The fixture server runs with both guards disabled; an idle
   // connection must survive well past any plausible sweep interval.
-  TestClient idle(server_->port());
+  LoopbackClient idle(server_->port());
   ASSERT_TRUE(idle.connected());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   idle.Send("1 2\n");
@@ -827,7 +770,7 @@ TEST_F(TcpServerTest, AcceptShedsUnderFdPressure) {
   // Release our fds and the rlimit; the server must still answer.
   for (const int fd : herd) ::close(fd);
   ::setrlimit(RLIMIT_NOFILE, &original);
-  TestClient after(server_->port());
+  LoopbackClient after(server_->port());
   ASSERT_TRUE(after.connected());
   after.Send("1 2\n");
   EXPECT_EQ(after.ReadLine(), server::FormatDistance(Expected(1, 2)));
@@ -838,40 +781,46 @@ TEST_F(TcpServerTest, AcceptShedsUnderFdPressure) {
 // ---------------------------------------------------------------------------
 
 TEST_F(TcpServerTest, MetricsVerbWithoutRegistryUsesServerOwnedDefault) {
-  // The fixture's server has neither an explicit registry nor a catalog:
-  // a single-index server falls back to a registry it owns, so `metrics`
-  // and the telemetry counters work out of the box (DESIGN.md §16).
-  ASSERT_NE(server_->metrics(), nullptr);
-  TestClient client(server_->port());
+  // The fixture wires nothing into its dispatcher but a registry (no
+  // index instruments, no cache metrics): `metrics` renders it and the
+  // server's counters record into it (DESIGN.md §16).
+  ASSERT_NE(dispatcher_.metrics(), nullptr);
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   client.Send("1 2\n");
   client.ReadLine();
   client.Send("metrics\n");
+  const std::vector<std::string> lines = client.ReadThroughEof();
+  ASSERT_EQ(lines.back(), "# EOF");
   bool saw_requests_series = false;
-  for (;;) {
-    const std::string line = client.ReadLine();
-    ASSERT_NE(line, "<eof>") << "connection died mid-exposition";
+  for (const std::string& line : lines) {
     if (line.rfind("islabel_server_requests_total", 0) == 0) {
       saw_requests_series = true;
     }
-    if (line == "# EOF") break;
   }
   EXPECT_TRUE(saw_requests_series);
   client.Send("metrics now\n");
   EXPECT_EQ(client.ReadLine(), "error: usage: metrics");
 }
 
+TEST_F(TcpServerTest, StartFailsWithoutRegistry) {
+  // A server records its connection instruments into its dispatcher's
+  // registry, so a dispatcher without telemetry installed is refused
+  // before any socket is opened.
+  server::RequestDispatcher bare(&index_);
+  TcpServerOptions opts;
+  opts.num_workers = 1;
+  TcpServer server(&bare, opts);
+  const Status st = server.Start();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_EQ(server.port(), 0);
+}
+
 // Reads lines until "# EOF" (inclusive) and checks Prometheus text
 // shape: HELP/TYPE pairs, parsable sample values, no blank lines.
-std::vector<std::string> ReadMetricsResponse(TestClient* client) {
-  std::vector<std::string> lines;
-  for (;;) {
-    const std::string line = client->ReadLine();
-    EXPECT_NE(line, "<eof>") << "connection died mid-exposition";
-    if (line == "<eof>") break;
-    lines.push_back(line);
-    if (line == "# EOF") break;
-  }
+std::vector<std::string> ReadMetricsResponse(LoopbackClient* client) {
+  std::vector<std::string> lines = client->ReadThroughEof();
+  if (lines.back() == "<eof>") lines.pop_back();
   std::set<std::string> typed;
   for (const std::string& line : lines) {
     EXPECT_FALSE(line.empty());
@@ -935,14 +884,17 @@ TEST(TcpServerMetrics, MetricsVerbRendersPrometheusOverLoopback) {
   copts.metrics = &registry;
   auto cache = std::make_shared<QueryCache>(copts);
   index.set_distance_cache(cache);
+  server::RequestDispatcher dispatcher(&index);
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = &registry;
+  dispatcher.InstallMetrics(mopts);
   TcpServerOptions opts;
   opts.port = 0;
   opts.num_workers = 2;
-  opts.metrics = &registry;
-  TcpServer server(&index, opts);
+  TcpServer server(&dispatcher, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient client(server.port());
+  LoopbackClient client(server.port());
   ASSERT_TRUE(client.connected());
   client.Send("1 2\n1 2\none 1 2 3\nmetrics\n");
   (void)client.ReadLine();
@@ -1074,12 +1026,82 @@ TEST(DispatcherMetrics, SlowQueryFallsBackToEventLogWithTraceId) {
   EXPECT_NE(events[0].find("\"verb\":\"distance\""), std::string::npos);
 }
 
+/// A backend whose every verb takes `work_us` of manual-clock time and
+/// answers 1: deterministic kernel work.
+class SlowBackend : public DistanceIndex {
+ public:
+  SlowBackend(ManualClock* clock, std::uint64_t work_us)
+      : clock_(clock), work_us_(work_us) {}
+
+  Status ShortestPath(VertexId s, VertexId t, std::vector<VertexId>* path,
+                      Distance* dist) override {
+    clock_->AdvanceMicros(work_us_);
+    *path = {s, t};
+    *dist = 1;
+    return Status::OK();
+  }
+  Status QueryOneToMany(VertexId, const std::vector<VertexId>& targets,
+                        std::vector<Distance>* out) override {
+    clock_->AdvanceMicros(work_us_);
+    out->assign(targets.size(), 1);
+    return Status::OK();
+  }
+  VertexId NumVertices() const override { return 8; }
+  bool has_vias() const override { return true; }
+  DistanceIndexInfo Info() const override { return {}; }
+
+ protected:
+  Status QueryUncached(VertexId, VertexId, Distance* out) override {
+    clock_->AdvanceMicros(work_us_);
+    *out = 1;
+    return Status::OK();
+  }
+
+ private:
+  ManualClock* clock_;
+  std::uint64_t work_us_;
+};
+
+TEST(DispatcherMetrics, EveryQueryVerbChargesItsBackendTimeToKernel) {
+  ManualClock clock;
+  SlowBackend backend(&clock, /*work_us=*/2000);
+  Mutex mu;
+  std::vector<std::string> events;
+  obs::EventLogOptions lopts;
+  lopts.clock = &clock;
+  lopts.sink = obs_test::CapturingSink(&mu, &events);
+  obs::EventLog log(lopts);
+
+  server::RequestDispatcher dispatcher(&backend);
+  obs::MetricRegistry registry;
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = &registry;
+  mopts.clock = &clock;
+  mopts.slow_query_threshold_ms = 1;
+  mopts.event_log = &log;
+  dispatcher.InstallMetrics(mopts);
+
+  // Only the backend advances the clock, so whichever verb carries the
+  // request, all of its latency is kernel time.
+  for (const char* line : {"0 7", "one 0 1 2", "path 0 7"}) {
+    events.clear();
+    const std::string response = dispatcher.Execute(ParseRequest(line));
+    EXPECT_EQ(response.rfind("error:", 0), std::string::npos) << response;
+    ASSERT_EQ(events.size(), 1u) << line;
+    for (const char* field :
+         {"\"total_us\":\"2000\"", "\"kernel_us\":\"2000\""}) {
+      EXPECT_NE(events[0].find(field), std::string::npos)
+          << line << ": " << field << " in " << events[0];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Distributed tracing + flight recorder (DESIGN.md §17)
 // ---------------------------------------------------------------------------
 
 TEST_F(TcpServerTest, TrailingTidTokenIsAcceptedOnEveryVerbAndValidated) {
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   // The trailing token is stripped before per-verb arity checks, so it
   // rides on query and admin verbs alike.
@@ -1104,7 +1126,7 @@ TEST_F(TcpServerTest, TrailingTidTokenIsAcceptedOnEveryVerbAndValidated) {
 TEST_F(TcpServerTest, TracezGrammarAndMissingRecorder) {
   // The fixture's server has no flight recorder: well-formed scrapes
   // answer NotSupported, malformed ones fail parsing first.
-  TestClient client(server_->port());
+  LoopbackClient client(server_->port());
   ASSERT_TRUE(client.connected());
   client.Send("tracez\n");
   EXPECT_EQ(client.ReadLine(),
@@ -1118,19 +1140,6 @@ TEST_F(TcpServerTest, TracezGrammarAndMissingRecorder) {
   }
 }
 
-// Reads a tracez response: every line through "# EOF" inclusive.
-std::vector<std::string> ReadTracezResponse(TestClient* client) {
-  std::vector<std::string> lines;
-  for (;;) {
-    const std::string line = client->ReadLine();
-    EXPECT_NE(line, "<eof>") << "connection died mid-tracez";
-    if (line == "<eof>") break;
-    lines.push_back(line);
-    if (line == "# EOF") break;
-  }
-  return lines;
-}
-
 TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
   Graph graph = MakeTestGraph(Family::kErdosRenyi, 200, true, 7);
   auto built = ISLabelIndex::Build(graph);
@@ -1139,14 +1148,19 @@ TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
   obs::FlightRecorderOptions ropts;
   ropts.capacity_per_thread = 64;
   obs::FlightRecorder recorder(ropts);
+  obs::MetricRegistry registry;
+  server::RequestDispatcher dispatcher(&index);
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = &registry;
+  mopts.flight_recorder = &recorder;
+  dispatcher.InstallMetrics(mopts);
   TcpServerOptions opts;
   opts.port = 0;
   opts.num_workers = 2;
-  opts.flight_recorder = &recorder;
-  TcpServer server(&index, opts);
+  TcpServer server(&dispatcher, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  TestClient client(server.port());
+  LoopbackClient client(server.port());
   ASSERT_TRUE(client.connected());
   client.Send("1 2 tid=deadbeef\n");
   EXPECT_EQ(client.ReadLine().rfind("error:", 0), std::string::npos);
@@ -1155,7 +1169,7 @@ TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
 
   // Retrieval by id returns exactly that trace.
   client.Send("tracez id deadbeef\n");
-  std::vector<std::string> lines = ReadTracezResponse(&client);
+  std::vector<std::string> lines = client.ReadThroughEof();
   ASSERT_EQ(lines.size(), 3u);  // header, one trace, terminator
   EXPECT_EQ(lines[0].rfind("tracez: ", 0), 0u);
   EXPECT_NE(lines[0].find("shown=1"), std::string::npos);
@@ -1167,7 +1181,7 @@ TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
 
   // The errors view keeps only the failed request.
   client.Send("tracez errors\n");
-  lines = ReadTracezResponse(&client);
+  lines = client.ReadThroughEof();
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_EQ(lines[1].rfind("trace id=cafe ", 0), 0u);
   EXPECT_NE(lines[1].find("status=error"), std::string::npos);
@@ -1175,7 +1189,7 @@ TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
   // tracez scrapes are themselves never recorded: after two scrapes the
   // recorder still holds exactly the two query requests.
   client.Send("tracez\n");
-  lines = ReadTracezResponse(&client);
+  lines = client.ReadThroughEof();
   EXPECT_NE(lines[0].find("records=2 shown=2"), std::string::npos)
       << lines[0];
 
@@ -1185,7 +1199,7 @@ TEST(TcpServerTracing, FlightRecorderCapturesRequestsAndTracezRetrievesById) {
   client.Send("3 4 tid=beef\n");
   (void)client.ReadLine();
   client.Send("tracez\n");
-  lines = ReadTracezResponse(&client);
+  lines = client.ReadThroughEof();
   EXPECT_NE(lines[0].find("records=2"), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find("enabled=0"), std::string::npos) << lines[0];
 

@@ -20,6 +20,7 @@
 #include "core/index.h"
 #include "graph/graph_io.h"
 #include "repl/primary.h"
+#include "server/dispatcher.h"
 #include "server/tcp_server.h"
 #include "tests/test_common.h"
 
@@ -262,10 +263,14 @@ TEST_F(ToolTest, ReplStatusReportsUpAndDownEndpoints) {
   ASSERT_TRUE(catalog.Add("d", index_dir_).ok());
   ASSERT_TRUE(catalog.WaitReady().ok());
   repl::PrimaryHooks hooks(&catalog);
+  server::RequestDispatcher dispatcher(&catalog, "d");
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = catalog.metrics();
+  dispatcher.InstallMetrics(mopts);
+  dispatcher.set_replication_hooks(&hooks);
   server::TcpServerOptions opts;
   opts.num_workers = 1;
-  server::TcpServer primary(&catalog, "d", opts);
-  primary.SetReplicationHooks(&hooks);
+  server::TcpServer primary(&dispatcher, opts);
   ASSERT_TRUE(primary.Start().ok());
   const std::string up = "127.0.0.1:" + std::to_string(primary.port());
 

@@ -36,9 +36,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -528,7 +530,8 @@ int CmdBatch(const Args& args) {
 // of the engine (default 64 MB in TCP mode, off in stdin mode); cache
 // entries are invalidated by generation on every index update, so cached
 // answers are always identical to freshly computed ones.
-/// Parses --listen HOST:PORT into `sopts`. Returns 0, or 2 on bad input.
+/// Parses --listen HOST:PORT and the connection guards into `sopts`.
+/// Returns 0, or 2 on bad input.
 int ParseListenOption(const Args& args, server::TcpServerOptions* sopts) {
   const std::string listen = args.Get("listen", "");
   const std::size_t colon = listen.rfind(':');
@@ -555,8 +558,6 @@ int ParseListenOption(const Args& args, server::TcpServerOptions* sopts) {
       static_cast<std::uint32_t>(args.GetInt("idle-timeout-ms", 60'000));
   sopts->max_buffered_bytes =
       static_cast<std::size_t>(args.GetInt("max-buffered-kb", 1024)) << 10;
-  sopts->slow_query_threshold_ms =
-      static_cast<std::uint64_t>(args.GetInt("slow-query-ms", 0));
   return 0;
 }
 
@@ -613,39 +614,64 @@ struct ServeObservability {
   }
 };
 
-/// Waits out a started TCP server and reports its counters.
-int RunTcpServer(server::TcpServer* tcp_server) {
-  tcp_server->Wait();
-  const server::TcpServerStats stats = tcp_server->stats();
+/// The front end of every serve mode: installs the dispatcher's
+/// telemetry once (`registry`, the flight recorder, the event log,
+/// --slow-query-ms), then serves the wire protocol over TCP with
+/// --listen, or on stdin/stdout without it, one response per request.
+/// `on_listening` runs once the TCP server accepts connections.
+int ServeFrontEnd(const Args& args, server::RequestDispatcher* dispatcher,
+                  obs::MetricRegistry* registry,
+                  const ServeObservability& sobs,
+                  const std::function<void()>& on_listening = {}) {
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = registry;
+  mopts.slow_query_threshold_ms =
+      static_cast<std::uint64_t>(args.GetInt("slow-query-ms", 0));
+  mopts.flight_recorder = sobs.recorder.get();
+  mopts.event_log = sobs.event_log.get();
+  dispatcher->InstallMetrics(mopts);
+
+  if (!args.Has("listen")) {
+    std::fprintf(stderr, "reading requests on stdin; 'quit' to stop\n");
+    server::RequestDispatcher::Session session;
+    // Parse timing feeds the QueryTrace, exactly like the TCP front end.
+    const Clock* clock = dispatcher->clock();
+    const bool time_parse = dispatcher->tracing_enabled();
+    std::string line;
+    while (std::getline(std::cin, line)) {
+      const std::uint64_t t0 = time_parse ? clock->NowMicros() : 0;
+      server::Request req = server::ParseRequest(line);
+      if (time_parse) {
+        req.parse_us = static_cast<std::uint32_t>(clock->NowMicros() - t0);
+      }
+      if (req.kind == server::RequestKind::kNone) continue;
+      if (req.kind == server::RequestKind::kQuit) break;
+      const std::string response = dispatcher->Execute(req, &session);
+      std::printf("%s\n", response.c_str());
+      std::fflush(stdout);
+    }
+    return 0;
+  }
+
+  server::TcpServerOptions sopts;
+  const int rc = ParseListenOption(args, &sopts);
+  if (rc != 0) return rc;
+  server::TcpServer tcp_server(dispatcher, sopts);
+  Status st = tcp_server.Start();
+  if (!st.ok()) {
+    std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "listening on %s:%u; SIGINT/SIGTERM to stop\n",
+               sopts.host.c_str(), tcp_server.port());
+  if (on_listening) on_listening();
+  tcp_server.Wait();
+  const server::TcpServerStats stats = tcp_server.stats();
   std::fprintf(stderr,
                "served %llu requests (%llu errors) over %llu connections\n",
                static_cast<unsigned long long>(stats.requests),
                static_cast<unsigned long long>(stats.errors),
                static_cast<unsigned long long>(stats.connections_accepted));
-  return 0;
-}
-
-/// The stdin/stdout front end, shared by both serve modes: one response
-/// per request.
-int ServeStdin(server::RequestDispatcher* dispatcher) {
-  server::RequestDispatcher::Session session;
-  // Parse timing feeds the QueryTrace, exactly like the TCP front end.
-  static const SystemClock kParseClock;
-  const bool time_parse = dispatcher->tracing_enabled();
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    const std::uint64_t t0 = time_parse ? kParseClock.NowMicros() : 0;
-    server::Request req = server::ParseRequest(line);
-    if (time_parse) {
-      req.parse_us =
-          static_cast<std::uint32_t>(kParseClock.NowMicros() - t0);
-    }
-    if (req.kind == server::RequestKind::kNone) continue;
-    if (req.kind == server::RequestKind::kQuit) break;
-    const std::string response = dispatcher->Execute(req, &session);
-    std::printf("%s\n", response.c_str());
-    std::fflush(stdout);
-  }
   return 0;
 }
 
@@ -715,45 +741,19 @@ int ServeCatalog(const Args& args,
                  static_cast<unsigned long long>(info.vertices), info.parts);
   }
 
+  server::RequestDispatcher dispatcher(&catalog, names.front());
+  // Every catalog-mode TCP server can act as a replication primary: the
+  // verbs cost nothing until a replica pulls.
+  std::optional<repl::PrimaryHooks> primary_hooks;
   if (tcp) {
-    server::TcpServerOptions sopts;
-    const int rc = ParseListenOption(args, &sopts);
-    if (rc != 0) return rc;
-    sopts.flight_recorder = sobs.recorder.get();
-    sopts.event_log = sobs.event_log.get();
-    server::TcpServer tcp_server(&catalog, names.front(), sopts);
-    // Every catalog-mode TCP server can act as a replication primary:
-    // the verbs cost nothing until a replica pulls.
-    repl::PrimaryHooks primary_hooks(&catalog);
-    tcp_server.SetReplicationHooks(&primary_hooks);
-    Status st = tcp_server.Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "serving %zu datasets (default %s, cache %ld MB/dataset) "
-                 "on %s:%u; SIGINT/SIGTERM to stop\n",
-                 names.size(), names.front().c_str(),
-                 cache_mb > 0 ? cache_mb : 0, sopts.host.c_str(),
-                 tcp_server.port());
-    return RunTcpServer(&tcp_server);
+    primary_hooks.emplace(&catalog);
+    dispatcher.set_replication_hooks(&*primary_hooks);
   }
   std::fprintf(stderr,
-               "serving %zu datasets (default %s); 'S T', 'one S T...', "
-               "'path S T', 'use NAME', 'datasets', 'reload NAME', "
-               "'metrics', 'quit'\n",
-               names.size(), names.front().c_str());
-  server::RequestDispatcher dispatcher(&catalog, names.front());
-  server::RequestDispatcher::MetricsOptions mopts;
-  mopts.registry = catalog.metrics();
-  mopts.flight_recorder = sobs.recorder.get();
-  mopts.event_log = sobs.event_log.get();
-  mopts.slow_query_threshold_ms =
-      static_cast<std::uint64_t>(args.GetInt("slow-query-ms", 0));
-  dispatcher.InstallMetrics(mopts);
-  return ServeStdin(&dispatcher);
+               "serving %zu datasets (default %s, cache %ld MB/dataset)\n",
+               names.size(), names.front().c_str(),
+               cache_mb > 0 ? cache_mb : 0);
+  return ServeFrontEnd(args, &dispatcher, catalog.metrics(), sobs);
 }
 
 /// Replica serve: an initially-empty catalog that pulls snapshots from
@@ -782,26 +782,13 @@ int ServeReplica(const Args& args) {
   ropts.event_log = sobs.event_log.get();
   repl::ReplicaAgent agent(&catalog, &transport, &clock, &rng, ropts);
 
-  server::TcpServerOptions sopts;
-  const int rc = ParseListenOption(args, &sopts);
-  if (rc != 0) return rc;
-  sopts.flight_recorder = sobs.recorder.get();
-  sopts.event_log = sobs.event_log.get();
-  server::TcpServer tcp_server(&catalog, /*default_dataset=*/"", sopts);
-  tcp_server.SetReplicationHooks(&agent);
-  Status st = tcp_server.Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  agent.RunBackground();
-  std::fprintf(stderr,
-               "replica of %s serving on %s:%u (root %s, poll %llu ms); "
-               "SIGINT/SIGTERM to stop\n",
-               ropts.primary.c_str(), sopts.host.c_str(), tcp_server.port(),
-               ropts.root.c_str(),
+  server::RequestDispatcher dispatcher(&catalog, /*default_dataset=*/"");
+  dispatcher.set_replication_hooks(&agent);
+  std::fprintf(stderr, "replica of %s (root %s, poll %llu ms)\n",
+               ropts.primary.c_str(), ropts.root.c_str(),
                static_cast<unsigned long long>(ropts.poll_interval_ms));
-  const int ret = RunTcpServer(&tcp_server);
+  const int ret = ServeFrontEnd(args, &dispatcher, catalog.metrics(), sobs,
+                                [&agent] { agent.RunBackground(); });
   agent.StopBackground();
   return ret;
 }
@@ -831,54 +818,20 @@ int CmdServe(const Args& args) {
                          return store->stats();
                        });
   }
-  const bool tcp = args.Has("listen");
 
-  std::shared_ptr<server::QueryCache> cache;
-  const long cache_mb = args.GetInt("cache-mb", tcp ? 64 : 0);
+  const long cache_mb = args.GetInt("cache-mb", args.Has("listen") ? 64 : 0);
   if (cache_mb > 0) {
     server::QueryCacheOptions copts;
     copts.capacity_bytes = static_cast<std::size_t>(cache_mb) << 20;
     copts.metrics = &registry;
-    cache = std::make_shared<server::QueryCache>(copts);
-    index.set_distance_cache(cache);
+    index.set_distance_cache(std::make_shared<server::QueryCache>(copts));
   }
 
-  if (tcp) {
-    server::TcpServerOptions sopts;
-    const int rc = ParseListenOption(args, &sopts);
-    if (rc != 0) return rc;
-    sopts.metrics = &registry;
-    sopts.flight_recorder = sobs.recorder.get();
-    sopts.event_log = sobs.event_log.get();
-    server::TcpServer tcp_server(&index, sopts);
-    Status st = tcp_server.Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "serving %u vertices (%s labels, cache %ld MB) on %s:%u; "
-                 "SIGINT/SIGTERM to stop\n",
-                 index.NumVertices(), args.Has("disk") ? "disk" : "in-memory",
-                 cache_mb > 0 ? cache_mb : 0, sopts.host.c_str(),
-                 tcp_server.port());
-    return RunTcpServer(&tcp_server);
-  }
-
-  std::fprintf(stderr,
-               "serving %u vertices (%s labels); 'S T', 'one S T...', "
-               "'path S T', 'metrics', 'quit'\n",
-               index.NumVertices(), args.Has("disk") ? "disk" : "in-memory");
   server::RequestDispatcher dispatcher(&index);
-  server::RequestDispatcher::MetricsOptions mopts;
-  mopts.registry = &registry;
-  mopts.flight_recorder = sobs.recorder.get();
-  mopts.event_log = sobs.event_log.get();
-  mopts.slow_query_threshold_ms =
-      static_cast<std::uint64_t>(args.GetInt("slow-query-ms", 0));
-  dispatcher.InstallMetrics(mopts);
-  return ServeStdin(&dispatcher);
+  std::fprintf(stderr, "serving %u vertices (%s labels, cache %ld MB)\n",
+               index.NumVertices(), args.Has("disk") ? "disk" : "in-memory",
+               cache_mb > 0 ? cache_mb : 0);
+  return ServeFrontEnd(args, &dispatcher, &registry, sobs);
 }
 
 // repl-status: per endpoint, reachability and dataset generations

@@ -1,5 +1,10 @@
-// Seeded violation: blocking calls inside the event-loop section
-// (2 lines). The markers mirror the real tcp_server.cc delimiters.
+// Seeded violations: blocking calls inside the event-loop section
+// (2 lines; the markers mirror the real tcp_server.cc delimiters), and
+// one include from outside server/, obs/ and util/ (server-transport).
+
+#include "core/index.h"  // violation: server-transport
+#include "server/dispatcher.h"
+#include "util/mutex.h"
 
 namespace fixture {
 

@@ -48,6 +48,11 @@ this linter proves the conventions that make that proof meaningful:
                    the serving interface (DistanceIndex and everything
                    above it), so statistics cannot creep back onto the
                    path a served query takes.
+  server-transport The TCP server (server/tcp_server.h and .cc) includes
+                   project headers only from server/, obs/ and util/:
+                   it is a transport over the RequestDispatcher it is
+                   given, so it cannot regain index or catalog
+                   knowledge.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -423,6 +428,28 @@ def rule_stats_seam(root):
         "ISLabelIndex::Query overload, not the serving interface")
 
 
+TRANSPORT_FILES = [os.path.join("src", "server", "tcp_server" + ext)
+                   for ext in SOURCE_EXTS]
+TRANSPORT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+TRANSPORT_ALLOWED_DIRS = ("server/", "obs/", "util/")
+
+
+def rule_server_transport(root):
+    violations = []
+    for rel in TRANSPORT_FILES:
+        if not os.path.exists(os.path.join(root, rel)):
+            continue
+        for lineno, text in code_lines(read_lines(root, rel)):
+            m = TRANSPORT_INCLUDE_RE.match(text)
+            if m and not m.group(1).startswith(TRANSPORT_ALLOWED_DIRS):
+                violations.append(
+                    (rel, lineno, "server-transport",
+                     f'"{m.group(1)}" included: the TCP server takes '
+                     "what it serves from its RequestDispatcher "
+                     "(server/, obs/ and util/ headers only)"))
+    return violations
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -453,6 +480,7 @@ RULES = [
     rule_log_events,
     rule_tests_registered,
     rule_stats_seam,
+    rule_server_transport,
 ]
 
 
@@ -480,6 +508,7 @@ SELF_TEST_EXPECTED = {
     "log-events": 4,
     "test-registered": 1,
     "stats-seam": 1,
+    "server-transport": 1,
 }
 
 
