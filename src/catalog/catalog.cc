@@ -171,6 +171,9 @@ Catalog::Catalog(obs::MetricRegistry* metrics) {
     metrics = own_metrics_.get();
   }
   metrics_ = metrics;
+  reload_seconds_ =
+      metrics_->GetHistogram("islabel_catalog_reload_seconds",
+                             "Reload/install duration (load + swap)");
 }
 
 Catalog::~Catalog() {
@@ -356,7 +359,7 @@ Status Catalog::Reload(const std::string& name) {
     return Status::FailedPrecondition("dataset " + name +
                                       " has no backing directory");
   }
-  const std::uint64_t t0 = SystemClock::Default()->NowMicros();
+  const std::uint64_t t0 = SystemClock::Default()->NowNanos();
   // The expensive load runs without any lock; queries proceed on the old
   // index throughout.
   auto loaded = PartitionedIndex::Load(dir, labels_in_memory);
@@ -375,10 +378,7 @@ Status Catalog::Reload(const std::string& name) {
   // Publish-then-bump: see the ordering argument in Handle::Query.
   if (ds->cache != nullptr) ds->cache->BumpGeneration();
   ds->reloads->Inc();
-  metrics_
-      ->GetHistogram("islabel_catalog_reload_seconds",
-                     "Reload/install duration (load + swap)")
-      ->Record(SystemClock::Default()->NowMicros() - t0);
+  reload_seconds_->RecordNanos(SystemClock::Default()->NowNanos() - t0);
   if (event_log_ != nullptr) {
     event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
                     {{"dataset", name},
@@ -400,7 +400,7 @@ Status Catalog::ReloadFrom(const std::string& name, const std::string& dir,
         std::to_string(ds->generation.load(std::memory_order_acquire)) +
         " >= " + std::to_string(gen));
   }
-  const std::uint64_t t0 = SystemClock::Default()->NowMicros();
+  const std::uint64_t t0 = SystemClock::Default()->NowNanos();
   // Load before touching any dataset state: a corrupt or truncated
   // directory must leave the currently-serving version untouched.
   auto loaded = PartitionedIndex::Load(dir, ds->labels_in_memory);
@@ -424,10 +424,7 @@ Status Catalog::ReloadFrom(const std::string& name, const std::string& dir,
   // Publish-then-bump, exactly as Reload.
   if (ds->cache != nullptr) ds->cache->BumpGeneration();
   ds->reloads->Inc();
-  metrics_
-      ->GetHistogram("islabel_catalog_reload_seconds",
-                     "Reload/install duration (load + swap)")
-      ->Record(SystemClock::Default()->NowMicros() - t0);
+  reload_seconds_->RecordNanos(SystemClock::Default()->NowNanos() - t0);
   if (event_log_ != nullptr) {
     event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
                     {{"dataset", name},

@@ -234,6 +234,7 @@ class Catalog {
 
   std::unique_ptr<obs::MetricRegistry> own_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;  // never null after construction
+  obs::Histogram* reload_seconds_ = nullptr;  // resolved with metrics_
   obs::EventLog* event_log_ = nullptr;      // set before serving starts
 
   mutable Mutex mu_;

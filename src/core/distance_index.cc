@@ -71,7 +71,11 @@ Status DistanceIndex::Query(VertexId s, VertexId t, Distance* out) {
     obs::KernelSpan span;
     st = QueryUncached(s, t, out);
   }
-  if (st.ok() && cache != nullptr) cache->Insert(s, t, *out, cache_gen);
+  if (st.ok() && cache != nullptr) {
+    // The insert is cache work too: it closes cache_lookup again.
+    obs::StageTimer span(obs::Stage::kCacheLookup);
+    cache->Insert(s, t, *out, cache_gen);
+  }
   return st;
 }
 

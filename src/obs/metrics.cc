@@ -87,18 +87,62 @@ void AppendSeriesName(std::string* out, const std::string& name,
   out->push_back('}');
 }
 
+// Which thread cells are taken, process-wide: a thread's cell index is
+// the same in every histogram.
+Mutex g_cells_mu;
+std::uint32_t g_cells_taken GUARDED_BY(g_cells_mu) = 0;
+
 }  // namespace
 
-int Histogram::BucketIndex(std::uint64_t micros) {
-  if (micros <= 1) return 0;
-#if defined(__GNUC__) || defined(__clang__)
-  // Smallest i with 2^i >= micros, i.e. ceil(log2(micros)).
-  int i = 64 - __builtin_clzll(micros - 1);
-#else
-  int i = 0;
-  while (i < kNumFiniteBuckets && BucketUpperMicros(i) < micros) ++i;
-#endif
-  return i < kNumFiniteBuckets ? i : kNumFiniteBuckets;
+int Histogram::ClaimCell() {
+  // Holds the thread's cell until the thread exits. The mutex orders the
+  // exiting thread's last stores to its cell before the loads of the
+  // next thread to claim the same index.
+  struct Lease {
+    int index = kThreadCells;  // the shared cell when none is free
+    Lease() {
+      MutexLock lock(&g_cells_mu);
+      for (int i = 0; i < kThreadCells; ++i) {
+        if ((g_cells_taken & (1u << i)) == 0) {
+          g_cells_taken |= 1u << i;
+          index = i;
+          break;
+        }
+      }
+    }
+    ~Lease() {
+      // Records from later thread-exit destructors go to the shared cell.
+      t_cell_ = kThreadCells;
+      if (index == kThreadCells) return;
+      MutexLock lock(&g_cells_mu);
+      g_cells_taken &= ~(1u << index);
+    }
+  };
+  thread_local Lease lease;
+  t_cell_ = lease.index;
+  return t_cell_;
+}
+
+std::uint64_t Histogram::Count() const {
+  std::uint64_t total = 0;
+  for (int i = 0; i <= kNumFiniteBuckets; ++i) total += BucketCount(i);
+  return total;
+}
+
+std::uint64_t Histogram::SumNanos() const {
+  std::uint64_t total = 0;
+  for (const Cell& c : cells_) {
+    total += c.sum_ns.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t Histogram::BucketCount(int i) const {
+  std::uint64_t total = 0;
+  for (const Cell& c : cells_) {
+    total += c.buckets[i].load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 double Histogram::QuantileMicros(double q) const {
@@ -107,7 +151,7 @@ double Histogram::QuantileMicros(double q) const {
   std::uint64_t counts[kNumFiniteBuckets + 1];
   std::uint64_t total = 0;
   for (int i = 0; i <= kNumFiniteBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    counts[i] = BucketCount(i);
     total += counts[i];
   }
   if (total == 0) return 0.0;
@@ -261,6 +305,8 @@ std::string MetricRegistry::RenderPrometheus() const {
         }
         case Kind::kHistogram: {
           const Histogram& h = *s->histogram;
+          // _count is the +Inf bucket of the same pass, so the two agree
+          // even while workers record.
           std::uint64_t cum = 0;
           for (int i = 0; i <= Histogram::kNumFiniteBuckets; ++i) {
             cum += h.BucketCount(i);
@@ -283,11 +329,11 @@ std::string MetricRegistry::RenderPrometheus() const {
           }
           AppendSeriesName(&out, f->name + "_sum", s->labels, nullptr, "");
           out.push_back(' ');
-          AppendDouble(&out, static_cast<double>(h.SumMicros()) / 1e6);
+          AppendDouble(&out, static_cast<double>(h.SumNanos()) / 1e9);
           out.push_back('\n');
           AppendSeriesName(&out, f->name + "_count", s->labels, nullptr, "");
           out.push_back(' ');
-          AppendU64(&out, h.Count());
+          AppendU64(&out, cum);
           out.push_back('\n');
           break;
         }

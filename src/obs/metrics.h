@@ -2,12 +2,13 @@
 //
 // Three instrument kinds — Counter (monotone, relaxed atomic), Gauge
 // (settable/deltable int64), Histogram (fixed power-of-two microsecond
-// buckets, p50/p95/p99/p999 by linear interpolation) — plus callback
-// gauges evaluated only at scrape time. The record path (Inc/Add/Set/
-// Record) is allocation-free and wait-free: registration hands out a
-// stable pointer once, and recording is a relaxed atomic RMW behind a
-// relaxed enabled-flag load. Registration and rendering take a Mutex;
-// they are cold by construction.
+// buckets over per-thread cells, p50/p95/p99/p999 by linear
+// interpolation) — plus callback gauges evaluated only at scrape time.
+// The record path (Inc/Add/Set/RecordNanos) is allocation-free and
+// wait-free: registration hands out a stable pointer once, and recording
+// is a relaxed atomic update behind a relaxed enabled-flag load.
+// Registration and rendering take a Mutex; they are cold by
+// construction.
 //
 // Exposition is Prometheus text format, terminated with an OpenMetrics
 // "# EOF" line so the multi-line `metrics` verb response self-delimits
@@ -28,6 +29,7 @@
 #define ISLABEL_OBS_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -102,34 +104,53 @@ class Gauge {
 
 /// Latency distribution over fixed log-scale buckets: bucket i counts
 /// observations with value ≤ 2^i microseconds (1µs … ~67s), plus one
-/// overflow bucket. Record is wait-free (one relaxed fetch_add per
-/// bucket/sum/count); quantiles interpolate linearly inside the bucket
-/// holding the rank, so the worst-case quantile error is the bucket
-/// width — a factor of 2, which is what a log-scale histogram promises.
+/// overflow bucket. Observations arrive in nanoseconds; the sum keeps
+/// them, and the bucket is the one holding the value rounded up to a
+/// whole µs, so every `le` bound stays exact. Quantiles interpolate
+/// linearly inside the bucket holding the rank, so the worst-case
+/// quantile error is the bucket width — a factor of 2, which is what a
+/// log-scale histogram promises.
+///
+/// The record path is per-thread: each of the first kThreadCells
+/// recording threads of the process owns one cell of every histogram and
+/// updates it with a relaxed load and store, so no two workers write the
+/// same cache line. Later threads, and a thread past its exit, share the
+/// last cell through fetch_add. A read sums every cell.
 class Histogram {
  public:
   /// Finite buckets: upper bounds 2^0 … 2^26 µs. Index kNumFiniteBuckets
   /// is the +Inf overflow bucket.
   static constexpr int kNumFiniteBuckets = 27;
+  /// Exclusive per-thread cells; one more cell is shared by the rest.
+  static constexpr int kThreadCells = 8;
 
   Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void Record(std::uint64_t micros) {
+  void RecordNanos(std::uint64_t ns) {
     if (!RecordingEnabled()) return;
-    buckets_[BucketIndex(micros)].fetch_add(1, std::memory_order_relaxed);
-    sum_micros_.fetch_add(micros, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    int cell = t_cell_;
+    if (cell < 0) cell = ClaimCell();
+    Cell& c = cells_[cell];
+    // ceil(ns / 1000) µs without overflow; 0 stays 0.
+    const std::uint64_t micros = ns == 0 ? 0 : (ns - 1) / 1000 + 1;
+    std::atomic<std::uint64_t>& bucket = c.buckets[BucketIndex(micros)];
+    if (cell < kThreadCells) {
+      // The only writer of this cell: no read-modify-write needed.
+      bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
+      c.sum_ns.store(c.sum_ns.load(std::memory_order_relaxed) + ns,
+                     std::memory_order_relaxed);
+    } else {
+      bucket.fetch_add(1, std::memory_order_relaxed);
+      c.sum_ns.fetch_add(ns, std::memory_order_relaxed);
+    }
   }
 
-  std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t SumMicros() const {
-    return sum_micros_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t BucketCount(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  std::uint64_t Count() const;
+  std::uint64_t SumNanos() const;
+  std::uint64_t BucketCount(int i) const;
 
   /// Upper bound of finite bucket i, in microseconds (2^i).
   static std::uint64_t BucketUpperMicros(int i) {
@@ -138,7 +159,12 @@ class Histogram {
 
   /// Smallest bucket index whose upper bound is ≥ micros (the overflow
   /// bucket for anything past 2^26 µs).
-  static int BucketIndex(std::uint64_t micros);
+  static int BucketIndex(std::uint64_t micros) {
+    if (micros <= 1) return 0;
+    // ceil(log2(micros))
+    const int i = static_cast<int>(std::bit_width(micros - 1));
+    return i < kNumFiniteBuckets ? i : kNumFiniteBuckets;
+  }
 
   /// Interpolated quantile in microseconds, q in [0,1]. Returns 0 on an
   /// empty histogram; observations in the overflow bucket resolve to the
@@ -147,12 +173,23 @@ class Histogram {
 
  private:
   friend class MetricRegistry;
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> buckets[kNumFiniteBuckets + 1] = {};
+    std::atomic<std::uint64_t> sum_ns{0};
+  };
+
   bool RecordingEnabled() const {
     return enabled_ == nullptr || enabled_->load(std::memory_order_relaxed);
   }
-  std::atomic<std::uint64_t> buckets_[kNumFiniteBuckets + 1] = {};
-  std::atomic<std::uint64_t> sum_micros_{0};
-  std::atomic<std::uint64_t> count_{0};
+  /// First record of this thread: claims the lowest free thread cell
+  /// (released at thread exit), or the shared cell when none is free.
+  static int ClaimCell();
+
+  /// This thread's cell index, shared by every histogram; -1 until the
+  /// thread's first record.
+  static inline thread_local int t_cell_ = -1;
+
+  Cell cells_[kThreadCells + 1];  // the last one is shared
   const std::atomic<bool>* enabled_ = nullptr;
 };
 

@@ -8,6 +8,9 @@
 // thread-local load and a branch: zero clock reads.
 //
 // Stages: parse → cache lookup → pool lease wait → kernel → encode.
+// They tile the request: every stage boundary is one nanosecond clock
+// read, shared by the stage it closes and the stage it opens, so the
+// stages of a query sum to its total and a cache hit costs three reads.
 // Time comes from the injected Clock seam (util/clock.h), so trace and
 // slow-query tests run on a ManualClock with zero real sleeps.
 
@@ -40,15 +43,36 @@ const char* StageName(Stage stage);
 /// (per-part pool waits in a partitioned query) accumulate.
 class QueryTrace {
  public:
-  explicit QueryTrace(const Clock* clock) : clock_(clock) {}
+  /// Reads the clock once: the request's first stage boundary.
+  explicit QueryTrace(const Clock* clock)
+      : clock_(clock), start_ns_(clock->NowNanos()), boundary_ns_(start_ns_) {}
 
-  const Clock* clock() const { return clock_; }
+  /// Reads the clock once, charges the time since the previous boundary
+  /// to `stage`, and makes that read the new boundary.
+  void Close(Stage stage) {
+    const std::uint64_t now = clock_->NowNanos();
+    stage_ns_[static_cast<int>(stage)] += now - boundary_ns_;
+    boundary_ns_ = now;
+  }
+  /// Reads the clock once and makes it the new boundary, charging no
+  /// stage: how a request that is not broken into stages ends.
+  void Mark() { boundary_ns_ = clock_->NowNanos(); }
 
+  /// Charges time measured outside the trace (the front end's parse,
+  /// which precedes the trace) to `stage`.
   void Add(Stage stage, std::uint64_t micros) {
-    stage_us_[static_cast<int>(stage)] += micros;
+    stage_ns_[static_cast<int>(stage)] += micros * 1000;
+  }
+  std::uint64_t StageNanos(Stage stage) const {
+    return stage_ns_[static_cast<int>(stage)];
   }
   std::uint64_t StageMicros(Stage stage) const {
-    return stage_us_[static_cast<int>(stage)];
+    return StageNanos(stage) / 1000;
+  }
+  /// Construction to the last boundary, plus the parse time the front
+  /// end measured before the trace existed.
+  std::uint64_t TotalNanos() const {
+    return boundary_ns_ - start_ns_ + StageNanos(Stage::kParse);
   }
 
   /// Nesting guard for KernelSpan: a catalog handle's QueryUncached
@@ -57,6 +81,7 @@ class QueryTrace {
   /// true when this frame is outermost; every Begin pairs with an End.
   bool BeginKernel() { return kernel_depth_++ == 0; }
   void EndKernel() { --kernel_depth_; }
+  bool InKernel() const { return kernel_depth_ > 0; }
 
   /// Distributed trace id (DESIGN.md §17): minted by the client, carried
   /// as the trailing `tid=<hex>` wire token, stitched across failover
@@ -71,7 +96,9 @@ class QueryTrace {
 
  private:
   const Clock* clock_;
-  std::uint64_t stage_us_[kNumStages] = {};
+  std::uint64_t start_ns_;
+  std::uint64_t boundary_ns_;
+  std::uint64_t stage_ns_[kNumStages] = {};
   int kernel_depth_ = 0;
   std::uint64_t trace_id_ = 0;
   bool cache_hit_ = false;
@@ -94,17 +121,18 @@ class TraceScope {
   QueryTrace* prev_;
 };
 
-/// RAII span against the current trace. No trace installed → no clock
+/// RAII stage against the current trace: reads no clock on entry and
+/// closes `stage` on exit, so the stage also takes whatever ran since
+/// the previous boundary. Opened inside a kernel span (a pool wait), it
+/// first closes the kernel's time so far. No trace installed → no clock
 /// reads at all.
 class StageTimer {
  public:
   explicit StageTimer(Stage stage) : trace_(CurrentTrace()), stage_(stage) {
-    if (trace_ != nullptr) start_us_ = trace_->clock()->NowMicros();
+    if (trace_ != nullptr && trace_->InKernel()) trace_->Close(Stage::kKernel);
   }
   ~StageTimer() {
-    if (trace_ != nullptr) {
-      trace_->Add(stage_, trace_->clock()->NowMicros() - start_us_);
-    }
+    if (trace_ != nullptr) trace_->Close(stage_);
   }
 
   StageTimer(const StageTimer&) = delete;
@@ -113,32 +141,23 @@ class StageTimer {
  private:
   QueryTrace* trace_;
   Stage stage_;
-  std::uint64_t start_us_ = 0;
 };
 
-/// RAII kernel span against the current trace: charges its duration,
-/// minus whatever the engine pool charged to kPoolWait inside it, to
-/// kKernel. Only the outermost span records, so a backend call that
-/// re-enters DistanceIndex::Query is counted once. No trace installed →
-/// no clock reads at all.
+/// RAII kernel span against the current trace: reads no clock on entry,
+/// and the outermost span closes kKernel on exit. A pool wait inside it
+/// closes the kernel's time before its own (StageTimer), so the kernel
+/// is charged everything else. Only the outermost span records, so a
+/// backend call that re-enters DistanceIndex::Query is counted once. No
+/// trace installed → no clock reads at all.
 class KernelSpan {
  public:
   KernelSpan() : trace_(CurrentTrace()) {
-    if (trace_ != nullptr && trace_->BeginKernel()) {
-      outermost_ = true;
-      pool_before_us_ = trace_->StageMicros(Stage::kPoolWait);
-      start_us_ = trace_->clock()->NowMicros();
-    }
+    if (trace_ != nullptr) outermost_ = trace_->BeginKernel();
   }
   ~KernelSpan() {
     if (trace_ == nullptr) return;
-    if (outermost_) {
-      const std::uint64_t dt = trace_->clock()->NowMicros() - start_us_;
-      const std::uint64_t pool_dt =
-          trace_->StageMicros(Stage::kPoolWait) - pool_before_us_;
-      trace_->Add(Stage::kKernel, dt > pool_dt ? dt - pool_dt : 0);
-    }
     trace_->EndKernel();
+    if (outermost_) trace_->Close(Stage::kKernel);
   }
 
   KernelSpan(const KernelSpan&) = delete;
@@ -147,8 +166,6 @@ class KernelSpan {
  private:
   QueryTrace* trace_;
   bool outermost_ = false;
-  std::uint64_t pool_before_us_ = 0;
-  std::uint64_t start_us_ = 0;
 };
 
 /// Wire form of a trace id: 1-16 lowercase hex digits, no "0x" prefix

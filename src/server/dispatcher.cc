@@ -12,9 +12,10 @@ namespace {
 /// interface: single-index mode passes the raw backend, catalog mode
 /// passes the session's Catalog::Handle (itself a DistanceIndex).
 /// `one` and `path` run under a kernel span here (`S T` opens its own in
-/// DistanceIndex::Query, after the cache lookup); response formatting
-/// runs under the encode span, so a traced request splits kernel time
-/// from serialization time.
+/// DistanceIndex::Query, after the cache lookup); whatever runs after the
+/// last span, response formatting included, is the encode stage that
+/// Execute closes, so a traced request splits kernel time from
+/// serialization time.
 std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
                              bool* error) {
   *error = false;
@@ -26,7 +27,6 @@ std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
         *error = true;
         return FormatError(st);
       }
-      obs::StageTimer span(obs::Stage::kEncode);
       return FormatDistance(d);
     }
     case RequestKind::kOneToMany: {
@@ -40,7 +40,6 @@ std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
         *error = true;
         return FormatError(st);
       }
-      obs::StageTimer span(obs::Stage::kEncode);
       return FormatDistances(dists);
     }
     case RequestKind::kPath: {
@@ -55,7 +54,6 @@ std::string ExecuteQueryVerb(DistanceIndex& backend, const Request& req,
         *error = true;
         return FormatError(st);
       }
-      obs::StageTimer span(obs::Stage::kEncode);
       return FormatPath(d, path);
     }
     default:
@@ -245,25 +243,34 @@ std::string RequestDispatcher::Execute(const Request& req, Session* session) {
   // The trace lives on this stack frame; layers below find it through
   // the thread-local installed by TraceScope. parse_us was measured by
   // the front end before Execute, so it is seeded rather than timed.
+  // Each stage boundary is one clock read (DESIGN.md §16.2): the trace
+  // reads the clock here, the spans below close their stages, and the
+  // last read closes encode.
   obs::QueryTrace trace(clock_);
   trace.Add(obs::Stage::kParse, req.parse_us);
   trace.set_trace_id(req.trace_id);
   obs::TraceScope scope(&trace);
-  const std::uint64_t t0 = clock_->NowMicros();
   std::string response = ExecuteInternal(req, session);
-  const std::uint64_t total_us = clock_->NowMicros() - t0 + req.parse_us;
+  const bool query_verb = req.kind == RequestKind::kDistance ||
+                          req.kind == RequestKind::kOneToMany ||
+                          req.kind == RequestKind::kPath;
+  if (query_verb) {
+    trace.Close(obs::Stage::kEncode);
+  } else {
+    trace.Mark();
+  }
+  const std::uint64_t total_ns = trace.TotalNanos();
+  const std::uint64_t total_us = total_ns / 1000;
 
   if (metrics_on) {
     obs::Histogram* vh = verb_hist_[static_cast<int>(req.kind)];
-    if (vh != nullptr) vh->Record(total_us);
-    const bool query_verb = req.kind == RequestKind::kDistance ||
-                            req.kind == RequestKind::kOneToMany ||
-                            req.kind == RequestKind::kPath;
+    if (vh != nullptr) vh->RecordNanos(total_ns);
     if (query_verb) {
       // Zeros are recorded too, so every stage's _count equals the query
       // count and per-stage averages are directly comparable.
       for (int i = 0; i < obs::kNumStages; ++i) {
-        stage_hist_[i]->Record(trace.StageMicros(static_cast<obs::Stage>(i)));
+        stage_hist_[i]->RecordNanos(
+            trace.StageNanos(static_cast<obs::Stage>(i)));
       }
     }
   }

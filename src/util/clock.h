@@ -21,12 +21,14 @@ namespace islabel {
 /// Monotonic clock. Implementations must be thread-safe. NowMs is the
 /// protocol-level resolution (heartbeats, deadlines); NowMicros exists
 /// for latency measurement, where a millisecond tick would flatten every
-/// sub-ms query into zero.
+/// sub-ms query into zero; NowNanos is what a query trace reads, where a
+/// microsecond tick would flatten every stage of a cache hit into zero.
 class Clock {
  public:
   virtual ~Clock() = default;
   virtual std::uint64_t NowMs() const = 0;
   virtual std::uint64_t NowMicros() const { return NowMs() * 1000; }
+  virtual std::uint64_t NowNanos() const { return NowMicros() * 1000; }
 };
 
 /// The real monotonic clock.
@@ -47,6 +49,12 @@ class SystemClock : public Clock {
   std::uint64_t NowMicros() const override {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
+  std::uint64_t NowNanos() const override {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
   }

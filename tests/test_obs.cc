@@ -69,7 +69,7 @@ TEST(MetricRegistry, KindMismatchYieldsScratchNotCrash) {
   Histogram* h = reg.GetHistogram("islabel_test_total", "h");  // wrong kind
   // Recording into the scratch instruments works...
   g->Set(7);
-  h->Record(5);
+  h->RecordNanos(5000);
   c->Inc();
   // ...but the family keeps its original kind and value, and nothing
   // bogus is rendered.
@@ -86,13 +86,13 @@ TEST(MetricRegistry, EnabledFlagTurnsRecordingIntoNoop) {
   Histogram* h = reg.GetHistogram("islabel_test_seconds", "h");
   c->Inc();
   g->Set(5);
-  h->Record(10);
+  h->RecordNanos(10000);
 
   reg.set_enabled(false);
   c->Inc(100);
   g->Set(999);
   g->Add(999);
-  h->Record(10);
+  h->RecordNanos(10000);
   EXPECT_EQ(c->Value(), 1u);
   EXPECT_EQ(g->Value(), 5);
   EXPECT_EQ(h->Count(), 1u);
@@ -153,11 +153,11 @@ TEST(Histogram, BucketIndexEdges) {
 TEST(Histogram, RecordAccumulatesCountSumBuckets) {
   Histogram h;
   EXPECT_EQ(h.Count(), 0u);
-  h.Record(1);
-  h.Record(1000);  // bucket 10: (512, 1024]
-  h.Record(1000);
+  h.RecordNanos(1000);
+  h.RecordNanos(1000000);  // bucket 10: (512, 1024]
+  h.RecordNanos(1000000);
   EXPECT_EQ(h.Count(), 3u);
-  EXPECT_EQ(h.SumMicros(), 2001u);
+  EXPECT_EQ(h.SumNanos(), 2001000u);
   EXPECT_EQ(h.BucketCount(0), 1u);
   EXPECT_EQ(h.BucketCount(10), 2u);
 }
@@ -165,7 +165,7 @@ TEST(Histogram, RecordAccumulatesCountSumBuckets) {
 TEST(Histogram, QuantileInterpolatesInsideBucket) {
   Histogram h;
   EXPECT_EQ(h.QuantileMicros(0.5), 0.0);  // empty
-  for (int i = 0; i < 100; ++i) h.Record(1000);  // all in (512, 1024]
+  for (int i = 0; i < 100; ++i) h.RecordNanos(1000000);  // (512, 1024] µs
   const double p50 = h.QuantileMicros(0.5);
   const double p99 = h.QuantileMicros(0.99);
   EXPECT_GT(p50, 512.0);
@@ -176,7 +176,7 @@ TEST(Histogram, QuantileInterpolatesInsideBucket) {
 
 TEST(Histogram, OverflowQuantileReportsTopFiniteBound) {
   Histogram h;
-  h.Record(~0ull);  // way past the top finite bucket
+  h.RecordNanos(~0ull);  // way past the top finite bucket
   const double top = static_cast<double>(
       Histogram::BucketUpperMicros(Histogram::kNumFiniteBuckets - 1));
   EXPECT_EQ(h.QuantileMicros(0.5), top);
@@ -248,9 +248,9 @@ TEST(MetricRegistry, RenderPrometheusIsValidAndEofTerminated) {
   reg.GetGauge("islabel_test_level", "A level.")->Set(-3);
   Histogram* h = reg.GetHistogram("islabel_test_seconds", "Latency.",
                                   {{"verb", "path"}});
-  h->Record(1);
-  h->Record(100);
-  h->Record(100000);
+  h->RecordNanos(1000);
+  h->RecordNanos(100000);
+  h->RecordNanos(100000000);
   reg.RegisterCallbackGauge("islabel_test_cb", "Sampled at scrape.", {},
                             [] { return 1.5; });
   const std::string text = reg.RenderPrometheus();
@@ -282,24 +282,42 @@ TEST(Histogram, ConcurrentRecordConservesTotals) {
   MetricRegistry reg;
   Histogram* h = reg.GetHistogram("islabel_test_seconds", "h");
   Counter* c = reg.GetCounter("islabel_test_total", "h");
-  constexpr int kThreads = 8;
+  // Twice as many threads as thread cells, all live at once, so at least
+  // half record into the shared cell; and two consecutive waves, so the
+  // second wave records into the cells the first freed at thread exit.
+  constexpr int kThreads = 2 * Histogram::kThreadCells;
+  constexpr int kWaves = 2;
   constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([h, c, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Deterministic spread across buckets, different per thread.
-        h->Record(static_cast<std::uint64_t>((i * 7 + t) % 5000));
-        c->Inc();
-      }
-    });
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([h, c, t, &started, &finished] {
+        for (int i = 0; i < kPerThread; ++i) {
+          // Deterministic spread across buckets, different per thread.
+          h->RecordNanos(static_cast<std::uint64_t>((i * 7 + t) % 5000) *
+                         1000);
+          c->Inc();
+          if (i == 0) {
+            // Every thread holds its cell before any goes on.
+            started.fetch_add(1);
+            while (started.load() < kThreads) std::this_thread::yield();
+          }
+        }
+        finished.fetch_add(1);
+      });
+    }
+    // Scrapes race the writers; rendering must stay well-formed.
+    do {
+      CheckPrometheusText(reg.RenderPrometheus());
+    } while (finished.load() < kThreads);
+    for (auto& th : threads) th.join();
   }
-  // Scrapes race the writers; rendering must stay well-formed.
-  for (int i = 0; i < 10; ++i) CheckPrometheusText(reg.RenderPrometheus());
-  for (auto& th : threads) th.join();
 
-  const std::uint64_t expected = std::uint64_t{kThreads} * kPerThread;
+  const std::uint64_t expected =
+      std::uint64_t{kWaves} * kThreads * kPerThread;
   EXPECT_EQ(c->Value(), expected);
   EXPECT_EQ(h->Count(), expected);
   std::uint64_t bucket_sum = 0;
@@ -309,9 +327,12 @@ TEST(Histogram, ConcurrentRecordConservesTotals) {
   EXPECT_EQ(bucket_sum, expected);  // no lost or double-counted events
   std::uint64_t expected_sum = 0;
   for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kPerThread; ++i) expected_sum += (i * 7 + t) % 5000;
+    for (int i = 0; i < kPerThread; ++i) {
+      expected_sum += kWaves * static_cast<std::uint64_t>((i * 7 + t) % 5000) *
+                      1000;
+    }
   }
-  EXPECT_EQ(h->SumMicros(), expected_sum);
+  EXPECT_EQ(h->SumNanos(), expected_sum);
 }
 
 TEST(MetricRegistry, ConcurrentGetOrCreateIsSafe) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -1093,6 +1094,111 @@ TEST(DispatcherMetrics, EveryQueryVerbChargesItsBackendTimeToKernel) {
       EXPECT_NE(events[0].find(field), std::string::npos)
           << line << ": " << field << " in " << events[0];
     }
+  }
+}
+
+/// Reads a ManualClock and counts every read. With `tick_us`, each read
+/// also moves the clock on, so time that fell between two spans would
+/// show as a gap between the stages and the total.
+class CountingClock : public Clock {
+ public:
+  explicit CountingClock(ManualClock* base, std::uint64_t tick_us = 0)
+      : base_(base), tick_us_(tick_us) {}
+
+  std::uint64_t NowMs() const override { return Read() / 1000; }
+  std::uint64_t NowMicros() const override { return Read(); }
+  std::uint64_t NowNanos() const override { return Read() * 1000; }
+  std::uint64_t reads() const { return reads_.load(); }
+
+ private:
+  std::uint64_t Read() const {
+    reads_.fetch_add(1);
+    const std::uint64_t now = base_->NowMicros();
+    base_->AdvanceMicros(tick_us_);
+    return now;
+  }
+
+  ManualClock* base_;
+  std::uint64_t tick_us_;
+  mutable std::atomic<std::uint64_t> reads_{0};
+};
+
+TEST(DispatcherMetrics, StageBoundariesCostOneClockReadEach) {
+  // The budget: one read per stage boundary. A hit crosses three (the
+  // trace's start, cache_lookup, encode). A miss through one engine
+  // lease crosses seven (start, cache_lookup, kernel up to the lease,
+  // pool_wait, kernel, the cache insert's cache_lookup, encode).
+  {
+    Graph graph = MakeTestGraph(Family::kPath, 32, true, 3);
+    auto built = ISLabelIndex::Build(graph);
+    ASSERT_TRUE(built.ok());
+    ISLabelIndex index = std::move(built).value();
+    auto cache = std::make_shared<QueryCache>(QueryCacheOptions{});
+    index.set_distance_cache(cache);
+    ManualClock base;
+    CountingClock clock(&base);
+    server::RequestDispatcher dispatcher(&index);
+    obs::MetricRegistry registry;
+    server::RequestDispatcher::MetricsOptions mopts;
+    mopts.registry = &registry;
+    mopts.clock = &clock;
+    dispatcher.InstallMetrics(mopts);
+
+    std::uint64_t before = clock.reads();
+    const std::string miss = dispatcher.Execute(ParseRequest("0 7"));
+    EXPECT_EQ(clock.reads() - before, 7u) << "miss";
+    before = clock.reads();
+    const std::string hit = dispatcher.Execute(ParseRequest("0 7"));
+    EXPECT_EQ(clock.reads() - before, 3u) << "hit";
+    EXPECT_EQ(miss.rfind("error:", 0), std::string::npos) << miss;
+    EXPECT_EQ(hit, miss);
+    EXPECT_EQ(cache->GetStats().hits, 1u);
+  }
+
+  // The tiling: every query verb's five stages sum to its total, even
+  // when every clock read moves time on.
+  ManualClock base;
+  CountingClock clock(&base, /*tick_us=*/1);
+  SlowBackend backend(&base, /*work_us=*/2000);
+  ManualClock log_clock;
+  Mutex mu;
+  std::vector<std::string> events;
+  obs::EventLogOptions lopts;
+  lopts.clock = &log_clock;
+  lopts.sink = obs_test::CapturingSink(&mu, &events);
+  obs::EventLog log(lopts);
+  server::RequestDispatcher dispatcher(&backend);
+  obs::MetricRegistry registry;
+  server::RequestDispatcher::MetricsOptions mopts;
+  mopts.registry = &registry;
+  mopts.clock = &clock;
+  mopts.slow_query_threshold_ms = 1;
+  mopts.event_log = &log;
+  dispatcher.InstallMetrics(mopts);
+
+  auto field = [](const std::string& event, const std::string& key) {
+    const std::string quoted = "\"" + key + "\":\"";
+    const std::size_t at = event.find(quoted);
+    EXPECT_NE(at, std::string::npos) << key << " in " << event;
+    if (at == std::string::npos) return std::uint64_t{0};
+    return static_cast<std::uint64_t>(
+        std::strtoull(event.c_str() + at + quoted.size(), nullptr, 10));
+  };
+  for (const char* line : {"0 7", "one 0 1 2", "path 0 7"}) {
+    events.clear();
+    Request req = ParseRequest(line);
+    req.parse_us = 5;
+    const std::string response = dispatcher.Execute(req);
+    EXPECT_EQ(response.rfind("error:", 0), std::string::npos) << response;
+    ASSERT_EQ(events.size(), 1u) << line;
+    std::uint64_t stages = 0;
+    for (const char* key : {"parse_us", "cache_us", "pool_wait_us",
+                            "kernel_us", "encode_us"}) {
+      stages += field(events[0], key);
+    }
+    EXPECT_EQ(stages, field(events[0], "total_us")) << line << ": "
+                                                    << events[0];
+    EXPECT_GE(field(events[0], "kernel_us"), 2000u) << line;
   }
 }
 

@@ -53,6 +53,11 @@ this linter proves the conventions that make that proof meaningful:
                    it is a transport over the RequestDispatcher it is
                    given, so it cannot regain index or catalog
                    knowledge.
+  trace-seam       core/ and server/dispatcher.{h,cc} call no Clock's
+                   NowMs / NowMicros / NowNanos directly: request-path
+                   time is read only through obs/trace.h, whose stage
+                   boundaries cost one read each, so no ad-hoc timer can
+                   get round the per-request clock-read budget.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -450,6 +455,22 @@ def rule_server_transport(root):
     return violations
 
 
+# A call through an object or pointer; a definition named NowMs is not.
+TRACE_SEAM_PATTERNS = [r"(?:\.|->)\s*Now(?:Ms|Micros|Nanos)\s*\("]
+TRACE_SEAM_FILES = [os.path.join("src", "server", "dispatcher" + ext)
+                    for ext in SOURCE_EXTS]
+
+
+def rule_trace_seam(root):
+    files = walk_sources(root, os.path.join("src", "core")) + [
+        rel for rel in TRACE_SEAM_FILES
+        if os.path.exists(os.path.join(root, rel))]
+    return scan_forbidden(
+        root, files, TRACE_SEAM_PATTERNS, "trace-seam",
+        "read request-path time through obs/trace.h (QueryTrace stage "
+        "boundaries), not the clock")
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -481,6 +502,7 @@ RULES = [
     rule_tests_registered,
     rule_stats_seam,
     rule_server_transport,
+    rule_trace_seam,
 ]
 
 
@@ -509,6 +531,7 @@ SELF_TEST_EXPECTED = {
     "test-registered": 1,
     "stats-seam": 1,
     "server-transport": 1,
+    "trace-seam": 1,
 }
 
 
