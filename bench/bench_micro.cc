@@ -4,7 +4,9 @@
 //   * sorted-merge label intersection (the on-disk label order) vs a hash
 //     set intersection,
 //   * the greedy independent-set scan,
-//   * varint label coding.
+//   * varint label coding,
+//   * the obs::Histogram record path with 1–8 threads recording into one
+//     series (DESIGN.md §16.1: per-thread cells).
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +17,7 @@
 #include "core/label.h"
 #include "core/level_graph.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "util/indexed_heap.h"
 #include "util/radix_heap.h"
 #include "util/random.h"
@@ -155,6 +158,21 @@ void BM_HeapPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeapPushPop);
+
+// Every thread records into the same series, as a TCP server's workers
+// do. Each of the first Histogram::ThreadCells() threads writes its own
+// cell; threads past that share one cell through fetch_add.
+void BM_HistogramRecord(benchmark::State& state) {
+  static obs::Histogram histogram;
+  benchmark::DoNotOptimize(&histogram);
+  const std::uint64_t ns =
+      700 + static_cast<std::uint64_t>(state.thread_index());
+  for (auto _ : state) {
+    histogram.RecordNanos(ns);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_HistogramRecord)->ThreadRange(1, 8)->UseRealTime();
 
 }  // namespace
 }  // namespace islabel

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/parallel.h"
+
 namespace islabel {
 namespace obs {
 namespace {
@@ -88,34 +90,43 @@ void AppendSeriesName(std::string* out, const std::string& name,
 }
 
 // Which thread cells are taken, process-wide: a thread's cell index is
-// the same in every histogram.
+// the same in every histogram. Entry i is cell i + 1 (cell 0 is shared).
 Mutex g_cells_mu;
-std::uint32_t g_cells_taken GUARDED_BY(g_cells_mu) = 0;
+std::vector<bool> g_cells_taken GUARDED_BY(g_cells_mu);
 
 }  // namespace
+
+int Histogram::ThreadCells() {
+  static const int cells = static_cast<int>(EffectiveThreads(0));
+  return cells;
+}
+
+Histogram::Histogram()
+    : cells_(std::make_unique<Cell[]>(ThreadCells() + 1)) {}
 
 int Histogram::ClaimCell() {
   // Holds the thread's cell until the thread exits. The mutex orders the
   // exiting thread's last stores to its cell before the loads of the
   // next thread to claim the same index.
   struct Lease {
-    int index = kThreadCells;  // the shared cell when none is free
+    int index = kSharedCell;  // when no thread cell is free
     Lease() {
       MutexLock lock(&g_cells_mu);
-      for (int i = 0; i < kThreadCells; ++i) {
-        if ((g_cells_taken & (1u << i)) == 0) {
-          g_cells_taken |= 1u << i;
-          index = i;
+      g_cells_taken.resize(ThreadCells());
+      for (int i = 0; i < ThreadCells(); ++i) {
+        if (!g_cells_taken[i]) {
+          g_cells_taken[i] = true;
+          index = i + 1;
           break;
         }
       }
     }
     ~Lease() {
       // Records from later thread-exit destructors go to the shared cell.
-      t_cell_ = kThreadCells;
-      if (index == kThreadCells) return;
+      t_cell_ = kSharedCell;
+      if (index == kSharedCell) return;
       MutexLock lock(&g_cells_mu);
-      g_cells_taken &= ~(1u << index);
+      g_cells_taken[index - 1] = false;
     }
   };
   thread_local Lease lease;
@@ -131,16 +142,16 @@ std::uint64_t Histogram::Count() const {
 
 std::uint64_t Histogram::SumNanos() const {
   std::uint64_t total = 0;
-  for (const Cell& c : cells_) {
-    total += c.sum_ns.load(std::memory_order_relaxed);
+  for (int c = 0; c <= ThreadCells(); ++c) {
+    total += cells_[c].sum_ns.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 std::uint64_t Histogram::BucketCount(int i) const {
   std::uint64_t total = 0;
-  for (const Cell& c : cells_) {
-    total += c.buckets[i].load(std::memory_order_relaxed);
+  for (int c = 0; c <= ThreadCells(); ++c) {
+    total += cells_[c].buckets[i].load(std::memory_order_relaxed);
   }
   return total;
 }

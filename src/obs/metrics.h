@@ -111,20 +111,22 @@ class Gauge {
 /// quantile error is the bucket width — a factor of 2, which is what a
 /// log-scale histogram promises.
 ///
-/// The record path is per-thread: each of the first kThreadCells
+/// The record path is per-thread: each of the first ThreadCells()
 /// recording threads of the process owns one cell of every histogram and
 /// updates it with a relaxed load and store, so no two workers write the
-/// same cache line. Later threads, and a thread past its exit, share the
-/// last cell through fetch_add. A read sums every cell.
+/// same cache line. Later threads, and a thread past its exit, share
+/// cell 0 through fetch_add. A read sums every cell.
 class Histogram {
  public:
   /// Finite buckets: upper bounds 2^0 … 2^26 µs. Index kNumFiniteBuckets
   /// is the +Inf overflow bucket.
   static constexpr int kNumFiniteBuckets = 27;
-  /// Exclusive per-thread cells; one more cell is shared by the rest.
-  static constexpr int kThreadCells = 8;
 
-  Histogram() = default;
+  /// Exclusive per-thread cells: one per hardware thread, which is the
+  /// TCP server's default worker count. Fixed for the process.
+  static int ThreadCells();
+
+  Histogram();
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -136,7 +138,7 @@ class Histogram {
     // ceil(ns / 1000) µs without overflow; 0 stays 0.
     const std::uint64_t micros = ns == 0 ? 0 : (ns - 1) / 1000 + 1;
     std::atomic<std::uint64_t>& bucket = c.buckets[BucketIndex(micros)];
-    if (cell < kThreadCells) {
+    if (cell != kSharedCell) {
       // The only writer of this cell: no read-modify-write needed.
       bucket.store(bucket.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
@@ -177,6 +179,7 @@ class Histogram {
     std::atomic<std::uint64_t> buckets[kNumFiniteBuckets + 1] = {};
     std::atomic<std::uint64_t> sum_ns{0};
   };
+  static constexpr int kSharedCell = 0;
 
   bool RecordingEnabled() const {
     return enabled_ == nullptr || enabled_->load(std::memory_order_relaxed);
@@ -189,7 +192,8 @@ class Histogram {
   /// thread's first record.
   static inline thread_local int t_cell_ = -1;
 
-  Cell cells_[kThreadCells + 1];  // the last one is shared
+  /// kSharedCell, then ThreadCells() exclusive cells.
+  std::unique_ptr<Cell[]> cells_;
   const std::atomic<bool>* enabled_ = nullptr;
 };
 

@@ -15,6 +15,8 @@
 #include <csignal>
 #include <cstring>
 
+#include "util/parallel.h"
+
 namespace islabel {
 namespace server {
 
@@ -173,13 +175,10 @@ Status TcpServer::Start() {
     signal_handlers_installed_ = true;
   }
 
-  std::uint32_t workers = options_.num_workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
+  // The default matches obs::Histogram::ThreadCells(): one cell per worker.
+  const unsigned workers = EffectiveThreads(options_.num_workers);
   workers_.reserve(workers);
-  for (std::uint32_t i = 0; i < workers; ++i) {
+  for (unsigned i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   loop_thread_ = std::thread([this] { EventLoop(); });

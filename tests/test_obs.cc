@@ -285,7 +285,7 @@ TEST(Histogram, ConcurrentRecordConservesTotals) {
   // Twice as many threads as thread cells, all live at once, so at least
   // half record into the shared cell; and two consecutive waves, so the
   // second wave records into the cells the first freed at thread exit.
-  constexpr int kThreads = 2 * Histogram::kThreadCells;
+  const int kThreads = 2 * Histogram::ThreadCells();
   constexpr int kWaves = 2;
   constexpr int kPerThread = 20000;
   for (int wave = 0; wave < kWaves; ++wave) {
@@ -294,7 +294,7 @@ TEST(Histogram, ConcurrentRecordConservesTotals) {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([h, c, t, &started, &finished] {
+      threads.emplace_back([h, c, t, kThreads, &started, &finished] {
         for (int i = 0; i < kPerThread; ++i) {
           // Deterministic spread across buckets, different per thread.
           h->RecordNanos(static_cast<std::uint64_t>((i * 7 + t) % 5000) *

@@ -55,9 +55,13 @@ this linter proves the conventions that make that proof meaningful:
                    knowledge.
   trace-seam       core/ and server/dispatcher.{h,cc} call no Clock's
                    NowMs / NowMicros / NowNanos directly: request-path
-                   time is read only through obs/trace.h, whose stage
-                   boundaries cost one read each, so no ad-hoc timer can
-                   get round the per-request clock-read budget.
+                   time is read through obs/trace.h, whose stage
+                   boundaries cost one read each. clock-seam already
+                   rejects std::chrono reads there. A util/timer.h
+                   WallTimer passes both rules, so the per-request
+                   clock-read budget is pinned by a test
+                   (DispatcherMetrics.StageBoundariesCostOneClockReadEach),
+                   not by this rule.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
