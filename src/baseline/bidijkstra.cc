@@ -5,16 +5,6 @@
 
 namespace islabel {
 
-namespace {
-
-inline Distance SatAdd(Distance a, Distance b) {
-  if (a == kInfDistance || b == kInfDistance) return kInfDistance;
-  if (a > kInfDistance - b) return kInfDistance;
-  return a + b;
-}
-
-}  // namespace
-
 void BidirectionalDijkstra::EnsureScratch() {
   const std::size_t n = g_->NumVertices();
   for (Side& s : sides_) {

@@ -12,12 +12,6 @@ namespace islabel {
 
 namespace {
 
-inline Distance SatAdd(Distance a, Distance b) {
-  if (a == kInfDistance || b == kInfDistance) return kInfDistance;
-  if (a > kInfDistance - b) return kInfDistance;
-  return a + b;
-}
-
 // Mutable overlay graph during contraction: sorted adjacency with
 // min-merge. Entries carry the shortcut's middle vertex (kInvalidVertex
 // for original edges) so the final up lists can unpack paths.

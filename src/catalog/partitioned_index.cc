@@ -174,7 +174,6 @@ Status PartitionedIndex::QueryUncached(VertexId s, VertexId t,
     // The partition map IS the reachability oracle: answer straight from
     // it, no backend call, no label fetch.
     *out = kInfDistance;
-    counters_->cross_component.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
   const std::uint32_t p = part_of_component_[cs];
@@ -182,7 +181,6 @@ Status PartitionedIndex::QueryUncached(VertexId s, VertexId t,
     *out = 0;
     return Status::OK();
   }
-  counters_->routed.fetch_add(1, std::memory_order_relaxed);
   return parts_[p].index->Query(local_id_[s], local_id_[t], out);
 }
 
@@ -198,7 +196,6 @@ Status PartitionedIndex::ShortestPath(VertexId s, VertexId t,
   const std::uint32_t cs = component_[s];
   if (cs != component_[t]) {
     *dist = kInfDistance;
-    counters_->cross_component.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
   const std::uint32_t p = part_of_component_[cs];
@@ -207,7 +204,6 @@ Status PartitionedIndex::ShortestPath(VertexId s, VertexId t,
     path->push_back(s);
     return Status::OK();
   }
-  counters_->routed.fetch_add(1, std::memory_order_relaxed);
   ISLABEL_RETURN_IF_ERROR(
       parts_[p].index->ShortestPath(local_id_[s], local_id_[t], path, dist));
   for (VertexId& v : *path) v = parts_[p].global_ids[v];
@@ -231,8 +227,6 @@ Status PartitionedIndex::QueryOneToMany(VertexId s,
     if (component_[targets[i]] == cs) {
       local_targets.push_back(local_id_[targets[i]]);
       positions.push_back(i);
-    } else {
-      counters_->cross_component.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (p == GraphPartition::kNoPart) {
@@ -241,7 +235,6 @@ Status PartitionedIndex::QueryOneToMany(VertexId s,
     return Status::OK();
   }
   if (positions.empty()) return Status::OK();
-  counters_->routed.fetch_add(1, std::memory_order_relaxed);
   std::vector<Distance> local_out;
   ISLABEL_RETURN_IF_ERROR(parts_[p].index->QueryOneToMany(
       local_id_[s], local_targets, &local_out));

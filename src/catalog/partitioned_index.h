@@ -38,7 +38,6 @@
 #ifndef ISLABEL_CATALOG_PARTITIONED_INDEX_H_
 #define ISLABEL_CATALOG_PARTITIONED_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -124,9 +123,9 @@ class PartitionedIndex : public DistanceIndex {
   static PartitionedIndex FromBackend(std::unique_ptr<DistanceIndex> index,
                                       BackendKind backend);
 
-  // ---- Query surface (original-graph ids). Query/QueryBatch/
-  // QueryManyToMany come from DistanceIndex; cross-component pairs are
-  // answered kInfDistance in O(1) from the partition map. ----
+  // ---- Query surface (original-graph ids). Query and QueryBatch come
+  // from DistanceIndex; cross-component pairs are answered kInfDistance
+  // in O(1) from the partition map. ----
 
   /// Exact shortest path in original-graph ids (empty + kInfDistance when
   /// disconnected, including the O(1) cross-component case). Thread-safe.
@@ -201,15 +200,6 @@ class PartitionedIndex : public DistanceIndex {
   /// space-free so it stays one wire token.
   std::string BackendSummary() const;
 
-  /// Queries answered unreachable straight from the partition map (no
-  /// engine lease) / routed into a sub-index, since construction.
-  std::uint64_t cross_component_queries() const {
-    return counters_->cross_component.load(std::memory_order_relaxed);
-  }
-  std::uint64_t routed_queries() const {
-    return counters_->routed.load(std::memory_order_relaxed);
-  }
-
  protected:
   /// Routes one validated pair: O(1) for cross-component/singleton,
   /// otherwise the owning part's backend.
@@ -223,11 +213,6 @@ class PartitionedIndex : public DistanceIndex {
     std::unique_ptr<DistanceIndex> index;
     BackendKind backend = BackendKind::kISLabel;
   };
-  /// Heap-allocated so the index stays movable despite the atomics.
-  struct Counters {
-    std::atomic<std::uint64_t> cross_component{0};
-    std::atomic<std::uint64_t> routed{0};
-  };
 
   std::vector<std::uint32_t> component_;
   std::vector<VertexId> local_id_;
@@ -235,7 +220,6 @@ class PartitionedIndex : public DistanceIndex {
   std::vector<PartEntry> parts_;
   std::uint32_t num_components_ = 0;
   bool vias_enabled_ = true;
-  std::unique_ptr<Counters> counters_ = std::make_unique<Counters>();
 };
 
 }  // namespace islabel

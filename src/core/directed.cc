@@ -11,12 +11,6 @@ namespace islabel {
 
 namespace {
 
-inline Distance SatAdd(Distance a, Distance b) {
-  if (a == kInfDistance || b == kInfDistance) return kInfDistance;
-  if (a > kInfDistance - b) return kInfDistance;
-  return a + b;
-}
-
 // Mutable directed working graph for the hierarchy construction.
 struct DiLevelGraph {
   std::vector<std::vector<HierEdge>> out;  // arcs v -> e.to
@@ -108,17 +102,7 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   std::uint32_t i = 1;
   while (true) {
     const std::uint64_t cur_size = lg.SizeVE();
-    bool stop = false;
-    if (options.forced_k != 0) {
-      stop = (i == options.forced_k);
-    } else if (!options.full_hierarchy && i >= 2 &&
-               static_cast<double>(cur_size) >
-                   options.sigma * static_cast<double>(prev_size)) {
-      stop = true;
-    }
-    if (lg.num_alive == 0) stop = true;
-    if (options.max_levels != 0 && i >= options.max_levels) stop = true;
-    if (stop) {
+    if (options.StopsAtLevel(i, cur_size, prev_size, lg.num_alive)) {
       idx.k_ = i;
       break;
     }
@@ -247,11 +231,9 @@ void DirectedISLabel::EnsureScratch() {
   }
 }
 
-Status DirectedISLabel::Query(VertexId s, VertexId t, Distance* out,
-                              QueryStats* stats) {
+Status DirectedISLabel::Query(VertexId s, VertexId t, Distance* out) {
   const VertexId n = NumVertices();
   if (s >= n || t >= n) return Status::OutOfRange("vertex id out of range");
-  if (stats != nullptr) *stats = QueryStats{};
   if (s == t) {
     *out = 0;
     return Status::OK();
@@ -260,7 +242,6 @@ Status DirectedISLabel::Query(VertexId s, VertexId t, Distance* out,
   const LabelView ls = out_labels_.View(s);
   const LabelView lt = in_labels_.View(t);
   const Eq1Result eq1 = EvaluateEq1(ls, lt);
-  if (stats != nullptr) stats->intersection_size = eq1.intersection_size;
 
   // Seed extraction into engine-owned buffers, scanning from each label's
   // precomputed first-core cut.
@@ -276,8 +257,7 @@ Status DirectedISLabel::Query(VertexId s, VertexId t, Distance* out,
     *out = eq1.dist;
     return Status::OK();
   }
-  if (stats != nullptr) stats->used_search = true;
-  *out = BiDijkstra(eq1.dist, stats);
+  *out = BiDijkstra(eq1.dist);
   return Status::OK();
 }
 
@@ -288,7 +268,7 @@ Status DirectedISLabel::Reachable(VertexId s, VertexId t, bool* out) {
   return Status::OK();
 }
 
-Distance DirectedISLabel::BiDijkstra(Distance mu, QueryStats* stats) {
+Distance DirectedISLabel::BiDijkstra(Distance mu) {
   EnsureScratch();
   // Epoch wrap (one in 2^32 queries): stamps compare for exact equality,
   // so an epoch value may not be reused while stale stamps survive —
@@ -348,7 +328,6 @@ Distance DirectedISLabel::BiDijkstra(Distance mu, QueryStats* stats) {
     const int opp = 1 - side;
     const auto [v, d] = pq_[side].PopMin();
     sides_[side][v].settled_stamp = epoch;
-    if (stats != nullptr) ++stats->settled;
     // Tentative-distance µ update (see query.cc / DESIGN.md).
     best = std::min(best, SatAdd(dist_of(0, v), dist_of(1, v)));
     // Forward explores out-arcs; backward explores in-arcs (i.e., walks
@@ -358,7 +337,6 @@ Distance DirectedISLabel::BiDijkstra(Distance mu, QueryStats* stats) {
     for (std::size_t j = 0; j < nbrs.size(); ++j) {
       const VertexId u = nbrs[j];
       const Distance nd = d + ws[j];
-      if (stats != nullptr) ++stats->relaxed;
       NodeState& node = sides_[side][u];
       Distance du = node.stamp == epoch ? node.dist : kInfDistance;
       if (nd < du) {

@@ -16,9 +16,10 @@
 #include <vector>
 
 #include "core/hierarchy.h"
+#include "core/label_arena.h"
+#include "core/label_entry.h"
 #include "core/labeling.h"
 #include "core/options.h"
-#include "core/query.h"
 #include "graph/digraph.h"
 #include "util/radix_heap.h"
 #include "util/result.h"
@@ -38,8 +39,7 @@ class DirectedISLabel {
                                        const IndexOptions& options = {});
 
   /// Exact directed distance s → t (kInfDistance if t unreachable).
-  Status Query(VertexId s, VertexId t, Distance* out,
-               QueryStats* stats = nullptr);
+  Status Query(VertexId s, VertexId t, Distance* out);
 
   /// Directed reachability s → t.
   Status Reachable(VertexId s, VertexId t, bool* out);
@@ -59,7 +59,7 @@ class DirectedISLabel {
 
  private:
   /// Algorithm 1 stage 2 over the engine-owned seeds_[01]_ buffers.
-  Distance BiDijkstra(Distance mu, QueryStats* stats);
+  Distance BiDijkstra(Distance mu);
   void EnsureScratch();
 
   std::vector<std::uint32_t> level_;

@@ -127,39 +127,6 @@ Status DistanceIndex::QueryOneToMany(VertexId s,
   return Status::OK();
 }
 
-Status DistanceIndex::QueryManyToMany(const std::vector<VertexId>& sources,
-                                      const std::vector<VertexId>& targets,
-                                      std::vector<Distance>* out,
-                                      std::uint32_t num_threads) {
-  for (VertexId s : sources) ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, s));
-  for (VertexId t : targets) ISLABEL_RETURN_IF_ERROR(CheckQueryable(t, t));
-  out->assign(sources.size() * targets.size(), kInfDistance);
-  if (sources.empty() || targets.empty()) return Status::OK();
-
-  const std::size_t workers =
-      std::min<std::size_t>(EffectiveThreads(num_threads), sources.size());
-  std::vector<Status> first_error(workers, Status::OK());
-  ParallelForChunks(
-      sources.size(), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        std::vector<Distance> row;
-        for (std::size_t i = begin; i < end; ++i) {
-          Status st = QueryOneToMany(sources[i], targets, &row);
-          if (!st.ok()) {
-            if (first_error[w].ok()) first_error[w] = std::move(st);
-            continue;
-          }
-          std::copy(row.begin(), row.end(),
-                    out->begin() + static_cast<std::ptrdiff_t>(
-                                       i * targets.size()));
-        }
-      });
-  for (Status& st : first_error) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::OK();
-}
-
 Status DistanceIndex::Save(const std::string& dir) const {
   (void)dir;
   return Status::NotSupported("this backend does not support Save");

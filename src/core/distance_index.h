@@ -119,12 +119,6 @@ class DistanceIndex {
   virtual Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
                                 std::vector<Distance>* out);
 
-  /// Row-major |sources| x |targets| rectangle, rows in parallel.
-  virtual Status QueryManyToMany(const std::vector<VertexId>& sources,
-                                 const std::vector<VertexId>& targets,
-                                 std::vector<Distance>* out,
-                                 std::uint32_t num_threads = 0);
-
   // ---- Persistence / introspection ----
 
   /// Writes a self-identifying index directory; NotSupported by default

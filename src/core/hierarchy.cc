@@ -40,18 +40,7 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
 
     // Termination (§5.1): forced k, the σ shrinkage criterion, exhaustion,
     // or the level-count safety bound.
-    bool stop = false;
-    if (options.forced_k != 0) {
-      stop = (i == options.forced_k);
-    } else if (!options.full_hierarchy && i >= 2 &&
-               static_cast<double>(cur_size) >
-                   options.sigma * static_cast<double>(prev_size)) {
-      stop = true;
-    }
-    if (lg.num_alive == 0) stop = true;
-    if (options.max_levels != 0 && i >= options.max_levels) stop = true;
-
-    if (stop) {
+    if (options.StopsAtLevel(i, cur_size, prev_size, lg.num_alive)) {
       h.k = i;
       h.stats.push_back(ls);
       break;

@@ -189,17 +189,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
     ls.num_vertices = num_alive;
     ls.num_edges = num_edge_records / 2;
 
-    bool stop = false;
-    if (options.forced_k != 0) {
-      stop = (i == options.forced_k);
-    } else if (!options.full_hierarchy && i >= 2 &&
-               static_cast<double>(cur_size) >
-                   options.sigma * static_cast<double>(prev_size)) {
-      stop = true;
-    }
-    if (num_alive == 0) stop = true;
-    if (options.max_levels != 0 && i >= options.max_levels) stop = true;
-    if (stop) {
+    if (options.StopsAtLevel(i, cur_size, prev_size, num_alive)) {
       h.k = i;
       h.stats.push_back(ls);
       break;

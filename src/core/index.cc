@@ -172,40 +172,6 @@ Status ISLabelIndex::QueryOneToMany(VertexId s,
   return lease->QueryOneToMany(s, targets, out);
 }
 
-Status ISLabelIndex::QueryManyToMany(const std::vector<VertexId>& sources,
-                                     const std::vector<VertexId>& targets,
-                                     std::vector<Distance>* out,
-                                     std::uint32_t num_threads) {
-  if (hierarchy_ == nullptr) {
-    return Status::FailedPrecondition("index not built");
-  }
-  for (VertexId s : sources) ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, s));
-  for (VertexId t : targets) ISLABEL_RETURN_IF_ERROR(CheckQueryable(t, t));
-  out->assign(sources.size() * targets.size(), kInfDistance);
-  if (sources.empty() || targets.empty()) return Status::OK();
-
-  const std::size_t workers = std::min<std::size_t>(
-      EffectiveThreads(num_threads), sources.size());
-  std::vector<Status> first_error(workers, Status::OK());
-  ParallelForChunks(
-      sources.size(), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        QueryEnginePool::Lease lease = pool_->Acquire();
-        for (std::size_t i = begin; i < end; ++i) {
-          Status st = lease->QueryOneToMany(sources[i], targets.data(),
-                                            targets.size(),
-                                            out->data() + i * targets.size());
-          if (!st.ok() && first_error[w].ok()) {
-            first_error[w] = std::move(st);
-          }
-        }
-      });
-  for (Status& st : first_error) {
-    if (!st.ok()) return std::move(st);
-  }
-  return Status::OK();
-}
-
 DistanceIndexInfo ISLabelIndex::Info() const {
   DistanceIndexInfo info;
   info.backend = BackendKindName(BackendKind::kISLabel);

@@ -103,16 +103,6 @@ class ISLabelIndex : public DistanceIndex {
   Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
                         std::vector<Distance>* out) override;
 
-  /// The kNN-style rectangle: out is row-major |sources| x |targets|,
-  /// (*out)[i * targets.size() + j] = d(sources[i], targets[j]). Rows run
-  /// in parallel over the pool (`num_threads` workers, 0 = hardware
-  /// concurrency), each row reusing its source's forward ball.
-  /// Thread-safe.
-  Status QueryManyToMany(const std::vector<VertexId>& sources,
-                         const std::vector<VertexId>& targets,
-                         std::vector<Distance>* out,
-                         std::uint32_t num_threads = 0) override;
-
   // ---- Update maintenance (§8.3; implemented in updates.cc) ----
 
   /// Inserts a new vertex with id == NumVertices() and the given (neighbor,

@@ -21,4 +21,14 @@ Status IndexOptions::Validate() const {
   return Status::OK();
 }
 
+bool IndexOptions::StopsAtLevel(std::uint32_t i, std::uint64_t cur_size,
+                                std::uint64_t prev_size,
+                                std::uint64_t alive) const {
+  if (alive == 0 || (max_levels != 0 && i >= max_levels)) return true;
+  if (forced_k != 0) return i == forced_k;
+  return !full_hierarchy && i >= 2 &&
+         static_cast<double>(cur_size) >
+             sigma * static_cast<double>(prev_size);
+}
+
 }  // namespace islabel

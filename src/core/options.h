@@ -70,6 +70,16 @@ struct IndexOptions {
 
   /// Returns OK iff the option combination is valid.
   Status Validate() const;
+
+  /// The level-termination rule of §5.1, shared by the in-memory,
+  /// external and directed hierarchy constructions: true iff peeling stops
+  /// at level i, where cur_size and prev_size are |G_i| and |G_{i-1}|
+  /// (|V| + |E|) and `alive` is |V(G_i)|.
+  /// Stops at forced_k when set, otherwise (unless full_hierarchy) at the
+  /// first i >= 2 with cur_size > sigma * prev_size; always stops once
+  /// G_i is empty or i reaches max_levels.
+  bool StopsAtLevel(std::uint32_t i, std::uint64_t cur_size,
+                    std::uint64_t prev_size, std::uint64_t alive) const;
 };
 
 }  // namespace islabel

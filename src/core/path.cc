@@ -24,35 +24,41 @@ Status PathReconstructor::Reconstruct(VertexId s, VertexId t,
   }
   out->push_back(s);
   if (s == t) return Status::OK();
+  return EmitCapture(s, t, capture, 0, out);
+}
 
+Status PathReconstructor::EmitCapture(VertexId a, VertexId b,
+                                      const PathCapture& capture, int depth,
+                                      std::vector<VertexId>* out) {
   if (capture.kind == MeetKind::kEq1) {
-    // s → w, then w → t (the reverse expansion of t → w).
-    ISLABEL_RETURN_IF_ERROR(EmitEntry(s, capture.eq1_s, 0, out));
-    std::vector<VertexId> tail{t};
-    ISLABEL_RETURN_IF_ERROR(EmitEntry(t, capture.eq1_t, 0, &tail));
-    // tail = t ... w; append reversed, skipping the shared w.
+    // a → w, then w → b (the reverse expansion of b → w).
+    ISLABEL_RETURN_IF_ERROR(EmitEntry(a, capture.eq1_s, depth, out));
+    std::vector<VertexId> tail{b};
+    ISLABEL_RETURN_IF_ERROR(EmitEntry(b, capture.eq1_t, depth, &tail));
+    // tail = b ... w; append reversed, skipping the shared w.
     for (std::size_t i = tail.size() - 1; i-- > 0;) out->push_back(tail[i]);
     return Status::OK();
   }
 
-  // kSearch: s → seed_s.node → (G_k tree edges) → meet → ... → seed_t.node
-  // → t, with every augmenting G_k edge expanded through its via vertex.
-  ISLABEL_RETURN_IF_ERROR(EmitEntry(s, capture.seed_s, 0, out));
+  // kSearch: a → seed_s.node → (G_k tree edges) → meet → ... → seed_t.node
+  // → b, with every augmenting G_k edge expanded through its via vertex.
+  ISLABEL_RETURN_IF_ERROR(EmitEntry(a, capture.seed_s, depth, out));
   for (const PathStep& step : capture.steps_s) {
     if (out->back() != step.from) {
       return Status::Internal("forward chain discontinuity");
     }
-    ISLABEL_RETURN_IF_ERROR(EmitSegment(step.from, step.to, step.via, 0, out));
+    ISLABEL_RETURN_IF_ERROR(
+        EmitSegment(step.from, step.to, step.via, depth, out));
   }
-  // Build the t-side walk t → seed → meet, then splice it on reversed.
-  std::vector<VertexId> tail{t};
-  ISLABEL_RETURN_IF_ERROR(EmitEntry(t, capture.seed_t, 0, &tail));
+  // Build the b-side walk b → seed → meet, then splice it on reversed.
+  std::vector<VertexId> tail{b};
+  ISLABEL_RETURN_IF_ERROR(EmitEntry(b, capture.seed_t, depth, &tail));
   for (const PathStep& step : capture.steps_t) {
     if (tail.back() != step.from) {
       return Status::Internal("reverse chain discontinuity");
     }
-    ISLABEL_RETURN_IF_ERROR(EmitSegment(step.from, step.to, step.via, 0,
-                                        &tail));
+    ISLABEL_RETURN_IF_ERROR(
+        EmitSegment(step.from, step.to, step.via, depth, &tail));
   }
   if (out->back() != capture.meet || tail.back() != capture.meet) {
     return Status::Internal("search chains do not meet");
@@ -91,27 +97,7 @@ Status PathReconstructor::EmitQuery(VertexId a, VertexId b, int depth,
   if (capture.dist == kInfDistance) {
     return Status::Internal("sub-path query unreachable; index corrupted?");
   }
-  if (capture.kind == MeetKind::kEq1) {
-    ISLABEL_RETURN_IF_ERROR(EmitEntry(a, capture.eq1_s, depth + 1, out));
-    std::vector<VertexId> tail{b};
-    ISLABEL_RETURN_IF_ERROR(EmitEntry(b, capture.eq1_t, depth + 1, &tail));
-    for (std::size_t i = tail.size() - 1; i-- > 0;) out->push_back(tail[i]);
-    return Status::OK();
-  }
-  // kSearch sub-query.
-  ISLABEL_RETURN_IF_ERROR(EmitEntry(a, capture.seed_s, depth + 1, out));
-  for (const PathStep& step : capture.steps_s) {
-    ISLABEL_RETURN_IF_ERROR(
-        EmitSegment(step.from, step.to, step.via, depth + 1, out));
-  }
-  std::vector<VertexId> tail{b};
-  ISLABEL_RETURN_IF_ERROR(EmitEntry(b, capture.seed_t, depth + 1, &tail));
-  for (const PathStep& step : capture.steps_t) {
-    ISLABEL_RETURN_IF_ERROR(
-        EmitSegment(step.from, step.to, step.via, depth + 1, &tail));
-  }
-  for (std::size_t i = tail.size() - 1; i-- > 0;) out->push_back(tail[i]);
-  return Status::OK();
+  return EmitCapture(a, b, capture, depth + 1, out);
 }
 
 Status ISLabelIndex::ShortestPath(VertexId s, VertexId t,

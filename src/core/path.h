@@ -33,6 +33,13 @@ class PathReconstructor {
                      std::vector<VertexId>* out);
 
  private:
+  /// Emits the path a → ... → b described by `capture` (omitting `a`,
+  /// which *out already ends with). Both the top-level query and every
+  /// recursive sub-query expand through here, so each gets the same
+  /// chain-continuity checks.
+  Status EmitCapture(VertexId a, VertexId b, const PathCapture& capture,
+                     int depth, std::vector<VertexId>* out);
+
   /// Emits the path a → ... → b (omitting `a` itself) given that dist(a,b)
   /// decomposes at `via` (kInvalidVertex = original edge a-b).
   Status EmitSegment(VertexId a, VertexId b, VertexId via, int depth,

@@ -8,17 +8,6 @@
 
 namespace islabel {
 
-namespace {
-
-/// Saturating add treating kInfDistance as +infinity.
-inline Distance SatAdd(Distance a, Distance b) {
-  if (a == kInfDistance || b == kInfDistance) return kInfDistance;
-  if (a > kInfDistance - b) return kInfDistance;
-  return a + b;
-}
-
-}  // namespace
-
 Status LabelProvider::View(VertexId v, LabelView* view,
                            std::vector<LabelEntry>* scratch,
                            std::uint64_t* ios, std::uint32_t* seed_start) {
@@ -49,6 +38,34 @@ void QueryEngine::ExtractSeeds(LabelView label, std::uint32_t cut,
     if (c != kInvalidVertex) {
       seeds->emplace_back(c, label[i].dist, label[i].via);
     }
+  }
+}
+
+Status QueryEngine::FetchLabel(int side, VertexId v, LabelView* label,
+                               std::uint32_t* cut, std::uint64_t* ios) {
+  // Core vertices carry the trivial label {(v, 0)}: it is synthesized in
+  // engine-owned storage, which is why the paper's Type 1 queries (both
+  // endpoints in G_k) have Time (a) = 0.
+  if (h_->InCore(v)) {
+    self_[side] = LabelEntry(v, 0);
+    *label = LabelView(&self_[side], 1);
+    *cut = 0;
+    return Status::OK();
+  }
+  return provider_.View(v, label, &fetch_[side], ios, cut);
+}
+
+void QueryEngine::SeedSide(int side, std::uint32_t epoch) {
+  pq_[side].Clear();
+  for (const LabelEntry& e : seeds_[side]) {
+    NodeState& node = sides_[side][e.node];
+    // Label entries are unique per ancestor, so a fresh epoch sees each
+    // node at most once.
+    node.dist = e.dist;
+    node.stamp = epoch;
+    node.parent = kInvalidVertex;  // marks "label seed"
+    node.parent_via = kInvalidVertex;
+    pq_[side].Push(e.node, e.dist);
   }
 }
 
@@ -111,31 +128,16 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
     return Status::OK();
   }
 
-  // Stage 1: label retrieval — the paper's query Time (a). Core vertices
-  // carry the trivial label {(v, 0)}, so their lookup is synthesized from
-  // engine-owned storage without touching the provider; this is why the
-  // paper's Type 1 queries (both endpoints in G_k) have Time (a) = 0.
-  // Time (a) and (b) are timed only for callers that asked for stats; a
-  // served query reads no clock in the engine.
+  // Stage 1: label retrieval — the paper's query Time (a). Time (a) and
+  // (b) are timed only for callers that asked for stats; a served query
+  // reads no clock in the engine.
   std::optional<WallTimer> timer;
   if (stats != nullptr) timer.emplace();
   std::uint64_t ios = 0;
   LabelView label_s, label_t;
   std::uint32_t cut_s = 0, cut_t = 0;
-  if (h_->InCore(s)) {
-    self_[0] = LabelEntry(s, 0);
-    label_s = LabelView(&self_[0], 1);
-  } else {
-    ISLABEL_RETURN_IF_ERROR(
-        provider_.View(s, &label_s, &fetch_[0], &ios, &cut_s));
-  }
-  if (h_->InCore(t)) {
-    self_[1] = LabelEntry(t, 0);
-    label_t = LabelView(&self_[1], 1);
-  } else {
-    ISLABEL_RETURN_IF_ERROR(
-        provider_.View(t, &label_t, &fetch_[1], &ios, &cut_t));
-  }
+  ISLABEL_RETURN_IF_ERROR(FetchLabel(0, s, &label_s, &cut_s, &ios));
+  ISLABEL_RETURN_IF_ERROR(FetchLabel(1, t, &label_t, &cut_t, &ios));
   const Eq1Result eq1 = EvaluateEq1(label_s, label_t);
   if (stats != nullptr) {
     stats->label_fetch_seconds = timer->ElapsedSeconds();
@@ -165,98 +167,78 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
     return Status::OK();
   }
 
-  // Stage 2: label-based bidirectional Dijkstra on G_k — Time (b).
+  // Stage 2: label-based bidirectional Dijkstra on G_k — Time (b). Both
+  // sides share one fresh epoch.
   if (stats != nullptr) {
     timer->Restart();
     stats->used_search = true;
   }
+  EnsureScratch();
+  ReserveEpochs(1);
+  const std::uint32_t epoch = ++epoch_;
+  SeedSide(0, epoch);
+  SeedSide(1, epoch);
   const Distance mu = disable_mu_pruning_ ? kInfDistance : eq1.dist;
-  Distance d = BiDijkstra(mu, stats, capture);
+  Distance d = SearchLoop(mu, epoch, epoch, stats, capture);
   if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;
   if (stats != nullptr) stats->search_seconds = timer->ElapsedSeconds();
   *out = d;
   return Status::OK();
 }
 
-Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
-                                   std::size_t num_targets, Distance* out) {
+Status QueryEngine::QueryOneToMany(VertexId s,
+                                   const std::vector<VertexId>& targets,
+                                   std::vector<Distance>* out) {
+  out->assign(targets.size(), kInfDistance);
   const VertexId n = h_->NumVertices();
   if (s >= n) return Status::OutOfRange("query vertex id out of range");
-  for (std::size_t i = 0; i < num_targets; ++i) {
-    if (targets[i] >= n) {
-      return Status::OutOfRange("query vertex id out of range");
-    }
+  for (const VertexId t : targets) {
+    if (t >= n) return Status::OutOfRange("query vertex id out of range");
   }
-  if (num_targets == 0) return Status::OK();
+  if (targets.empty()) return Status::OK();
 
   // label(s) is fetched and its Algorithm 1 seeds extracted exactly once.
   // The view stays valid for the whole batch: the arena slab is immutable
-  // and the disk decode lands in fetch_[0], which only this side uses.
+  // and side 0's fetch buffers are not touched again.
   LabelView label_s;
   std::uint32_t cut_s = 0;
-  if (h_->InCore(s)) {
-    self_[0] = LabelEntry(s, 0);
-    label_s = LabelView(&self_[0], 1);
-  } else {
-    ISLABEL_RETURN_IF_ERROR(
-        provider_.View(s, &label_s, &fetch_[0], nullptr, &cut_s));
-  }
+  ISLABEL_RETURN_IF_ERROR(FetchLabel(0, s, &label_s, &cut_s, nullptr));
   ExtractSeeds(label_s, cut_s, &seeds_[0]);
 
   EnsureScratch();
   // One epoch for the shared forward ball plus one per target's reverse
   // search; reserving them up front keeps a wrap from wiping the warm
   // forward state mid-batch.
-  ReserveEpochs(static_cast<std::uint64_t>(num_targets) + 1);
+  ReserveEpochs(static_cast<std::uint64_t>(targets.size()) + 1);
   const std::uint32_t fwd_epoch = ++epoch_;
-  pq_[0].Clear();
-  for (const LabelEntry& e : seeds_[0]) {
-    NodeState& node = sides_[0][e.node];
-    node.dist = e.dist;
-    node.stamp = fwd_epoch;
-    node.parent = kInvalidVertex;
-    node.parent_via = kInvalidVertex;
-    pq_[0].Push(e.node, e.dist);
-  }
+  SeedSide(0, fwd_epoch);
 
-  for (std::size_t i = 0; i < num_targets; ++i) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
     const VertexId t = targets[i];
     if (t == s) {
-      out[i] = 0;
+      (*out)[i] = 0;
       continue;
     }
     LabelView label_t;
     std::uint32_t cut_t = 0;
-    if (h_->InCore(t)) {
-      self_[1] = LabelEntry(t, 0);
-      label_t = LabelView(&self_[1], 1);
-    } else {
-      ISLABEL_RETURN_IF_ERROR(
-          provider_.View(t, &label_t, &fetch_[1], nullptr, &cut_t));
-    }
+    ISLABEL_RETURN_IF_ERROR(FetchLabel(1, t, &label_t, &cut_t, nullptr));
     const Eq1Result eq1 = EvaluateEq1(label_s, label_t);
     ExtractSeeds(label_t, cut_t, &seeds_[1]);
     if (seeds_[0].empty() || seeds_[1].empty()) {
-      out[i] = eq1.dist;  // Type 1: Equation 1 is the answer (Theorem 3).
+      (*out)[i] = eq1.dist;  // Type 1: Equation 1 is the answer (Theorem 3).
       continue;
     }
     const std::uint32_t rev_epoch = ++epoch_;
-    pq_[1].Clear();
+    SeedSide(1, rev_epoch);
+    // Seed-time µ check against the warm forward ball. Forward vertices
+    // settled while serving an earlier target did their relax-time µ
+    // checks against THAT target's reverse epoch; a shortest path ending
+    // at a reverse seed must therefore be counted here (or by a reverse
+    // expansion that reaches a forward-stamped vertex) — without this the
+    // stop rule can fire early against the inflated forward frontier.
+    // Not just pruning: correctness of the warm restart.
     Distance best = disable_mu_pruning_ ? kInfDistance : eq1.dist;
     for (const LabelEntry& e : seeds_[1]) {
-      NodeState& node = sides_[1][e.node];
-      node.dist = e.dist;
-      node.stamp = rev_epoch;
-      node.parent = kInvalidVertex;
-      node.parent_via = kInvalidVertex;
-      pq_[1].Push(e.node, e.dist);
-      // Seed-time µ check against the warm forward ball. Forward vertices
-      // settled while serving an earlier target did their relax-time µ
-      // checks against THAT target's reverse epoch; a shortest path ending
-      // at this seed must therefore be counted here (or by a reverse
-      // expansion that reaches a forward-stamped vertex) — without this
-      // the stop rule can fire early against the inflated forward
-      // frontier. Not just pruning: correctness of the warm restart.
       const NodeState& fwd = sides_[0][e.node];
       if (fwd.stamp == fwd_epoch) {
         const Distance cand = SatAdd(e.dist, fwd.dist);
@@ -265,38 +247,9 @@ Status QueryEngine::QueryOneToMany(VertexId s, const VertexId* targets,
     }
     Distance d = SearchLoop(best, fwd_epoch, rev_epoch, nullptr, nullptr);
     if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;
-    out[i] = d;
+    (*out)[i] = d;
   }
   return Status::OK();
-}
-
-Distance QueryEngine::BiDijkstra(Distance mu, QueryStats* stats,
-                                 PathCapture* capture) {
-  EnsureScratch();
-  ReserveEpochs(1);
-  const std::uint32_t epoch = ++epoch_;
-
-  // Engine-owned monotone radix heaps (bucket capacity persists across
-  // queries; Clear() just resets them).
-  pq_[0].Clear();
-  pq_[1].Clear();
-
-  auto seed_side = [&](int side) {
-    for (const LabelEntry& e : seeds_[side]) {
-      NodeState& node = sides_[side][e.node];
-      // Label entries are unique per ancestor, so a fresh epoch sees each
-      // node at most once.
-      node.dist = e.dist;
-      node.stamp = epoch;
-      node.parent = kInvalidVertex;  // marks "label seed"
-      node.parent_via = kInvalidVertex;
-      pq_[side].Push(e.node, e.dist);
-    }
-  };
-  seed_side(0);
-  seed_side(1);
-
-  return SearchLoop(mu, epoch, epoch, stats, capture);
 }
 
 Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,

@@ -116,18 +116,13 @@ class QueryEngine {
   /// Distance plus the bookkeeping needed to reconstruct the path.
   Status DistanceWithCapture(VertexId s, VertexId t, PathCapture* capture);
 
-  /// One-to-many: distances from s to every target (out[i] = d(s,
+  /// One-to-many: distances from s to every target ((*out)[i] = d(s,
   /// targets[i])). label(s) is fetched and its Algorithm 1 seeds extracted
   /// once, and the forward bi-Dijkstra state (the "forward ball") is a
   /// single Dijkstra shared by all targets — it only ever grows, so work
   /// spent expanding from s amortizes across the batch.
-  Status QueryOneToMany(VertexId s, const VertexId* targets,
-                        std::size_t num_targets, Distance* out);
   Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
-                        std::vector<Distance>* out) {
-    out->assign(targets.size(), kInfDistance);
-    return QueryOneToMany(s, targets.data(), targets.size(), out->data());
-  }
+                        std::vector<Distance>* out);
 
   /// Ablation hook (bench_ablation_pruning): when true, the bi-Dijkstra
   /// starts with µ = ∞ instead of the Equation-1 bound; answers stay exact
@@ -142,11 +137,21 @@ class QueryEngine {
   void SetEpochForTesting(std::uint32_t epoch) { epoch_ = epoch; }
 
  private:
+  /// Equation 1, then (unless the query is Type 1) the bi-Dijkstra of
+  /// Algorithm 1 over G_k.
   Status Run(VertexId s, VertexId t, Distance* out, QueryStats* stats,
              PathCapture* capture);
 
-  /// Algorithm 1 stage 2, over the engine-owned seeds_[01]_ buffers.
-  Distance BiDijkstra(Distance mu, QueryStats* stats, PathCapture* capture);
+  /// Points *label at label(v) for `side` (0 = s, 1 = t): the synthesized
+  /// {(v, 0)} of a core endpoint, which touches no provider, or else the
+  /// provider's view with its first-core cut in *cut. The view stays valid
+  /// until the next fetch for the same side.
+  Status FetchLabel(int side, VertexId v, LabelView* label,
+                    std::uint32_t* cut, std::uint64_t* ios);
+
+  /// Stamps seeds_[side] into that side's search state under `epoch` and
+  /// refills its heap with them.
+  void SeedSide(int side, std::uint32_t epoch);
 
   /// The Algorithm 1 search loop with independent per-side epochs — the
   /// one-to-many path keeps the forward side warm across targets.

@@ -29,6 +29,13 @@ inline constexpr VertexId kInvalidVertex =
 inline constexpr Distance kInfDistance =
     std::numeric_limits<Distance>::max();
 
+/// Saturating add treating kInfDistance as +infinity.
+inline constexpr Distance SatAdd(Distance a, Distance b) {
+  if (a == kInfDistance || b == kInfDistance) return kInfDistance;
+  if (a > kInfDistance - b) return kInfDistance;
+  return a + b;
+}
+
 /// A weighted undirected edge as stored in edge lists. `via` records the
 /// intermediate vertex when the edge is an *augmenting edge* created by the
 /// hierarchy construction (§4.1 / §8.1): weight(u,w) = weight(u,via) +

@@ -1,5 +1,5 @@
-// Wall-clock timers used by the benchmark harness and index construction
-// statistics.
+// The wall-clock stopwatch used by the benchmark harness and index
+// construction statistics.
 
 #ifndef ISLABEL_UTIL_TIMER_H_
 #define ISLABEL_UTIL_TIMER_H_
@@ -30,20 +30,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Adds the scope's elapsed seconds to `*sink` on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ~ScopedTimer() { *sink_ += timer_.ElapsedSeconds(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_;
-  WallTimer timer_;
 };
 
 }  // namespace islabel

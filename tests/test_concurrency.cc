@@ -1,7 +1,7 @@
 // Concurrent serving: N threads hammering one index must produce answers
 // byte-identical to the single-threaded engine, in both the in-memory and
 // the disk-resident label modes, and the batched APIs (QueryBatch,
-// QueryOneToMany, QueryManyToMany) must agree with the plain query loop.
+// QueryOneToMany) must agree with the plain query loop.
 // This suite is the workload of the gating ThreadSanitizer CI job — keep
 // the graphs small enough that TSan finishes in seconds.
 
@@ -234,33 +234,6 @@ TEST_F(ConcurrencyTest, OneToManyMatchesLoopOnDisk) {
       Distance expect = kInfDistance;
       ASSERT_TRUE(built->Query(s, targets[j], &expect).ok());
       ASSERT_EQ(got[j], expect) << "s=" << s << " t=" << targets[j];
-    }
-  }
-}
-
-TEST_F(ConcurrencyTest, ManyToManyMatchesLoop) {
-  Graph g = MakeTestGraph(Family::kErdosRenyi, 160, /*weighted=*/true, 47);
-  auto built = ISLabelIndex::Build(g);
-  ASSERT_TRUE(built.ok());
-  ISLabelIndex index = std::move(built).value();
-  const VertexId n = index.NumVertices();
-  Rng rng(53);
-  std::vector<VertexId> sources, targets;
-  for (int i = 0; i < 10; ++i) {
-    sources.push_back(static_cast<VertexId>(rng.Uniform(n)));
-  }
-  for (int j = 0; j < 25; ++j) {
-    targets.push_back(static_cast<VertexId>(rng.Uniform(n)));
-  }
-  std::vector<Distance> got;
-  ASSERT_TRUE(index.QueryManyToMany(sources, targets, &got, kThreads).ok());
-  ASSERT_EQ(got.size(), sources.size() * targets.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      Distance expect = kInfDistance;
-      ASSERT_TRUE(index.Query(sources[i], targets[j], &expect).ok());
-      ASSERT_EQ(got[i * targets.size() + j], expect)
-          << "s=" << sources[i] << " t=" << targets[j];
     }
   }
 }

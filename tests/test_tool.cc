@@ -196,6 +196,21 @@ TEST_F(ToolTest, BatchAnswersPairsFile) {
   EXPECT_EQ(lines[2], "5 6 " + DistStr(5, 6));
 }
 
+TEST_F(ToolTest, BenchPrintsSummaryLine) {
+  std::string out;
+  ASSERT_EQ(RunCommand(tool_ + " bench --index " + index_dir_ +
+                           " --queries 20",
+                       &out),
+            0);
+  const std::vector<std::string> lines = SplitLines(out);
+  ASSERT_EQ(lines.size(), 1u) << out;
+  EXPECT_EQ(lines[0].rfind("20 queries: total ", 0), 0u) << out;
+  EXPECT_NE(lines[0].find(" ms/query (Time(a) "), std::string::npos) << out;
+  // In-memory labels: Time (a) reads nothing from disk.
+  EXPECT_NE(lines[0].find(", 0.00 label IOs/query)"), std::string::npos)
+      << out;
+}
+
 TEST_F(ToolTest, PartitionBuildAndCatalogServe) {
   // A disconnected graph (two ER halves + isolated vertices) through
   // partition-build, then served as two named datasets with the catalog

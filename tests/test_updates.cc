@@ -217,8 +217,6 @@ TEST(Delete, EndpointErrorsPersistAcrossAllModes) {
     std::vector<Distance> dists;
     EXPECT_TRUE(idx->QueryOneToMany(dead, {1, 2}, &dists).IsNotFound());
     EXPECT_TRUE(idx->QueryOneToMany(1, {2, dead}, &dists).IsNotFound());
-    EXPECT_TRUE(
-        idx->QueryManyToMany({1, dead}, {2}, &dists, 1).IsNotFound());
     std::vector<Status> statuses;
     EXPECT_TRUE(
         idx->QueryBatch({{1, 2}, {dead, 2}}, &dists, 1, &statuses).ok());

@@ -446,16 +446,6 @@ TEST(Timer, MeasuresElapsed) {
   EXPECT_GE(t.ElapsedMicros(), 0);
 }
 
-TEST(Timer, ScopedTimerAccumulates) {
-  double acc = 0.0;
-  {
-    ScopedTimer st(&acc);
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i;
-  }
-  EXPECT_GT(acc, 0.0);
-}
-
 // ---------- ISLABEL_DCHECK ----------
 
 TEST(DcheckDeathTest, FailedCheckLogsAndAborts) {

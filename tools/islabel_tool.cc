@@ -104,7 +104,7 @@ struct Args {
 
 bool IsBooleanFlag(const std::string& key) {
   return key == "lcc" || key == "no-vias" || key == "disk" ||
-         key == "path" || key == "verify";
+         key == "path";
 }
 
 Args Parse(int argc, char** argv, int from) {
@@ -154,7 +154,7 @@ int Usage() {
       "                [--listen HOST:PORT] [--poll-ms N] [--threads N]\n"
       "  islabel query --endpoints H:P,H:P,... S T [S T ...]\n"
       "  islabel repl-status --endpoints H:P,H:P,... [--timeout-ms N]\n"
-      "  islabel bench --index DIR [--queries N] [--disk] [--verify]\n");
+      "  islabel bench --index DIR [--queries N] [--disk]\n");
   return 2;
 }
 

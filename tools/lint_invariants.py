@@ -41,13 +41,13 @@ this linter proves the conventions that make that proof meaningful:
   test-registered  Every tests/test_*.cc is registered in
                    tests/CMakeLists.txt — an unregistered test compiles
                    nowhere and silently stops running.
-  stats-seam       QueryStats is named in src/ only by core/query,
-                   core/index and core/directed: it is an output of
-                   QueryEngine::Query and of the measured
-                   ISLabelIndex::Query overload, never a parameter of
-                   the serving interface (DistanceIndex and everything
-                   above it), so statistics cannot creep back onto the
-                   path a served query takes.
+  stats-seam       QueryStats is named in src/ only by core/query and
+                   core/index: it is an output of QueryEngine::Query
+                   and of the measured ISLabelIndex::Query overload,
+                   never a parameter of the serving interface
+                   (DistanceIndex and everything above it), so
+                   statistics cannot creep back onto the path a served
+                   query takes.
   server-transport The TCP server (server/tcp_server.h and .cc) includes
                    project headers only from server/, obs/ and util/:
                    it is a transport over the RequestDispatcher it is
@@ -424,8 +424,7 @@ def rule_log_events(root):
 STATS_PATTERNS = [r"\bQueryStats\b"]
 STATS_ALLOWED = {
     os.path.join("src", "core", name)
-    for name in ("query.h", "query.cc", "index.h", "index.cc",
-                 "directed.h", "directed.cc")
+    for name in ("query.h", "query.cc", "index.h", "index.cc")
 }
 
 
