@@ -99,17 +99,12 @@ Status CHIndex::Save(const std::string& dir) const {
                              : static_cast<std::uint64_t>(e.via) + 1);
     }
   }
-  BlockFile file;
-  ISLABEL_RETURN_IF_ERROR(file.Open(ChPath(dir), /*truncate=*/true));
-  ISLABEL_RETURN_IF_ERROR(file.Append(blob.data(), blob.size(), nullptr));
-  return file.Flush();
+  return WriteFile(ChPath(dir), blob);
 }
 
 Result<CHIndex> CHIndex::Load(const std::string& dir) {
-  BlockFile file;
-  ISLABEL_RETURN_IF_ERROR(file.Open(ChPath(dir), /*truncate=*/false));
-  std::string blob(file.FileSize(), '\0');
-  ISLABEL_RETURN_IF_ERROR(file.ReadAt(0, blob.data(), blob.size()));
+  std::string blob;
+  ISLABEL_RETURN_IF_ERROR(ReadFile(ChPath(dir), &blob));
   Decoder dec(blob);
   std::uint32_t magic, version, n, flags;
   if (!dec.GetFixed32(&magic) || magic != kChMagic) {

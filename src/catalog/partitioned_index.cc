@@ -309,10 +309,7 @@ Status PartitionedIndex::Save(const std::string& dir) const {
     PutVarint64(&meta, name.size());
     meta.append(name);
   }
-  BlockFile mf;
-  ISLABEL_RETURN_IF_ERROR(mf.Open(PartitionPath(dir), /*truncate=*/true));
-  ISLABEL_RETURN_IF_ERROR(mf.Append(meta.data(), meta.size(), nullptr));
-  ISLABEL_RETURN_IF_ERROR(mf.Flush());
+  ISLABEL_RETURN_IF_ERROR(WriteFile(PartitionPath(dir), meta));
   for (std::uint32_t p = 0; p < num_parts(); ++p) {
     ISLABEL_RETURN_IF_ERROR(parts_[p].index->Save(PartDir(dir, p)));
   }
@@ -334,10 +331,8 @@ Result<PartitionedIndex> PartitionedIndex::Load(const std::string& dir,
     return FromBackend(std::move(mono).value(), mono_kind);
   }
 
-  BlockFile mf;
-  ISLABEL_RETURN_IF_ERROR(mf.Open(PartitionPath(dir), /*truncate=*/false));
-  std::string meta(mf.FileSize(), '\0');
-  ISLABEL_RETURN_IF_ERROR(mf.ReadAt(0, meta.data(), meta.size()));
+  std::string meta;
+  ISLABEL_RETURN_IF_ERROR(ReadFile(PartitionPath(dir), &meta));
   Decoder dec(meta);
   std::uint32_t magic, version, n, num_components, num_parts, vias_flag;
   if (!dec.GetFixed32(&magic) || magic != kPartitionMagic) {

@@ -5,18 +5,19 @@
 // costs:
 //   * Algorithm 2: one scan to attach degrees, one external sort by
 //     (degree, src), one scan to greedily select the independent set. The
-//     L' exclusion buffer is bounded by options.lprime_buffer_capacity;
-//     when it fills, the remaining file is rewritten to evict excluded
-//     vertices (the paper's lines 10-11) and the buffer cleared.
+//     L' exclusion buffer holds memory_budget_bytes / sizeof(VertexId)
+//     vertices; when it fills, the remaining file is rewritten to evict
+//     excluded vertices (the paper's lines 10-11) and the buffer cleared.
 //   * Algorithm 3: one filtering scan (drop removed vertices), the EA
 //     self-join spilled through an external sort by (src, dst, weight),
 //     and one merge scan applying the min-weight rule.
 //
 // The result is bit-identical to the in-memory pipeline (tests assert
 // this); every disk touch is counted in VertexHierarchy::io so benches can
-// report modeled HDD cost.
+// report modeled HDD cost. Files are written and scanned through
+// storage/record_stream.h; one TempFiles removes them on every exit.
 
-#include <cstdio>
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -24,6 +25,7 @@
 #include "core/options.h"
 #include "storage/block_file.h"
 #include "storage/external_sorter.h"
+#include "storage/record_stream.h"
 #include "util/bit_vector.h"
 #include "util/logging.h"
 
@@ -32,7 +34,7 @@ namespace islabel {
 namespace {
 
 // One directed copy of an edge of the current level graph; 16 bytes,
-// trivially copyable for ExternalSorter and raw BlockFile arrays.
+// trivially copyable for ExternalSorter and the record streams.
 struct DiskEdge {
   VertexId src;
   VertexId dst;
@@ -66,82 +68,6 @@ struct SrcDstLess {
   }
 };
 
-// Sequential typed reader over a BlockFile of PODs.
-template <typename T>
-class RecordReader {
- public:
-  explicit RecordReader(BlockFile* file) : file_(file) {}
-
-  bool Next(T* out) {
-    if (pos_ + sizeof(T) > file_->FileSize()) return false;
-    if (buf_pos_ >= buf_.size()) {
-      const std::uint64_t remaining = file_->FileSize() - pos_;
-      const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
-          remaining, (kDefaultBlockSize / sizeof(T)) * sizeof(T)));
-      buf_.resize(n / sizeof(T));
-      if (!file_->ReadAt(pos_, buf_.data(), n).ok()) return false;
-      buf_pos_ = 0;
-    }
-    *out = buf_[buf_pos_++];
-    pos_ += sizeof(T);
-    return true;
-  }
-
- private:
-  BlockFile* file_;
-  std::uint64_t pos_ = 0;
-  std::vector<T> buf_;
-  std::size_t buf_pos_ = 0;
-};
-
-// Buffered typed appender.
-template <typename T>
-class RecordWriter {
- public:
-  explicit RecordWriter(BlockFile* file) : file_(file) {}
-
-  Status Add(const T& r) {
-    buf_.push_back(r);
-    ++count_;
-    if (buf_.size() * sizeof(T) >= kDefaultBlockSize) return FlushBuf();
-    return Status::OK();
-  }
-  Status Finish() {
-    ISLABEL_RETURN_IF_ERROR(FlushBuf());
-    return file_->Flush();
-  }
-  std::uint64_t count() const { return count_; }
-
- private:
-  Status FlushBuf() {
-    if (buf_.empty()) return Status::OK();
-    ISLABEL_RETURN_IF_ERROR(
-        file_->Append(buf_.data(), buf_.size() * sizeof(T), nullptr));
-    buf_.clear();
-    return Status::OK();
-  }
-  BlockFile* file_;
-  std::vector<T> buf_;
-  std::uint64_t count_ = 0;
-};
-
-// Owns the temp files of one construction and removes them on destruction.
-class TempFiles {
- public:
-  explicit TempFiles(std::string dir) : dir_(std::move(dir)) {}
-  ~TempFiles() {
-    for (const std::string& p : paths_) std::remove(p.c_str());
-  }
-  std::string Fresh(const char* tag) {
-    paths_.push_back(NextTempPath(dir_, tag));
-    return paths_.back();
-  }
-
- private:
-  std::string dir_;
-  std::vector<std::string> paths_;
-};
-
 }  // namespace
 
 Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
@@ -164,7 +90,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
   ISLABEL_RETURN_IF_ERROR(
       level_file->Open(temps.Fresh("level"), /*truncate=*/true));
   {
-    RecordWriter<DiskEdge> w(level_file.get());
+    RecordWriter w(level_file.get());
     for (VertexId v = 0; v < n; ++v) {
       auto nbrs = g.Neighbors(v);
       auto ws = g.NeighborWeights(v);
@@ -174,9 +100,12 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
             g.has_vias() ? g.NeighborVias(v)[i] : kInvalidVertex}));
       }
     }
-    ISLABEL_RETURN_IF_ERROR(w.Finish());
+    ISLABEL_RETURN_IF_ERROR(w.Flush());
   }
 
+  // Algorithm 2's L' holds what the memory budget holds.
+  const std::uint64_t lprime_capacity = std::max<std::uint64_t>(
+      1, options.memory_budget_bytes / sizeof(VertexId));
   BitVector alive(n, true);
   std::uint64_t num_alive = n;
   std::uint64_t num_edge_records = level_file->FileSize() / sizeof(DiskEdge);
@@ -200,7 +129,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
     ExternalSorter<DegEdge, DegLess> deg_sorter(
         options.tmp_dir, options.memory_budget_bytes, DegLess{});
     {
-      RecordReader<DiskEdge> reader(level_file.get());
+      RecordReader reader(level_file.get());
       std::vector<DiskEdge> run;
       DiskEdge e;
       bool more = reader.Next(&e);
@@ -215,6 +144,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
           ISLABEL_RETURN_IF_ERROR(deg_sorter.Add(DegEdge{deg, r}));
         }
       }
+      ISLABEL_RETURN_IF_ERROR(reader.status());
     }
     ISLABEL_RETURN_IF_ERROR(deg_sorter.Finish());
 
@@ -224,10 +154,11 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
     ISLABEL_RETURN_IF_ERROR(
         gprime->Open(temps.Fresh("gprime"), /*truncate=*/true));
     {
-      RecordWriter<DegEdge> w(gprime.get());
+      RecordWriter w(gprime.get());
       DegEdge de;
       while (deg_sorter.Next(&de)) ISLABEL_RETURN_IF_ERROR(w.Add(de));
-      ISLABEL_RETURN_IF_ERROR(w.Finish());
+      ISLABEL_RETURN_IF_ERROR(deg_sorter.status());
+      ISLABEL_RETURN_IF_ERROR(w.Flush());
     }
     io += deg_sorter.stats();
 
@@ -240,29 +171,26 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
     {
       BitVector has_edges(n);
       {
-        RecordReader<DiskEdge> reader(level_file.get());
+        RecordReader reader(level_file.get());
         DiskEdge e;
         while (reader.Next(&e)) has_edges.Set(e.src);
+        ISLABEL_RETURN_IF_ERROR(reader.status());
       }
       for (VertexId v = 0; v < n; ++v) {
         if (alive[v] && !has_edges[v]) li.push_back(v);
       }
     }
     while (true) {
-      RecordReader<DegEdge> reader(gprime.get());
+      RecordReader reader(gprime.get());
       DegEdge de;
       bool more = reader.Next(&de);
       bool overflowed = false;
-      std::uint64_t scanned_records = 0;
       std::vector<DiskEdge> run;
       while (more && !overflowed) {
         run.clear();
         run.push_back(de.e);
-        std::uint64_t run_start = scanned_records;
-        ++scanned_records;
         while ((more = reader.Next(&de)) && de.e.src == run.front().src) {
           run.push_back(de.e);
-          ++scanned_records;
         }
         const VertexId u = run.front().src;
         if (in_lprime[u]) continue;
@@ -277,42 +205,27 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
             ++lprime_count;
           }
         }
-        if (options.lprime_buffer_capacity != 0 &&
-            lprime_count > options.lprime_buffer_capacity && more) {
+        if (lprime_count > lprime_capacity && more) {
           // Lines 10-11: rewrite the unscanned remainder of G'_i without
-          // the excluded vertices, then clear L'.
-          auto compacted = std::make_unique<BlockFile>();
+          // the excluded vertices, then clear L'. The record under the
+          // cursor (`de`) begins the remainder.
+          auto rest = std::make_unique<BlockFile>();
           ISLABEL_RETURN_IF_ERROR(
-              compacted->Open(temps.Fresh("gprime"), /*truncate=*/true));
-          RecordWriter<DegEdge> w(compacted.get());
-          // The record under the cursor (`de`) begins the remainder.
-          ISLABEL_RETURN_IF_ERROR(w.Add(de));
-          DegEdge rest;
-          while (reader.Next(&rest)) ISLABEL_RETURN_IF_ERROR(w.Add(rest));
-          ISLABEL_RETURN_IF_ERROR(w.Finish());
+              rest->Open(temps.Fresh("gprime"), /*truncate=*/true));
+          RecordWriter w(rest.get());
+          do {
+            if (!in_lprime[de.e.src]) ISLABEL_RETURN_IF_ERROR(w.Add(de));
+          } while (reader.Next(&de));
+          ISLABEL_RETURN_IF_ERROR(reader.status());
+          ISLABEL_RETURN_IF_ERROR(w.Flush());
           io += gprime->stats();
-          // Filter the compacted file against L' in a second pass (a
-          // single pass with filtering while copying).
-          auto filtered = std::make_unique<BlockFile>();
-          ISLABEL_RETURN_IF_ERROR(
-              filtered->Open(temps.Fresh("gprime"), /*truncate=*/true));
-          {
-            RecordReader<DegEdge> rr(compacted.get());
-            RecordWriter<DegEdge> fw(filtered.get());
-            DegEdge x;
-            while (rr.Next(&x)) {
-              if (!in_lprime[x.e.src]) ISLABEL_RETURN_IF_ERROR(fw.Add(x));
-            }
-            ISLABEL_RETURN_IF_ERROR(fw.Finish());
-          }
-          io += compacted->stats();
-          gprime = std::move(filtered);
+          gprime = std::move(rest);
           in_lprime.Reset();
           lprime_count = 0;
-          overflowed = true;  // restart the scan on the compacted file
-          (void)run_start;
+          overflowed = true;  // restart the scan on the rewritten file
         }
       }
+      ISLABEL_RETURN_IF_ERROR(reader.status());
       if (!overflowed) break;
     }
     std::sort(li.begin(), li.end());
@@ -359,8 +272,8 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
     ISLABEL_RETURN_IF_ERROR(
         next_file->Open(temps.Fresh("level"), /*truncate=*/true));
     {
-      RecordReader<DiskEdge> gr(level_file.get());
-      RecordWriter<DiskEdge> w(next_file.get());
+      RecordReader gr(level_file.get());
+      RecordWriter w(next_file.get());
       DiskEdge ge{}, ee{};
       bool have_g = false, have_e = false;
       // Pull the next surviving induced record.
@@ -414,7 +327,9 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
           pull_e();
         }
       }
-      ISLABEL_RETURN_IF_ERROR(w.Finish());
+      ISLABEL_RETURN_IF_ERROR(gr.status());
+      ISLABEL_RETURN_IF_ERROR(ea_sorter.status());
+      ISLABEL_RETURN_IF_ERROR(w.Flush());
     }
     io += ea_sorter.stats();
     io += level_file->stats();
@@ -436,7 +351,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
   // Load the terminal level file as G_k.
   {
     EdgeList edges(n);
-    RecordReader<DiskEdge> reader(level_file.get());
+    RecordReader reader(level_file.get());
     DiskEdge e;
     while (reader.Next(&e)) {
       if (e.src < e.dst) {
@@ -444,6 +359,7 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
                   options.keep_vias ? e.via : kInvalidVertex);
       }
     }
+    ISLABEL_RETURN_IF_ERROR(reader.status());
     h.SetCore(Graph::FromEdgeList(std::move(edges), options.keep_vias));
   }
   io += level_file->stats();

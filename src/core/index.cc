@@ -6,6 +6,7 @@
 
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
+#include "storage/block_file.h"
 #include "storage/label_store.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -242,10 +243,7 @@ Status ISLabelIndex::Save(const std::string& dir) const {
     PutVarint64(&meta, hierarchy_->level[v]);
     PutVarint64(&meta, IsDeleted(v) ? 1 : 0);
   }
-  BlockFile mf;
-  ISLABEL_RETURN_IF_ERROR(mf.Open(MetaPath(dir), /*truncate=*/true));
-  ISLABEL_RETURN_IF_ERROR(mf.Append(meta.data(), meta.size(), nullptr));
-  return mf.Flush();
+  return WriteFile(MetaPath(dir), meta);
 }
 
 Result<ISLabelIndex> ISLabelIndex::Load(const std::string& dir,
@@ -254,10 +252,8 @@ Result<ISLabelIndex> ISLabelIndex::Load(const std::string& dir,
   index.hierarchy_ = std::make_unique<VertexHierarchy>();
 
   // Meta.
-  BlockFile mf;
-  ISLABEL_RETURN_IF_ERROR(mf.Open(MetaPath(dir), /*truncate=*/false));
-  std::string meta(mf.FileSize(), '\0');
-  ISLABEL_RETURN_IF_ERROR(mf.ReadAt(0, meta.data(), meta.size()));
+  std::string meta;
+  ISLABEL_RETURN_IF_ERROR(ReadFile(MetaPath(dir), &meta));
   Decoder dec(meta);
   std::uint32_t magic, version, k, n;
   if (!dec.GetFixed32(&magic) || magic != kMetaMagic) {

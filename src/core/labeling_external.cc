@@ -16,6 +16,9 @@
 // Completed labels are not kept in RAM: only their lengths are. After the
 // last level one more sequential BU scan reads every payload straight
 // into its slot of the arena slab, so the peak is one label set.
+//
+// A BU record is the vertex id, the entry count (uint32) and the raw
+// LabelEntry payload, written and scanned through storage/record_stream.h.
 
 #include <algorithm>
 #include <unordered_map>
@@ -23,67 +26,11 @@
 #include "core/labeling.h"
 #include "core/options.h"
 #include "storage/block_file.h"
-#include "storage/external_sorter.h"
+#include "storage/record_stream.h"
 #include "util/io_stats.h"
 #include "util/result.h"
 
 namespace islabel {
-
-namespace {
-
-// On-disk label record: header (vertex, entry count) + raw LabelEntry
-// payload.
-struct LabelHeader {
-  VertexId vertex;
-  std::uint32_t count;
-};
-
-Status AppendLabel(BlockFile* file, VertexId v,
-                   const std::vector<LabelEntry>& label) {
-  LabelHeader h{v, static_cast<std::uint32_t>(label.size())};
-  ISLABEL_RETURN_IF_ERROR(file->Append(&h, sizeof(h), nullptr));
-  if (!label.empty()) {
-    ISLABEL_RETURN_IF_ERROR(
-        file->Append(label.data(), label.size() * sizeof(LabelEntry),
-                     nullptr));
-  }
-  return Status::OK();
-}
-
-// Sequential scanner over a BU file: Next() reads a record header, then
-// ReadEntries() reads its payload before the next Next().
-class LabelScanner {
- public:
-  explicit LabelScanner(BlockFile* file)
-      : file_(file), end_(file->FileSize()) {}
-
-  /// Reads the next record header; false at end-of-file. The scan covers
-  /// the file as it was at construction (records appended later belong
-  /// to lower levels and must not be seen by this scan).
-  Status Next(LabelHeader* h, bool* ok) {
-    *ok = pos_ < end_;
-    if (!*ok) return Status::OK();
-    ISLABEL_RETURN_IF_ERROR(file_->ReadAt(pos_, h, sizeof(*h)));
-    pos_ += sizeof(*h);
-    return Status::OK();
-  }
-
-  /// Reads the current record's `count` entries into dst.
-  Status ReadEntries(std::uint32_t count, LabelEntry* dst) {
-    if (count == 0) return Status::OK();
-    ISLABEL_RETURN_IF_ERROR(
-        file_->ReadAt(pos_, dst, count * sizeof(LabelEntry)));
-    pos_ += count * sizeof(LabelEntry);
-    return Status::OK();
-  }
-
- private:
-  BlockFile* file_;
-  std::uint64_t pos_ = 0;
-  std::uint64_t end_;
-};
-
-}  // namespace
 
 Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
                                                 const IndexOptions& options,
@@ -94,16 +41,19 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
   // kept in RAM until the final scan.
   std::vector<std::uint32_t> lengths(n, 0);
 
+  TempFiles temps(options.tmp_dir);
   BlockFile bu;
-  const std::string bu_path = NextTempPath(options.tmp_dir, "labels_bu");
-  ISLABEL_RETURN_IF_ERROR(bu.Open(bu_path, /*truncate=*/true));
+  ISLABEL_RETURN_IF_ERROR(bu.Open(temps.Fresh("labels_bu"), /*truncate=*/true));
+  RecordWriter bu_out(&bu);
 
   // Initialization (lines 1-4): residual-core labels are trivial; they seed
   // BU.
   for (VertexId v = 0; v < n; ++v) {
     if (h.level[v] == h.k) {
-      ISLABEL_RETURN_IF_ERROR(AppendLabel(&bu, v, {LabelEntry(v, 0)}));
       lengths[v] = 1;
+      ISLABEL_RETURN_IF_ERROR(bu_out.Add(v));
+      ISLABEL_RETURN_IF_ERROR(bu_out.Add(lengths[v]));
+      ISLABEL_RETURN_IF_ERROR(bu_out.Add(LabelEntry(v, 0)));
     }
   }
 
@@ -148,16 +98,15 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
 
       // One sequential BU scan joins every completed upper label into the
       // block (lines 8-17).
-      LabelScanner scan(&bu);
-      LabelHeader rec;
+      ISLABEL_RETURN_IF_ERROR(bu_out.Flush());
+      RecordReader scan(&bu);
+      VertexId u = 0;
       std::vector<LabelEntry> label_u;
-      bool ok = false;
-      while (true) {
-        ISLABEL_RETURN_IF_ERROR(scan.Next(&rec, &ok));
-        if (!ok) break;
-        label_u.resize(rec.count);
-        ISLABEL_RETURN_IF_ERROR(scan.ReadEntries(rec.count, label_u.data()));
-        const VertexId u = rec.vertex;
+      while (scan.Next(&u)) {
+        std::uint32_t count = 0;
+        ISLABEL_RETURN_IF_ERROR(scan.Read(&count, 1));
+        label_u.resize(count);
+        ISLABEL_RETURN_IF_ERROR(scan.Read(label_u.data(), count));
         auto it = consumers.find(u);
         if (it == consumers.end()) continue;
         for (VertexId v : it->second) {
@@ -175,6 +124,7 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
           }
         }
       }
+      ISLABEL_RETURN_IF_ERROR(scan.status());
 
       // Finish the block: dedupe and append to BU.
       for (std::size_t b = begin; b < end; ++b) {
@@ -183,8 +133,11 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
         // The shared collapse rule keeps this pipeline bit-identical to
         // the in-memory one.
         acc.resize(SortAndDedupeRange(acc.data(), acc.size()));
-        ISLABEL_RETURN_IF_ERROR(AppendLabel(&bu, v, acc));
         lengths[v] = static_cast<std::uint32_t>(acc.size());
+        ISLABEL_RETURN_IF_ERROR(bu_out.Add(v));
+        ISLABEL_RETURN_IF_ERROR(bu_out.Add(lengths[v]));
+        ISLABEL_RETURN_IF_ERROR(
+            bu_out.Write(acc.data(), acc.size() * sizeof(LabelEntry)));
       }
       begin = end;
     }
@@ -200,19 +153,19 @@ Result<LabelArena> ComputeLabelsTopDownExternal(const VertexHierarchy& h,
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + lengths[v];
   std::vector<LabelEntry> slab(static_cast<std::size_t>(offsets[n]));
-  LabelScanner scan(&bu);
-  LabelHeader rec;
-  bool ok = false;
-  while (true) {
-    ISLABEL_RETURN_IF_ERROR(scan.Next(&rec, &ok));
-    if (!ok) break;
-    ISLABEL_RETURN_IF_ERROR(
-        scan.ReadEntries(rec.count, slab.data() + offsets[rec.vertex]));
+  ISLABEL_RETURN_IF_ERROR(bu_out.Flush());
+  RecordReader scan(&bu);
+  VertexId v = 0;
+  while (scan.Next(&v)) {
+    std::uint32_t count = 0;
+    ISLABEL_RETURN_IF_ERROR(scan.Read(&count, 1));
+    if (v >= n || count != lengths[v]) {
+      return Status::Corruption("label file BU disagrees with its lengths");
+    }
+    ISLABEL_RETURN_IF_ERROR(scan.Read(slab.data() + offsets[v], count));
   }
-
+  ISLABEL_RETURN_IF_ERROR(scan.status());
   if (io != nullptr) *io += bu.stats();
-  bu.Close();
-  std::remove(bu_path.c_str());
 
   if (stats != nullptr) {
     *stats = LabelingStats{};

@@ -57,16 +57,12 @@ struct IndexOptions {
   /// If nonzero, run the I/O-efficient construction pipeline (§6) with
   /// this many bytes of working memory, spilling through tmp_dir; the
   /// result is bit-identical to the in-memory pipeline, with I/O counted.
+  /// The budget also sizes Algorithm 2's L' exclusion buffer, at
+  /// memory_budget_bytes / sizeof(VertexId) vertices (at least one).
   std::uint64_t memory_budget_bytes = 0;
 
   /// Spill directory for the external pipeline.
   std::string tmp_dir = "/tmp";
-
-  /// Capacity (in vertices) of the L' exclusion buffer of Algorithm 2's
-  /// external variant; 0 = unbounded. When the buffer fills, the on-disk
-  /// copy of G'_i is rewritten to evict excluded vertices — exercised by
-  /// tests with tiny capacities.
-  std::uint64_t lprime_buffer_capacity = 0;
 
   /// Returns OK iff the option combination is valid.
   Status Validate() const;

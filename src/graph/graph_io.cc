@@ -7,6 +7,8 @@
 #include <limits>
 #include <string>
 
+#include "storage/block_file.h"
+#include "storage/record_stream.h"
 #include "util/varint.h"
 
 namespace islabel {
@@ -239,165 +241,43 @@ Status WriteDimacsGraph(const Graph& g, const std::string& path) {
   return Status::OK();
 }
 
-Result<DimacsCoordinates> ReadDimacsCoordinates(const std::string& path) {
-  File f(path, "r");
-  if (!f.ok()) {
-    return Status::IOError("cannot open for read: " + path + ": " +
-                           std::strerror(errno));
-  }
-  DimacsCoordinates coords;
-  bool saw_header = false;
-  unsigned long long n = 0;
-  char line[256];
-  std::uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
-    ++line_no;
-    const char head = line[0];
-    if (head == 'c' || head == '\n' || head == '\r' || head == '\0') {
-      if (!LineComplete(line, f.get())) DrainLine(f.get());
-      continue;
-    }
-    if (!LineComplete(line, f.get())) {
-      return Status::Corruption("line " + std::to_string(line_no) + " in " +
-                                path + " exceeds " +
-                                std::to_string(sizeof(line) - 1) + " bytes");
-    }
-    if (head == 'p') {
-      if (saw_header ||
-          std::sscanf(line, "p aux sp co %llu", &n) != 1 ||
-          n > kInvalidVertex - 1) {
-        return Status::Corruption("malformed 'p aux sp co N' header at line " +
-                                  std::to_string(line_no) + " in " + path);
-      }
-      // N sizes the coordinate arrays up front, so bound it by the file
-      // itself (every vertex needs a "v I X Y" line of ≥ 8 bytes) before
-      // trusting it with an allocation.
-      long fsize = -1;
-      const long pos = std::ftell(f.get());
-      if (pos >= 0 && std::fseek(f.get(), 0, SEEK_END) == 0) {
-        fsize = std::ftell(f.get());
-        std::fseek(f.get(), pos, SEEK_SET);
-      }
-      if (fsize >= 0 && n > static_cast<unsigned long long>(fsize)) {
-        return Status::Corruption("header vertex count " + std::to_string(n) +
-                                  " exceeds the size of " + path);
-      }
-      saw_header = true;
-      coords.x.assign(n, 0);
-      coords.y.assign(n, 0);
-      continue;
-    }
-    if (head == 'v') {
-      if (!saw_header) {
-        return Status::Corruption("'v' line before header at line " +
-                                  std::to_string(line_no) + " in " + path);
-      }
-      unsigned long long id = 0;
-      long long x = 0, y = 0;
-      if (std::sscanf(line, "v %llu %lld %lld", &id, &x, &y) != 3) {
-        return Status::Corruption("malformed 'v ID X Y' line " +
-                                  std::to_string(line_no) + " in " + path);
-      }
-      if (id == 0 || id > n) {
-        return Status::OutOfRange("coordinate id out of [1, N] at line " +
-                                  std::to_string(line_no) + " in " + path);
-      }
-      coords.x[id - 1] = x;
-      coords.y[id - 1] = y;
-      continue;
-    }
-    return Status::Corruption("unrecognized DIMACS line " +
-                              std::to_string(line_no) + " in " + path);
-  }
-  if (std::ferror(f.get())) return Status::IOError("read failed: " + path);
-  if (!saw_header) {
-    return Status::Corruption("missing 'p aux sp co N' header in " + path);
-  }
-  return coords;
-}
-
-Status WriteDimacsCoordinates(const DimacsCoordinates& coords,
-                              const std::string& path) {
-  if (coords.x.size() != coords.y.size()) {
-    return Status::InvalidArgument("x/y coordinate arrays differ in length");
-  }
-  File f(path, "w");
-  if (!f.ok()) {
-    return Status::IOError("cannot open for write: " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::fprintf(f.get(), "c islabel DIMACS coordinate export\n");
-  std::fprintf(f.get(), "p aux sp co %zu\n", coords.x.size());
-  for (std::size_t i = 0; i < coords.x.size(); ++i) {
-    std::fprintf(f.get(), "v %zu %lld %lld\n", i + 1,
-                 static_cast<long long>(coords.x[i]),
-                 static_cast<long long>(coords.y[i]));
-  }
-  if (std::ferror(f.get())) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
 Status WriteGraphBinary(const Graph& g, const std::string& path) {
-  File f(path, "wb");
-  if (!f.ok()) {
-    return Status::IOError("cannot open for write: " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::string header;
-  PutFixed32(&header, kGraphMagic);
-  PutFixed32(&header, kGraphVersion);
-  PutFixed32(&header, g.NumVertices());
-  PutFixed64(&header, g.NumEdges());
-  PutFixed32(&header, g.has_vias() ? 1 : 0);
-  if (std::fwrite(header.data(), 1, header.size(), f.get()) != header.size()) {
-    return Status::IOError("header write failed: " + path);
-  }
+  BlockFile file;
+  ISLABEL_RETURN_IF_ERROR(file.Open(path, /*truncate=*/true));
+  RecordWriter out(&file);
+  std::string bytes;
+  PutFixed32(&bytes, kGraphMagic);
+  PutFixed32(&bytes, kGraphVersion);
+  PutFixed32(&bytes, g.NumVertices());
+  PutFixed64(&bytes, g.NumEdges());
+  PutFixed32(&bytes, g.has_vias() ? 1 : 0);
+  ISLABEL_RETURN_IF_ERROR(out.Write(bytes.data(), bytes.size()));
   // Body: per-edge records (u, v, w [, via]) for u < v, varint-delta coded.
-  std::string body;
   VertexId prev_u = 0;
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     auto nbrs = g.Neighbors(u);
     auto ws = g.NeighborWeights(u);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       if (u >= nbrs[i]) continue;
-      PutVarint64(&body, u - prev_u);
-      PutVarint64(&body, nbrs[i]);
-      PutVarint64(&body, ws[i]);
+      bytes.clear();
+      PutVarint64(&bytes, u - prev_u);
+      PutVarint64(&bytes, nbrs[i]);
+      PutVarint64(&bytes, ws[i]);
       if (g.has_vias()) {
         VertexId via = g.NeighborVias(u)[i];
-        PutVarint64(&body, via == kInvalidVertex ? 0 : via + 1ULL);
+        PutVarint64(&bytes, via == kInvalidVertex ? 0 : via + 1ULL);
       }
       prev_u = u;
-      if (body.size() >= (1u << 20)) {
-        if (std::fwrite(body.data(), 1, body.size(), f.get()) != body.size()) {
-          return Status::IOError("body write failed: " + path);
-        }
-        body.clear();
-      }
+      ISLABEL_RETURN_IF_ERROR(out.Write(bytes.data(), bytes.size()));
     }
   }
-  if (!body.empty() &&
-      std::fwrite(body.data(), 1, body.size(), f.get()) != body.size()) {
-    return Status::IOError("body write failed: " + path);
-  }
-  return Status::OK();
+  return out.Flush();
 }
 
 Result<Graph> ReadGraphBinary(const std::string& path) {
-  File f(path, "rb");
-  if (!f.ok()) {
-    return Status::IOError("cannot open for read: " + path + ": " +
-                           std::strerror(errno));
-  }
-  // Slurp: binary graphs are read once at startup; streaming adds nothing.
+  // Binary graphs are read once at startup; streaming adds nothing.
   std::string data;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
-    data.append(buf, n);
-  }
-  if (std::ferror(f.get())) return Status::IOError("read failed: " + path);
-
+  ISLABEL_RETURN_IF_ERROR(ReadFile(path, &data));
   Decoder dec(data);
   std::uint32_t magic, version, num_vertices, has_vias;
   std::uint64_t num_edges;

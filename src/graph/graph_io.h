@@ -1,15 +1,14 @@
 // Graph serialization: a human-readable edge-list text format (SNAP
 // compatible: '#' comments, "u v [w]" lines), the DIMACS shortest-path
-// challenge format the paper's road networks ship in (".gr" arcs and
-// ".co" coordinates), and a compact binary format with a magic/version
-// header.
+// challenge format the paper's road networks ship in (".gr" arcs), and a
+// compact binary format with a magic/version header. The text formats are
+// parsed line by line through stdio, since SNAP and DIMACS files can be
+// larger than memory; the binary format goes through storage/.
 
 #ifndef ISLABEL_GRAPH_GRAPH_IO_H_
 #define ISLABEL_GRAPH_GRAPH_IO_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "graph/edge_list.h"
 #include "graph/graph.h"
@@ -40,23 +39,8 @@ Result<EdgeList> ReadDimacsGraph(const std::string& path);
 /// i.e. 2|E|) and both orientations of every undirected edge, 1-based.
 Status WriteDimacsGraph(const Graph& g, const std::string& path);
 
-/// Vertex coordinates from a DIMACS ".co" file; x/y are indexed by the
-/// 0-based vertex id.
-struct DimacsCoordinates {
-  std::vector<std::int64_t> x;
-  std::vector<std::int64_t> y;
-};
-
-/// Reads a DIMACS ".co" coordinate file: "c" comments, one
-/// "p aux sp co N" header, then "v ID X Y" lines with 1-based ids.
-Result<DimacsCoordinates> ReadDimacsCoordinates(const std::string& path);
-
-/// Writes a DIMACS ".co" coordinate file (1-based ids).
-Status WriteDimacsCoordinates(const DimacsCoordinates& coords,
-                              const std::string& path);
-
-/// Binary graph format: magic, version, |V|, |E|, CSR arrays. Fast and
-/// exact round-trip, including via arrays.
+/// Binary graph format: magic, version, |V|, |E|, then one varint-coded
+/// record per undirected edge. Exact round-trip, including via arrays.
 Status WriteGraphBinary(const Graph& g, const std::string& path);
 Result<Graph> ReadGraphBinary(const std::string& path);
 

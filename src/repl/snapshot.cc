@@ -1,10 +1,10 @@
 #include "repl/snapshot.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
+#include "storage/block_file.h"
 #include "util/varint.h"
 
 namespace islabel {
@@ -50,19 +50,6 @@ bool IsSafeRelativePath(std::string_view path) {
     begin = end + 1;
   }
   return true;
-}
-
-Status ReadFileFully(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  out->clear();
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return Status::IOError("cannot read " + path);
-  return Status::OK();
 }
 
 /// One parsed file entry during validation; `data` points into the blob.
@@ -204,7 +191,7 @@ Status BuildSnapshot(const std::string& dir, std::string* out) {
     if (!IsSafeRelativePath(rel)) {
       return Status::IOError("refusing to pack unsafe path '" + rel + "'");
     }
-    ISLABEL_RETURN_IF_ERROR(ReadFileFully(dir + "/" + rel, &contents));
+    ISLABEL_RETURN_IF_ERROR(ReadFile(dir + "/" + rel, &contents));
     PutVarint64(out, rel.size());
     out->append(rel);
     PutFixed64(out, contents.size());
@@ -242,17 +229,7 @@ Status InstallSnapshot(std::string_view blob, const std::string& dest_dir) {
       return Status::IOError("cannot create " + parent.string() + ": " +
                              ec.message());
     }
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return Status::IOError("cannot create " + path);
-    const std::size_t written =
-        entry.data.empty()
-            ? 0
-            : std::fwrite(entry.data.data(), 1, entry.data.size(), f);
-    const bool flushed = std::fflush(f) == 0;
-    std::fclose(f);
-    if (written != entry.data.size() || !flushed) {
-      return Status::IOError("short write to " + path);
-    }
+    ISLABEL_RETURN_IF_ERROR(WriteFile(path, entry.data));
   }
   return Status::OK();
 }

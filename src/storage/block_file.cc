@@ -12,7 +12,7 @@ namespace islabel {
 Status BlockFile::Open(const std::string& path, bool truncate,
                        std::size_t block_size) {
   Close();
-  const int flags = O_RDWR | O_CREAT | (truncate ? O_TRUNC : 0);
+  const int flags = truncate ? O_RDWR | O_CREAT | O_TRUNC : O_RDONLY;
   fd_ = ::open(path.c_str(), flags, 0644);
   if (fd_ < 0) {
     return Status::IOError("open failed: " + path + ": " +
@@ -126,25 +126,17 @@ Status BlockFile::ReadAt(std::uint64_t offset, void* dst, std::size_t n) {
   return Status::OK();
 }
 
-Status BlockFile::WriteAt(std::uint64_t offset, const void* data,
-                          std::size_t n) {
-  if (fd_ < 0) return Status::FailedPrecondition("file not open");
-  MutexLock lock(&mu_);
-  ISLABEL_RETURN_IF_ERROR(PWriteFull(offset, data, n));
-  Account(offset, n, /*is_write=*/true);
-  std::uint64_t size = file_size_.load(std::memory_order_relaxed);
-  if (offset + n > size) {
-    file_size_.store(offset + n, std::memory_order_relaxed);
-  }
-  return Status::OK();
+Status ReadFile(const std::string& path, std::string* out) {
+  BlockFile file;
+  ISLABEL_RETURN_IF_ERROR(file.Open(path, /*truncate=*/false));
+  out->resize(file.FileSize());
+  return file.ReadAt(0, out->data(), out->size());
 }
 
-Status BlockFile::Flush() {
-  if (fd_ < 0) return Status::FailedPrecondition("file not open");
-  // pwrite lands directly in the OS page cache — there is no user-space
-  // buffer to drain (the stdio-era behavior this preserves). Durability
-  // (fsync) has never been part of the contract.
-  return Status::OK();
+Status WriteFile(const std::string& path, std::string_view data) {
+  BlockFile file;
+  ISLABEL_RETURN_IF_ERROR(file.Open(path, /*truncate=*/true));
+  return file.Append(data.data(), data.size(), nullptr);
 }
 
 }  // namespace islabel

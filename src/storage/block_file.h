@@ -16,6 +16,12 @@
 // under concurrency the totals stay exact but the sequential-vs-seek
 // split is approximate (interleaved readers legitimately break each
 // other's sequentiality).
+//
+// A file opened without `truncate` is opened read-only and never created:
+// loading an index needs no write access and leaves a directory as it
+// found it. Whole small files (index metadata, snapshot members) go
+// through ReadFile / WriteFile; streams of records through
+// storage/record_stream.h.
 
 #ifndef ISLABEL_STORAGE_BLOCK_FILE_H_
 #define ISLABEL_STORAGE_BLOCK_FILE_H_
@@ -23,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/io_stats.h"
 #include "util/mutex.h"
@@ -34,7 +41,7 @@ namespace islabel {
 /// Default logical block size (B in the I/O model): 64 KB.
 inline constexpr std::size_t kDefaultBlockSize = 64 * 1024;
 
-/// Random-access file with block-level accounting. Open/Close and writes
+/// Random-access file with block-level accounting. Open/Close and Append
 /// must not race with other calls; ReadAt is safe to call concurrently
 /// from any number of threads once the file is open.
 class BlockFile {
@@ -45,7 +52,8 @@ class BlockFile {
   BlockFile(const BlockFile&) = delete;
   BlockFile& operator=(const BlockFile&) = delete;
 
-  /// Opens (creating if needed, truncating if `truncate`).
+  /// With `truncate`, creates or truncates `path` for reading and
+  /// appending; otherwise opens an existing file read-only.
   Status Open(const std::string& path, bool truncate,
               std::size_t block_size = kDefaultBlockSize);
   void Close();
@@ -61,11 +69,6 @@ class BlockFile {
   /// Reads exactly `n` bytes at `offset`. Thread-safe (one pread per call;
   /// no shared file position).
   Status ReadAt(std::uint64_t offset, void* dst, std::size_t n);
-
-  /// Writes exactly `n` bytes at `offset` (for in-place header patching).
-  Status WriteAt(std::uint64_t offset, const void* data, std::size_t n);
-
-  Status Flush();
 
   std::uint64_t FileSize() const {
     return file_size_.load(std::memory_order_relaxed);
@@ -110,6 +113,12 @@ class BlockFile {
   std::atomic<std::uint64_t> seeks_{0};
   mutable IoStats stats_snapshot_ GUARDED_BY(mu_);
 };
+
+/// Reads the whole file at `path`, opened read-only, into *out.
+Status ReadFile(const std::string& path, std::string* out);
+
+/// Creates or truncates `path` and writes `data` as its whole content.
+Status WriteFile(const std::string& path, std::string_view data);
 
 }  // namespace islabel
 

@@ -3,8 +3,7 @@
 // This is the sort(N) primitive of the paper's I/O analysis (§6): run
 // generation (fill a memory buffer, sort, spill) followed by a k-way merge.
 // Algorithm 2 uses it to order adjacency lists by degree; Algorithm 3 uses
-// it to sort the augmenting-edge array EA by vertex ids; the labeling
-// pipeline uses it to sort label entries.
+// it to sort the augmenting-edge array EA by vertex ids.
 //
 // Records must be trivially copyable; the comparator is a template
 // parameter so keys need not be materialized.
@@ -14,19 +13,17 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "storage/block_file.h"
+#include "storage/record_stream.h"
 #include "util/status.h"
 
 namespace islabel {
-
-/// Returns a unique temp file path under `dir` (process-local counter).
-std::string NextTempPath(const std::string& dir, const char* tag);
 
 template <typename Record, typename Less = std::less<Record>>
 class ExternalSorter {
@@ -39,15 +36,12 @@ class ExternalSorter {
   /// memory regardless of budget (used by tests and small graphs).
   ExternalSorter(std::string tmp_dir, std::size_t memory_budget_bytes,
                  Less less = Less())
-      : tmp_dir_(std::move(tmp_dir)),
-        max_buffer_records_(
-            std::max<std::size_t>(16, memory_budget_bytes / sizeof(Record))),
-        less_(less) {}
-
-  ~ExternalSorter() {
-    runs_.clear();  // closes the run files
-    for (const std::string& path : run_paths_) std::remove(path.c_str());
-  }
+      : max_buffer_records_(
+            tmp_dir.empty() ? SIZE_MAX
+                            : std::max<std::size_t>(
+                                  16, memory_budget_bytes / sizeof(Record))),
+        less_(less),
+        temps_(std::move(tmp_dir)) {}
 
   ExternalSorter(const ExternalSorter&) = delete;
   ExternalSorter& operator=(const ExternalSorter&) = delete;
@@ -55,34 +49,30 @@ class ExternalSorter {
   /// Adds one record; may spill a sorted run.
   Status Add(const Record& r) {
     buffer_.push_back(r);
-    if (!tmp_dir_.empty() && buffer_.size() >= max_buffer_records_) {
-      return SpillRun();
-    }
+    if (buffer_.size() >= max_buffer_records_) return SpillRun();
     return Status::OK();
   }
 
-  /// Finalizes input and prepares the merge cursor.
+  /// Finalizes input and prepares the merge.
   Status Finish() {
-    std::sort(buffer_.begin(), buffer_.end(), less_);
     if (runs_.empty()) {
       // Pure in-memory path.
-      mem_pos_ = 0;
-      finished_ = true;
+      std::sort(buffer_.begin(), buffer_.end(), less_);
       return Status::OK();
     }
     ISLABEL_RETURN_IF_ERROR(SpillRun());
-    // Open a buffered cursor on each run and prime the heap.
     for (auto& run : runs_) {
-      ISLABEL_RETURN_IF_ERROR(run->Prime());
-      if (run->valid) heap_.push_back(run.get());
+      run->reader.emplace(&run->file);
+      if (run->reader->Next(&run->current)) heap_.push_back(run.get());
+      ISLABEL_RETURN_IF_ERROR(run->reader->status());
     }
     std::make_heap(heap_.begin(), heap_.end(), HeapGreater{this});
-    finished_ = true;
     return Status::OK();
   }
 
-  /// Pops the next record in sorted order; returns false at end.
-  /// Must be called only after Finish() succeeded.
+  /// Pops the next record in sorted order. False at the end, or once a
+  /// run fails to read — status() tells which. Must be called only after
+  /// Finish() succeeded.
   bool Next(Record* out) {
     if (runs_.empty()) {
       if (mem_pos_ >= buffer_.size()) return false;
@@ -91,15 +81,21 @@ class ExternalSorter {
     }
     if (heap_.empty()) return false;
     std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{this});
-    RunCursor* run = heap_.back();
-    heap_.pop_back();
+    Run* run = heap_.back();
     *out = run->current;
-    if (run->Advance()) {
-      heap_.push_back(run);
+    if (run->reader->Next(&run->current)) {
       std::push_heap(heap_.begin(), heap_.end(), HeapGreater{this});
+    } else if (run->reader->status().ok()) {
+      heap_.pop_back();
+    } else {
+      status_ = run->reader->status();
+      heap_.clear();
     }
     return true;
   }
+
+  /// OK unless a spill run failed to read during the merge.
+  const Status& status() const { return status_; }
 
   /// Total I/O performed by spill runs and the merge.
   IoStats stats() const {
@@ -111,53 +107,16 @@ class ExternalSorter {
   std::uint64_t num_runs() const { return runs_.size(); }
 
  private:
-  struct RunCursor {
+  struct Run {
     BlockFile file;
-    std::uint64_t read_offset = 0;
-    std::vector<Record> chunk;
-    std::size_t chunk_pos = 0;
-    Record current;
-    bool valid = false;
-    std::size_t chunk_records = 0;
-
-    Status Prime() {
-      chunk_records = std::max<std::size_t>(
-          1, kDefaultBlockSize / sizeof(Record));
-      valid = false;
-      return RefillThenAdvance();
-    }
-
-    bool Advance() {
-      if (chunk_pos < chunk.size()) {
-        current = chunk[chunk_pos++];
-        return true;
-      }
-      Status st = RefillThenAdvance();
-      return st.ok() && valid;
-    }
-
-    Status RefillThenAdvance() {
-      const std::uint64_t remaining = file.FileSize() - read_offset;
-      if (remaining == 0) {
-        valid = false;
-        return Status::OK();
-      }
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(remaining, chunk_records * sizeof(Record)));
-      chunk.resize(n / sizeof(Record));
-      ISLABEL_RETURN_IF_ERROR(file.ReadAt(read_offset, chunk.data(), n));
-      read_offset += n;
-      chunk_pos = 0;
-      current = chunk[chunk_pos++];
-      valid = true;
-      return Status::OK();
-    }
+    std::optional<RecordReader> reader;  // made by Finish()
+    Record current{};
   };
 
   struct HeapGreater {
     ExternalSorter* self;
     // std heap functions build a max-heap; invert to get min-heap.
-    bool operator()(const RunCursor* a, const RunCursor* b) const {
+    bool operator()(const Run* a, const Run* b) const {
       return self->less_(b->current, a->current);
     }
   };
@@ -165,27 +124,24 @@ class ExternalSorter {
   Status SpillRun() {
     if (buffer_.empty()) return Status::OK();
     std::sort(buffer_.begin(), buffer_.end(), less_);
-    auto run = std::make_unique<RunCursor>();
-    run_paths_.push_back(NextTempPath(tmp_dir_, "sort_run"));
+    auto run = std::make_unique<Run>();
     ISLABEL_RETURN_IF_ERROR(
-        run->file.Open(run_paths_.back(), /*truncate=*/true));
+        run->file.Open(temps_.Fresh("sort_run"), /*truncate=*/true));
     ISLABEL_RETURN_IF_ERROR(run->file.Append(
         buffer_.data(), buffer_.size() * sizeof(Record), nullptr));
-    ISLABEL_RETURN_IF_ERROR(run->file.Flush());
     runs_.push_back(std::move(run));
     buffer_.clear();
     return Status::OK();
   }
 
-  std::string tmp_dir_;
   std::size_t max_buffer_records_;
   Less less_;
+  TempFiles temps_;
   std::vector<Record> buffer_;
   std::size_t mem_pos_ = 0;
-  std::vector<std::unique_ptr<RunCursor>> runs_;
-  std::vector<std::string> run_paths_;
-  std::vector<RunCursor*> heap_;
-  bool finished_ = false;
+  std::vector<std::unique_ptr<Run>> runs_;
+  std::vector<Run*> heap_;
+  Status status_;
 };
 
 }  // namespace islabel

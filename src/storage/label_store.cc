@@ -19,7 +19,6 @@ Status LabelStoreWriter::Open(const std::string& path, VertexId num_vertices,
   num_vertices_ = num_vertices;
   next_vertex_ = 0;
   store_vias_ = store_vias;
-  entry_bytes_ = 0;
   offsets_.clear();
   offsets_.reserve(static_cast<std::size_t>(num_vertices) + 1);
   offsets_.push_back(kHeaderBytes);
@@ -29,7 +28,7 @@ Status LabelStoreWriter::Open(const std::string& path, VertexId num_vertices,
   PutFixed32(&header, kLabelVersion);
   PutFixed32(&header, num_vertices);
   PutFixed32(&header, store_vias ? 1 : 0);
-  return file_.Append(header.data(), header.size(), nullptr);
+  return out_.Write(header.data(), header.size());
 }
 
 Status LabelStoreWriter::Add(LabelView label) {
@@ -38,32 +37,22 @@ Status LabelStoreWriter::Add(LabelView label) {
   }
   // Delta-code ancestor ids (sorted ascending) and varint the rest.
   VertexId prev = 0;
-  std::size_t before = pending_.size();
+  encoded_.clear();
   for (std::size_t i = 0; i < label.size(); ++i) {
     const LabelEntry& e = label[i];
     if (i > 0 && e.node <= prev) {
       return Status::InvalidArgument("label entries not sorted by ancestor");
     }
-    PutVarint64(&pending_, i == 0 ? e.node : e.node - prev);
-    PutVarint64(&pending_, e.dist);
+    PutVarint64(&encoded_, i == 0 ? e.node : e.node - prev);
+    PutVarint64(&encoded_, e.dist);
     if (store_vias_) {
-      PutVarint64(&pending_, e.via == kInvalidVertex ? 0 : e.via + 1ULL);
+      PutVarint64(&encoded_, e.via == kInvalidVertex ? 0 : e.via + 1ULL);
     }
     prev = e.node;
   }
-  entry_bytes_ += pending_.size() - before;
-  offsets_.push_back(offsets_.back() + (pending_.size() - before));
+  offsets_.push_back(offsets_.back() + encoded_.size());
   ++next_vertex_;
-  if (pending_.size() >= (1u << 20)) return FlushPending();
-  return Status::OK();
-}
-
-Status LabelStoreWriter::FlushPending() {
-  if (pending_.empty()) return Status::OK();
-  ISLABEL_RETURN_IF_ERROR(
-      file_.Append(pending_.data(), pending_.size(), nullptr));
-  pending_.clear();
-  return Status::OK();
+  return out_.Write(encoded_.data(), encoded_.size());
 }
 
 Status LabelStoreWriter::Finish() {
@@ -71,16 +60,16 @@ Status LabelStoreWriter::Finish() {
     return Status::FailedPrecondition(
         "Finish() before all labels were added");
   }
-  ISLABEL_RETURN_IF_ERROR(FlushPending());
-  const std::uint64_t table_at = file_.FileSize();
+  // The entry region ends where the offset table begins.
+  const std::uint64_t table_at = offsets_.back();
   std::string table;
   table.reserve(offsets_.size() * 8 + kFooterBytes);
   for (std::uint64_t off : offsets_) PutFixed64(&table, off);
   PutFixed64(&table, table_at);
   PutFixed64(&table, 0);  // reserved (total entries, filled by readers)
   PutFixed32(&table, kLabelMagic);
-  ISLABEL_RETURN_IF_ERROR(file_.Append(table.data(), table.size(), nullptr));
-  return file_.Flush();
+  ISLABEL_RETURN_IF_ERROR(out_.Write(table.data(), table.size()));
+  return out_.Flush();
 }
 
 Status LabelStore::Open(const std::string& path) {
@@ -183,18 +172,6 @@ Status LabelStore::GetLabel(VertexId v, std::vector<LabelEntry>* out) {
   return DecodeLabel(raw, len, out);
 }
 
-Status LabelStore::LoadAll(std::vector<std::vector<LabelEntry>>* labels) {
-  // Nested layout, implemented on top of the arena bulk load so the
-  // read+decode skeleton exists exactly once.
-  LabelArena arena;
-  ISLABEL_RETURN_IF_ERROR(LoadAll(&arena));
-  labels->assign(num_vertices_, {});
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    (*labels)[v] = arena.View(v).ToVector();
-  }
-  return Status::OK();
-}
-
 Status LabelStore::LoadAll(LabelArena* arena) {
   // One sequential sweep over the entry region, decoded straight into the
   // arena slab — no per-vertex reads, no per-vertex heap vectors.
@@ -223,15 +200,6 @@ Status LabelStore::LoadAll(LabelArena* arena) {
   csr[num_vertices_] = slab.size();
   *arena = LabelArena(std::move(slab), std::move(csr));
   return Status::OK();
-}
-
-double LabelStore::MeanEntries() const {
-  // total_entries_ is only tracked when labels are decoded; estimate from
-  // bytes instead: entries average ~3-5 bytes. Kept simple on purpose —
-  // exact counts come from the in-memory labeling statistics.
-  if (num_vertices_ == 0) return 0.0;
-  return static_cast<double>(entry_region_bytes_) /
-         static_cast<double>(num_vertices_);
 }
 
 }  // namespace islabel

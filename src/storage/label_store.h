@@ -11,6 +11,7 @@
 // each GetLabel(v) issues exactly one positioned read covering the label's
 // contiguous byte range. Entries are delta-varint coded. An optional
 // LoadAll() materializes every label in memory — the paper's IM-ISL mode.
+// The writer streams the file out through a RecordWriter.
 
 #ifndef ISLABEL_STORAGE_LABEL_STORE_H_
 #define ISLABEL_STORAGE_LABEL_STORE_H_
@@ -23,6 +24,7 @@
 #include "core/label_entry.h"
 #include "core/label_view.h"
 #include "storage/block_file.h"
+#include "storage/record_stream.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -45,18 +47,14 @@ class LabelStoreWriter {
   /// Writes the offset table + footer and flushes.
   Status Finish();
 
-  std::uint64_t bytes_written() const { return entry_bytes_; }
-
  private:
   BlockFile file_;
+  RecordWriter out_{&file_};
   std::vector<std::uint64_t> offsets_;
   VertexId num_vertices_ = 0;
   VertexId next_vertex_ = 0;
   bool store_vias_ = false;
-  std::uint64_t entry_bytes_ = 0;
-  std::string pending_;
-
-  Status FlushPending();
+  std::string encoded_;  // Add()'s scratch: one label, varint-coded
 };
 
 /// Read side; see file comment for the layout.
@@ -76,11 +74,6 @@ class LabelStore {
 
   /// Total byte size of the entry region — the paper's "Label size" column.
   std::uint64_t LabelBytes() const { return entry_region_bytes_; }
-  /// Whole-file size including the offset table.
-  std::uint64_t FileBytes() const { return file_.FileSize(); }
-
-  /// Loads every label into memory (IM-ISL mode), nested layout.
-  Status LoadAll(std::vector<std::vector<LabelEntry>>* labels);
 
   /// Loads every label into one contiguous LabelArena: the whole entry
   /// region is fetched with a single positioned read and decoded straight
@@ -88,8 +81,6 @@ class LabelStore {
   /// hierarchy's level assignment).
   Status LoadAll(LabelArena* arena);
 
-  /// Average entries per label (diagnostics).
-  double MeanEntries() const;
   /// Total label entries across all vertices (the Info() size report).
   std::uint64_t TotalEntries() const { return total_entries_; }
 

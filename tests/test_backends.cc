@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -221,6 +222,36 @@ TEST_F(BackendsDirTest, MonolithicCHDirLoadsAsCatalog) {
     ASSERT_TRUE(loaded->Query(s, t, &got).ok());
     EXPECT_EQ(got, DijkstraP2P(g, s, t));
   }
+}
+
+/// Loading never writes: a CH directory whose ch.islc is briefly missing
+/// fails to load without leaving files behind (an empty meta.islm would
+/// make every later load sniff it as IS-LABEL), and loads once it is back.
+TEST_F(BackendsDirTest, FailedLoadLeavesDirectoryUntouched) {
+  Graph g = MakeTestGraph(Family::kGrid, 60, /*weighted=*/true, 29);
+  auto ch = CHIndex::Build(g);
+  ASSERT_TRUE(ch.ok());
+  ASSERT_TRUE(ch->Save(dir_).ok());
+  const std::string file = dir_ + "/ch.islc";
+  const std::string aside = dir_ + "/ch.islc.aside";
+  std::filesystem::rename(file, aside);
+  auto listing = [&] {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(e.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> before = listing();
+
+  EXPECT_FALSE(PartitionedIndex::Load(dir_).ok());
+  EXPECT_EQ(listing(), before);
+
+  std::filesystem::rename(aside, file);
+  auto loaded = PartitionedIndex::Load(dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->part_backend(0), BackendKind::kCH);
 }
 
 // ---------------------------------------------------------------------------

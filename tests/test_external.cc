@@ -102,16 +102,15 @@ INSTANTIATE_TEST_SUITE_P(
     }));
 
 TEST_F(ExternalPipelineTest, LPrimeBufferOverflowPathEquivalent) {
-  // A tiny L' capacity triggers the lines-10-11 rewrite repeatedly; the
-  // result must not change.
+  // A budget of 8 vertex ids gives L' a capacity of 8, which triggers the
+  // lines-10-11 rewrite repeatedly; the result must not change.
   Graph g = MakeTestGraph(Family::kRMat, 256, true, 33);
   auto mem = BuildHierarchy(g, IndexOptions{});
   ASSERT_TRUE(mem.ok());
 
   IndexOptions ext_opts;
-  ext_opts.memory_budget_bytes = 4096;
+  ext_opts.memory_budget_bytes = 8 * sizeof(VertexId);
   ext_opts.tmp_dir = dir_;
-  ext_opts.lprime_buffer_capacity = 8;
   auto ext = BuildHierarchy(g, ext_opts);
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   ExpectHierarchiesEqual(*mem, *ext);
@@ -240,6 +239,8 @@ TEST_F(ExternalPipelineTest, TempFilesCleanedUp) {
   opts.memory_budget_bytes = 4096;
   opts.tmp_dir = dir_;
   ASSERT_TRUE(BuildHierarchy(g, opts).ok());
+  // The labeling join's BU file too.
+  ASSERT_TRUE(ISLabelIndex::Build(g, opts).ok());
   std::size_t leftovers = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     (void)entry;

@@ -1,5 +1,5 @@
-// Unit tests for the external-memory substrate: block file, external
-// sorter, label store, graph I/O.
+// Unit tests for the external-memory substrate: block file, record
+// streams, external sorter, label store, graph I/O.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "storage/block_file.h"
 #include "storage/external_sorter.h"
 #include "storage/label_store.h"
+#include "storage/record_stream.h"
 #include "util/random.h"
 
 namespace islabel {
@@ -75,20 +76,84 @@ TEST_F(StorageTest, BlockFileCountsSeeksAndSequentialReads) {
   EXPECT_EQ(f.stats().block_reads, 3u);
 }
 
-TEST_F(StorageTest, BlockFileWriteAtPatchesInPlace) {
+TEST_F(StorageTest, BlockFileOpenMissingForReadFails) {
+  // Opening for reading never creates: a loader leaves a directory as it
+  // found it.
   BlockFile f;
-  ASSERT_TRUE(f.Open(Path("bf"), true).ok());
-  ASSERT_TRUE(f.Append("aaaa", 4, nullptr).ok());
-  ASSERT_TRUE(f.WriteAt(1, "XY", 2).ok());
-  char buf[4];
-  ASSERT_TRUE(f.ReadAt(0, buf, 4).ok());
-  EXPECT_EQ(std::string(buf, 4), "aXYa");
+  EXPECT_TRUE(f.Open(Path("nonexistent"), false).IsIOError());
+  std::string contents;
+  EXPECT_TRUE(ReadFile(Path("nonexistent"), &contents).IsIOError());
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
 }
 
-TEST_F(StorageTest, BlockFileOpenMissingForReadCreates) {
+TEST_F(StorageTest, WholeFileRoundTrip) {
+  const std::string data("meta\0bytes", 10);
+  ASSERT_TRUE(WriteFile(Path("meta"), data).ok());
+  std::string back;
+  ASSERT_TRUE(ReadFile(Path("meta"), &back).ok());
+  EXPECT_EQ(back, data);
+  ASSERT_TRUE(WriteFile(Path("meta"), "x").ok());  // truncates
+  ASSERT_TRUE(ReadFile(Path("meta"), &back).ok());
+  EXPECT_EQ(back, "x");
+}
+
+// ---------- RecordWriter / RecordReader ----------
+
+TEST_F(StorageTest, RecordStreamRoundTrip) {
+  // Fixed records and a head-plus-payload record, across many blocks.
   BlockFile f;
-  ASSERT_TRUE(f.Open(Path("nonexistent"), false).ok());
-  EXPECT_EQ(f.FileSize(), 0u);
+  ASSERT_TRUE(f.Open(Path("rs"), true).ok());
+  RecordWriter w(&f);
+  for (std::uint64_t i = 0; i < 20000; ++i) ASSERT_TRUE(w.Add(i).ok());
+  const std::vector<std::uint32_t> payload(30000, 7);
+  ASSERT_TRUE(w.Add(std::uint64_t{payload.size()}).ok());
+  ASSERT_TRUE(
+      w.Write(payload.data(), payload.size() * sizeof(std::uint32_t)).ok());
+  ASSERT_TRUE(w.Flush().ok());
+  EXPECT_EQ(f.FileSize(), 20001 * 8 + payload.size() * 4);
+
+  RecordReader r(&f);
+  std::uint64_t v = 0;
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(r.Next(&v));
+    ASSERT_EQ(v, i);
+  }
+  ASSERT_TRUE(r.Next(&v));
+  std::vector<std::uint32_t> back(v);
+  ASSERT_TRUE(r.Read(back.data(), back.size()).ok());
+  EXPECT_EQ(back, payload);
+  EXPECT_FALSE(r.Next(&v));
+  EXPECT_TRUE(r.status().ok());
+  // A payload past the end of the file is an error, not the end.
+  std::uint32_t missing = 0;
+  EXPECT_TRUE(r.Read(&missing, 1).IsIOError());
+}
+
+TEST_F(StorageTest, RecordReaderReportsTruncatedFileAsError) {
+  BlockFile f;
+  ASSERT_TRUE(f.Open(Path("rs"), true).ok());
+  RecordWriter w(&f);
+  for (std::uint64_t i = 0; i < 200000; ++i) ASSERT_TRUE(w.Add(i).ok());
+  ASSERT_TRUE(w.Flush().ok());
+  // Cut the file under an open reader: the first block reads, the second
+  // comes up short.
+  RecordReader r(&f);
+  std::filesystem::resize_file(Path("rs"), kDefaultBlockSize);
+  std::uint64_t v = 0, read = 0;
+  while (r.Next(&v)) ++read;
+  EXPECT_TRUE(r.status().IsIOError()) << r.status().ToString();
+  EXPECT_EQ(read, kDefaultBlockSize / sizeof(v));
+}
+
+TEST_F(StorageTest, RecordReaderReportsPartialRecordAsError) {
+  BlockFile f;
+  ASSERT_TRUE(f.Open(Path("rs"), true).ok());
+  ASSERT_TRUE(f.Append("0123456789", 10, nullptr).ok());
+  RecordReader r(&f);
+  std::uint64_t v = 0;
+  ASSERT_TRUE(r.Next(&v));
+  EXPECT_FALSE(r.Next(&v));  // two bytes of a record
+  EXPECT_TRUE(r.status().IsIOError());
 }
 
 // ---------- ExternalSorter ----------
@@ -172,6 +237,36 @@ TEST_F(StorageTest, SorterDuplicatesSurvive) {
   EXPECT_EQ(count, 300);
 }
 
+TEST_F(StorageTest, SorterReportsTruncatedRunAsError) {
+  // Two spilled runs of 100,000 records; cut each run file to 64 KiB
+  // after Finish(). The merge must fail with IOError, not end early.
+  ExternalSorter<std::uint64_t> sorter(dir_, 100000 * sizeof(std::uint64_t));
+  Rng rng(4);
+  for (int i = 0; i < 200000; ++i) ASSERT_TRUE(sorter.Add(rng.Next()).ok());
+  ASSERT_TRUE(sorter.Finish().ok());
+  ASSERT_EQ(sorter.num_runs(), 2u);
+  int cut = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    std::filesystem::resize_file(entry.path(), 64 * 1024);
+    ++cut;
+  }
+  ASSERT_EQ(cut, 2);
+  std::uint64_t v = 0, drained = 0;
+  while (sorter.Next(&v)) ++drained;
+  EXPECT_LT(drained, 200000u);
+  EXPECT_TRUE(sorter.status().IsIOError()) << sorter.status().ToString();
+}
+
+TEST_F(StorageTest, SorterRemovesItsRuns) {
+  {
+    ExternalSorter<std::uint64_t> sorter(dir_, 256);
+    for (std::uint64_t i = 0; i < 1000; ++i) ASSERT_TRUE(sorter.Add(i).ok());
+    ASSERT_TRUE(sorter.Finish().ok());
+    EXPECT_FALSE(std::filesystem::is_empty(dir_));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
 TEST_F(StorageTest, SorterEmptyInput) {
   ExternalSorter<std::uint64_t> sorter(dir_, 1024);
   ASSERT_TRUE(sorter.Finish().ok());
@@ -253,14 +348,14 @@ TEST_F(StorageTest, LabelStoreLoadAllMatchesGetLabel) {
 
   LabelStore store;
   ASSERT_TRUE(store.Open(Path("labels")).ok());
-  std::vector<std::vector<LabelEntry>> all;
+  LabelArena all;
   ASSERT_TRUE(store.LoadAll(&all).ok());
   ASSERT_EQ(all.size(), n);
+  std::vector<LabelEntry> got;
   for (VertexId v = 0; v < n; ++v) {
-    ASSERT_EQ(all[v].size(), labels[v].size());
-    for (std::size_t i = 0; i < all[v].size(); ++i) {
-      EXPECT_EQ(all[v][i], labels[v][i]);
-    }
+    ASSERT_TRUE(store.GetLabel(v, &got).ok());
+    EXPECT_EQ(all.View(v).ToVector(), got);
+    EXPECT_EQ(got, labels[v]);
   }
 }
 
@@ -467,26 +562,6 @@ TEST_F(StorageTest, DimacsGraphRejectsMalformed) {
     EXPECT_NE(el.status().message().find(c.needle), std::string::npos)
         << c.content << " -> " << el.status().ToString();
   }
-}
-
-TEST_F(StorageTest, DimacsCoordinatesRoundTrip) {
-  DimacsCoordinates coords;
-  coords.x = {10, -20, 30};
-  coords.y = {-1, 2, 2147483648LL};  // beyond 32 bits
-  ASSERT_TRUE(WriteDimacsCoordinates(coords, Path("g.co")).ok());
-  auto back = ReadDimacsCoordinates(Path("g.co"));
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->x, coords.x);
-  EXPECT_EQ(back->y, coords.y);
-  // Malformed: id outside [1, N].
-  {
-    std::FILE* f = std::fopen(Path("g.co").c_str(), "w");
-    std::fputs("p aux sp co 2\nv 3 1 1\n", f);
-    std::fclose(f);
-  }
-  auto bad = ReadDimacsCoordinates(Path("g.co"));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
 }
 
 TEST_F(StorageTest, GraphBinaryRoundTripWithVias) {

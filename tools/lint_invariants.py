@@ -62,6 +62,14 @@ this linter proves the conventions that make that proof meaningful:
                    clock-read budget is pinned by a test
                    (DispatcherMetrics.StageBoundariesCostOneClockReadEach),
                    not by this rule.
+  io-seam          Every byte src/ saves, loads or spills goes through
+                   src/storage/ (BlockFile, ReadFile / WriteFile, the
+                   record streams): no other src/ file calls fopen,
+                   ::open, fread, fwrite, pread or pwrite, or names an
+                   fstream. graph/graph_io.cc keeps stdio for its text
+                   formats (SNAP and DIMACS files larger than memory are
+                   parsed line by line); server/tcp_server.cc keeps its
+                   reserve fd on /dev/null.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -474,6 +482,28 @@ def rule_trace_seam(root):
         "boundaries), not the clock")
 
 
+IO_SEAM_PATTERNS = [
+    r"\bf(?:open|read|write)\s*\(",
+    r"::open\s*\(",
+    r"\bp(?:read|write)\s*\(",
+    r"std::[io]?fstream\b",
+]
+IO_SEAM_DIR = os.path.join("src", "storage") + os.sep
+IO_SEAM_ALLOWED = {
+    os.path.join("src", "graph", "graph_io.cc"),
+    os.path.join("src", "server", "tcp_server.cc"),
+}
+
+
+def rule_io_seam(root):
+    files = [f for f in walk_sources(root, "src")
+             if not f.startswith(IO_SEAM_DIR) and f not in IO_SEAM_ALLOWED]
+    return scan_forbidden(
+        root, files, IO_SEAM_PATTERNS, "io-seam",
+        "save, load and spill files through src/storage/ (one read path, "
+        "loaders open read-only)")
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -506,6 +536,7 @@ RULES = [
     rule_stats_seam,
     rule_server_transport,
     rule_trace_seam,
+    rule_io_seam,
 ]
 
 
@@ -535,6 +566,7 @@ SELF_TEST_EXPECTED = {
     "stats-seam": 1,
     "server-transport": 1,
     "trace-seam": 1,
+    "io-seam": 2,
 }
 
 
