@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/label.h"
+#include "core/search_order.h"
 #include "util/bit_vector.h"
 #include "util/random.h"
 
@@ -324,7 +325,7 @@ Distance DirectedISLabel::BiDijkstra(Distance mu) {
     const Distance mr =
         pq_[1].Empty() ? kInfDistance : pq_[1].PeekMin().second;
     if (SatAdd(mf, mr) >= best) break;
-    const int side = (mf <= mr) ? 0 : 1;
+    const int side = SmallerFrontier(pq_[0], pq_[1]);
     const int opp = 1 - side;
     const auto [v, d] = pq_[side].PopMin();
     sides_[side][v].settled_stamp = epoch;

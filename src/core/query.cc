@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 
+#include "core/search_order.h"
 #include "util/timer.h"
 
 namespace islabel {
@@ -292,7 +293,9 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
     // through G_k can beat µ (Theorem 4).
     if (SatAdd(mf, mr) >= best) break;
 
-    const int side = (mf <= mr) ? 0 : 1;
+    // Expand the side with fewer heap entries (core/search_order.h): the
+    // stop rule above is exact in any order.
+    const int side = SmallerFrontier(pq_[0], pq_[1]);
     const int opp = 1 - side;
     const auto [v, d] = pq_[side].PopMin();
     sides_[side][v].settled_stamp = ep[side];

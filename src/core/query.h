@@ -9,6 +9,9 @@
 //      the label-based bidirectional Dijkstra of Algorithm 1 on G_k, seeded
 //      with the label entries that land in G_k and pruned by
 //      min(FQ) + min(RQ) >= µ (Theorem 4). This is the paper's Time (b).
+//      Each round expands the side whose heap holds fewer entries
+//      (core/search_order.h, DESIGN §7.4); the stop rule is exact in any
+//      order.
 //
 // The engine owns every piece of per-query state (seed buffers, search
 // arrays, heaps); after the first query on a given hierarchy the hot path
@@ -197,7 +200,8 @@ class QueryEngine {
   // in dense core ids;
   // pq_[01]_ are monotone radix heaps (Dijkstra pops keys in
   // non-decreasing order and every push is pop + ω ≥ pop, so the monotone
-  // contract holds per side); fetch_[01]_ back the disk-resident label
+  // contract holds per side, however the rounds alternate between
+  // sides); fetch_[01]_ back the disk-resident label
   // decode; self_[01]_ hold the synthesized trivial label of a core
   // endpoint.
   std::vector<LabelEntry> seeds_[2];

@@ -5,6 +5,8 @@
 // This suite is the workload of the gating ThreadSanitizer CI job — keep
 // the graphs small enough that TSan finishes in seconds.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -29,6 +31,7 @@ class ConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "islabel_conc_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

@@ -2,6 +2,8 @@
 // and labels bit-identical to the in-memory pipeline, while actually
 // touching disk (counted I/O).
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,6 +25,7 @@ class ExternalPipelineTest
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "islabel_ext_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }
@@ -161,6 +164,7 @@ class ExternalLabelingTest
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "islabel_extlab_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

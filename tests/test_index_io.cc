@@ -1,6 +1,8 @@
 // Index persistence: Save/Load round-trips in both label modes, and
 // corruption handling.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,6 +25,7 @@ class IndexIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "islabel_io_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }

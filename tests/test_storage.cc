@@ -1,6 +1,8 @@
 // Unit tests for the external-memory substrate: block file, record
 // streams, external sorter, label store, graph I/O.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +26,7 @@ class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = ::testing::TempDir() + "islabel_storage_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<std::uintptr_t>(this));
     std::filesystem::create_directories(dir_);
   }
