@@ -287,9 +287,6 @@ Distance DirectedISLabel::BiDijkstra(Distance mu) {
     const NodeState& node = sides_[side][v];
     return node.stamp == epoch ? node.dist : kInfDistance;
   };
-  auto is_settled = [&](int side, VertexId v) {
-    return sides_[side][v].settled_stamp == epoch;
-  };
 
   pq_[0].Clear();
   pq_[1].Clear();
@@ -306,14 +303,13 @@ Distance DirectedISLabel::BiDijkstra(Distance mu) {
   seed(1);
 
   Distance best = mu;
+  // Lazy deletion: an entry is live exactly when its key is its vertex's
+  // stamped distance.
   auto purge = [&](int side) {
     while (!pq_[side].Empty()) {
       const auto [v, d] = pq_[side].PeekMin();
-      if (is_settled(side, v) || d != dist_of(side, v)) {
-        pq_[side].PopMin();
-      } else {
-        break;
-      }
+      if (d == dist_of(side, v)) break;
+      pq_[side].PopMin();
     }
   };
 
@@ -325,10 +321,9 @@ Distance DirectedISLabel::BiDijkstra(Distance mu) {
     const Distance mr =
         pq_[1].Empty() ? kInfDistance : pq_[1].PeekMin().second;
     if (SatAdd(mf, mr) >= best) break;
-    const int side = SmallerFrontier(pq_[0], pq_[1]);
+    const int side = SmallerFrontier(pq_[0].Size(), pq_[1].Size());
     const int opp = 1 - side;
     const auto [v, d] = pq_[side].PopMin();
-    sides_[side][v].settled_stamp = epoch;
     // Tentative-distance µ update (see query.cc / DESIGN.md).
     best = std::min(best, SatAdd(dist_of(0, v), dist_of(1, v)));
     // Forward explores out-arcs; backward explores in-arcs (i.e., walks

@@ -69,11 +69,12 @@ class DirectedISLabel {
   LabelArena in_labels_;
 
   // Epoch-stamped bidirectional search scratch (0 = forward, 1 = backward),
-  // packed per vertex for cache locality.
+  // packed per vertex for cache locality. A heap entry is live exactly when
+  // its key equals the vertex's stamped distance: pushes are strict
+  // improvements and each side pops in order (DESIGN §7.2).
   struct NodeState {
     Distance dist = kInfDistance;
     std::uint32_t stamp = 0;
-    std::uint32_t settled_stamp = 0;
   };
   std::vector<NodeState> sides_[2];
   std::uint32_t epoch_ = 0;

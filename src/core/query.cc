@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/search_order.h"
+#include "util/logging.h"
 #include "util/timer.h"
 
 namespace islabel {
@@ -59,26 +60,23 @@ Status QueryEngine::FetchLabel(int side, VertexId v, LabelView* label,
 void QueryEngine::SeedSide(int side, std::uint32_t epoch) {
   pq_[side].Clear();
   for (const LabelEntry& e : seeds_[side]) {
-    NodeState& node = sides_[side][e.node];
+    CoreState& node = state_[e.node];
     // Label entries are unique per ancestor, so a fresh epoch sees each
     // node at most once.
-    node.dist = e.dist;
-    node.stamp = epoch;
-    node.parent = kInvalidVertex;  // marks "label seed"
-    node.parent_via = kInvalidVertex;
+    node.dist[side] = e.dist;
+    node.stamp[side] = epoch;
+    node.parent[side] = kInvalidVertex;  // marks "label seed"
     pq_[side].Push(e.node, e.dist);
   }
 }
 
 void QueryEngine::EnsureScratch() {
+  // assign (not resize) on any size change: it rewrites every element, so
+  // a grown vector can never carry stamps from before the growth.
+  // ReserveEpochs' wrap reset relies on this — after a resize all stamps
+  // are 0, an epoch value the counter never produces.
   const std::size_t core_size = h_->core_vertex.size();
-  for (auto& side : sides_) {
-    // assign (not resize) on any size change: it rewrites every element,
-    // so a grown vector can never carry stamps from before the growth.
-    // ReserveEpochs' wrap reset relies on this — after a resize all
-    // stamps are 0, an epoch value the counter never produces.
-    if (side.size() != core_size) side.assign(core_size, NodeState{});
-  }
+  if (state_.size() != core_size) state_.assign(core_size, CoreState{});
 }
 
 void QueryEngine::ReserveEpochs(std::uint64_t count) {
@@ -88,7 +86,7 @@ void QueryEngine::ReserveEpochs(std::uint64_t count) {
   // in 2^32 queries), wipe the search state and restart from 0 (the first
   // bump hands out 1; default-constructed stamps are 0 and stay invalid).
   if (count <= std::numeric_limits<std::uint32_t>::max() - epoch_) return;
-  for (auto& side : sides_) side.assign(side.size(), NodeState{});
+  state_.assign(state_.size(), CoreState{});
   epoch_ = 0;
 }
 
@@ -180,7 +178,8 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   SeedSide(0, epoch);
   SeedSide(1, epoch);
   const Distance mu = disable_mu_pruning_ ? kInfDistance : eq1.dist;
-  Distance d = SearchLoop(mu, epoch, epoch, stats, capture);
+  Distance d = SearchLoop(mu, epoch, epoch, /*forward_ball=*/false, stats,
+                          capture);
   if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;
   if (stats != nullptr) stats->search_seconds = timer->ElapsedSeconds();
   *out = d;
@@ -240,13 +239,14 @@ Status QueryEngine::QueryOneToMany(VertexId s,
     // Not just pruning: correctness of the warm restart.
     Distance best = disable_mu_pruning_ ? kInfDistance : eq1.dist;
     for (const LabelEntry& e : seeds_[1]) {
-      const NodeState& fwd = sides_[0][e.node];
-      if (fwd.stamp == fwd_epoch) {
-        const Distance cand = SatAdd(e.dist, fwd.dist);
+      const CoreState& node = state_[e.node];
+      if (node.stamp[0] == fwd_epoch) {
+        const Distance cand = SatAdd(e.dist, node.dist[0]);
         if (cand < best) best = cand;
       }
     }
-    Distance d = SearchLoop(best, fwd_epoch, rev_epoch, nullptr, nullptr);
+    Distance d = SearchLoop(best, fwd_epoch, rev_epoch, /*forward_ball=*/true,
+                            nullptr, nullptr);
     if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;
     (*out)[i] = d;
   }
@@ -254,51 +254,52 @@ Status QueryEngine::QueryOneToMany(VertexId s,
 }
 
 Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
-                                 std::uint32_t rev_epoch, QueryStats* stats,
-                                 PathCapture* capture) {
+                                 std::uint32_t rev_epoch, bool forward_ball,
+                                 QueryStats* stats, PathCapture* capture) {
   const Graph& gk = h_->g_k;
   const std::uint32_t ep[2] = {fwd_epoch, rev_epoch};
 
   auto dist_of = [&](int side, VertexId v) -> Distance {
-    const NodeState& node = sides_[side][v];
-    return node.stamp == ep[side] ? node.dist : kInfDistance;
-  };
-  auto is_settled = [&](int side, VertexId v) {
-    return sides_[side][v].settled_stamp == ep[side];
+    const CoreState& node = state_[v];
+    return node.stamp[side] == ep[side] ? node.dist[side] : kInfDistance;
   };
 
   Distance best = mu;
   VertexId meet = kInvalidVertex;
+  // Pushes each side dropped because they could not beat µ (DESIGN §7.5).
+  // The expansion order counts them as frontier entries, as if they had
+  // been pushed: none of them would ever be popped.
+  std::size_t dropped[2] = {0, 0};
 
-  // Drops settled/stale entries so PeekMin is live (lazy deletion).
+  // Drops stale entries so PeekMin is live (lazy deletion). An entry is
+  // live exactly when its key is its vertex's stamped distance.
   auto purge = [&](int side) {
     while (!pq_[side].Empty()) {
       const auto [v, d] = pq_[side].PeekMin();
-      if (is_settled(side, v) || d != dist_of(side, v)) {
-        pq_[side].PopMin();
-      } else {
-        break;
-      }
+      if (d == dist_of(side, v)) break;
+      pq_[side].PopMin();
     }
   };
 
   while (true) {
     purge(0);
     purge(1);
-    const Distance mf =
-        pq_[0].Empty() ? kInfDistance : pq_[0].PeekMin().second;
-    const Distance mr =
-        pq_[1].Empty() ? kInfDistance : pq_[1].PeekMin().second;
+    const Distance mins[2] = {
+        pq_[0].Empty() ? kInfDistance : pq_[0].PeekMin().second,
+        pq_[1].Empty() ? kInfDistance : pq_[1].PeekMin().second};
     // Pruning condition of Algorithm 1 line 8: stop when no s-t path
     // through G_k can beat µ (Theorem 4).
-    if (SatAdd(mf, mr) >= best) break;
+    if (SatAdd(mins[0], mins[1]) >= best) break;
 
-    // Expand the side with fewer heap entries (core/search_order.h): the
-    // stop rule above is exact in any order.
-    const int side = SmallerFrontier(pq_[0], pq_[1]);
+    // Expand the side with fewer frontier entries (core/search_order.h):
+    // the stop rule above is exact in any order.
+    const int side = SmallerFrontier(pq_[0].Size() + dropped[0],
+                                     pq_[1].Size() + dropped[1]);
     const int opp = 1 - side;
+    // The forward ball of a one-to-many batch serves later targets, whose
+    // µ is not this one's, so it keeps every push.
+    const bool may_drop = side == 1 || !forward_ball;
     const auto [v, d] = pq_[side].PopMin();
-    sides_[side][v].settled_stamp = ep[side];
     if (stats != nullptr) ++stats->settled;
 
     // µ tightening. NOTE (deviation from the paper, documented in
@@ -309,7 +310,7 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
     // uses — is to consult the opposite side's *tentative* distance, which
     // is always a valid path length.
     {
-      const Distance cand = SatAdd(dist_of(0, v), dist_of(1, v));
+      const Distance cand = SatAdd(d, dist_of(opp, v));
       if (cand < best) {
         best = cand;
         meet = v;
@@ -318,18 +319,28 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
 
     auto nbrs = gk.Neighbors(v);
     auto ws = gk.NeighborWeights(v);
-    const bool vias = gk.has_vias();
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId u = nbrs[i];
       const Distance nd = d + ws[i];
       if (stats != nullptr) ++stats->relaxed;
-      NodeState& node = sides_[side][u];
-      Distance du = node.stamp == ep[side] ? node.dist : kInfDistance;
+      CoreState& node = state_[u];
+      Distance du =
+          node.stamp[side] == ep[side] ? node.dist[side] : kInfDistance;
       if (nd < du) {
-        node.dist = nd;
-        node.stamp = ep[side];
-        node.parent = v;
-        node.parent_via = vias ? gk.NeighborVias(v)[i] : kInvalidVertex;
+        // An entry that cannot beat µ against the opposite frontier is
+        // never popped: the stop rule fires first. Leave u's record alone
+        // and push nothing. The candidate path through u is no loss: v's
+        // settle above, or the opposite side's settle of u, already saw
+        // one at most as long (DESIGN §7.5).
+        if (may_drop && SatAdd(nd, mins[opp]) >= best) {
+          ISLABEL_DCHECK(SatAdd(nd, dist_of(opp, u)) >= best)
+              << "a dropped push would have lowered µ";
+          ++dropped[side];
+          continue;
+        }
+        node.dist[side] = nd;
+        node.stamp[side] = ep[side];
+        node.parent[side] = v;
         pq_[side].Push(u, nd);
         du = nd;
       }
@@ -349,27 +360,47 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
   if (capture != nullptr && meet != kInvalidVertex) {
     capture->kind = MeetKind::kSearch;
     capture->meet = h_->core_vertex[meet];
-    TraceSide(0, meet, seeds_[0].data(), seeds_[0].size(), &capture->seed_s,
-              &capture->steps_s);
-    TraceSide(1, meet, seeds_[1].data(), seeds_[1].size(), &capture->seed_t,
-              &capture->steps_t);
+    TraceSide(0, meet, ep[0], seeds_[0].data(), seeds_[0].size(),
+              &capture->seed_s, &capture->steps_s);
+    TraceSide(1, meet, ep[1], seeds_[1].data(), seeds_[1].size(),
+              &capture->seed_t, &capture->steps_t);
   }
   return best;
 }
 
-void QueryEngine::TraceSide(int side, VertexId meet,
+void QueryEngine::TraceSide(int side, VertexId meet, std::uint32_t epoch,
                             const LabelEntry* seeds_begin,
                             std::size_t seeds_count, LabelEntry* seed_out,
                             std::vector<PathStep>* steps_out) const {
-  // The walk runs over dense ids; everything written out is global.
+  // The walk runs over dense ids; everything written out is global. Every
+  // record on the chain is stamped: µ only ever comes from recorded
+  // distances (a dropped push never lowers it, DESIGN §7.5), and a parent
+  // is a settled vertex, whose record no later push rewrites.
+  const Graph& gk = h_->g_k;
   const std::vector<VertexId>& global = h_->core_vertex;
   steps_out->clear();
   VertexId v = meet;
-  while (sides_[side][v].parent != kInvalidVertex) {
-    const NodeState& node = sides_[side][v];
-    steps_out->push_back(
-        PathStep{global[node.parent], global[v], node.parent_via});
-    v = node.parent;
+  ISLABEL_DCHECK(state_[v].stamp[side] == epoch) << "meet not stamped";
+  while (state_[v].parent[side] != kInvalidVertex) {
+    const VertexId p = state_[v].parent[side];
+    ISLABEL_DCHECK(state_[p].stamp[side] == epoch) << "parent not stamped";
+    // The record keeps no via: read it from the G_k edge (p, v) whose
+    // weight is the distance the relaxation added, so only path queries
+    // pay for it.
+    const Distance w = state_[v].dist[side] - state_[p].dist[side];
+    VertexId via = kInvalidVertex;
+    if (gk.has_vias()) {
+      const auto nbrs = gk.Neighbors(p);
+      const auto ws = gk.NeighborWeights(p);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (nbrs[i] == v && ws[i] == w) {
+          via = gk.NeighborVias(p)[i];
+          break;
+        }
+      }
+    }
+    steps_out->push_back(PathStep{global[p], global[v], via});
+    v = p;
   }
   std::reverse(steps_out->begin(), steps_out->end());
   // v is now the chain head — a seeded G_k vertex; find its label entry
@@ -377,7 +408,7 @@ void QueryEngine::TraceSide(int side, VertexId meet,
   const LabelEntry* seeds_end = seeds_begin + seeds_count;
   const LabelEntry* seed = std::find_if(
       seeds_begin, seeds_end, [v](const LabelEntry& e) { return e.node == v; });
-  *seed_out = seed != seeds_end ? *seed : LabelEntry(v, sides_[side][v].dist);
+  *seed_out = seed != seeds_end ? *seed : LabelEntry(v, state_[v].dist[side]);
   seed_out->node = global[v];
 }
 

@@ -9,9 +9,10 @@
 //      the label-based bidirectional Dijkstra of Algorithm 1 on G_k, seeded
 //      with the label entries that land in G_k and pruned by
 //      min(FQ) + min(RQ) >= µ (Theorem 4). This is the paper's Time (b).
-//      Each round expands the side whose heap holds fewer entries
-//      (core/search_order.h, DESIGN §7.4); the stop rule is exact in any
-//      order.
+//      Each round expands the side whose frontier holds fewer entries
+//      (core/search_order.h, DESIGN §7.4), and a relaxation whose new
+//      distance plus the opposite heap's minimum cannot beat µ pushes
+//      nothing (DESIGN §7.5); the stop rule stays exact in any order.
 //
 // The engine owns every piece of per-query state (seed buffers, search
 // arrays, heaps); after the first query on a given hierarchy the hot path
@@ -129,8 +130,10 @@ class QueryEngine {
 
   /// Ablation hook (bench_ablation_pruning): when true, the bi-Dijkstra
   /// starts with µ = ∞ instead of the Equation-1 bound; answers stay exact
-  /// (the final result still takes min with Equation 1) but the search
-  /// loses its pruning.
+  /// (the final result still takes min with Equation 1). The search then
+  /// loses the Equation-1 bound only: µ still tightens as the two sides
+  /// meet, and the stop rule and the dropped pushes (DESIGN §7.5) prune
+  /// against it.
   void set_disable_mu_pruning(bool v) { disable_mu_pruning_ = v; }
 
   const VertexHierarchy& hierarchy() const { return *h_; }
@@ -157,10 +160,12 @@ class QueryEngine {
   void SeedSide(int side, std::uint32_t epoch);
 
   /// The Algorithm 1 search loop with independent per-side epochs — the
-  /// one-to-many path keeps the forward side warm across targets.
+  /// one-to-many path keeps the forward side warm across targets. When
+  /// `forward_ball` is set, the forward side is that warm ball, which
+  /// later targets reuse, so it keeps every push (DESIGN §7.5).
   Distance SearchLoop(Distance mu, std::uint32_t fwd_epoch,
-                      std::uint32_t rev_epoch, QueryStats* stats,
-                      PathCapture* capture);
+                      std::uint32_t rev_epoch, bool forward_ball,
+                      QueryStats* stats, PathCapture* capture);
 
   /// Algorithm 1 lines 1-2: the entries of `label` (scanned from `cut`)
   /// that land in G_k, their nodes mapped to dense core ids, into *seeds.
@@ -173,26 +178,32 @@ class QueryEngine {
   /// never be reused while stale stamps survive). Call after
   /// EnsureScratch so a reset covers the full — possibly grown — range.
   void ReserveEpochs(std::uint64_t count);
-  void TraceSide(int side, VertexId meet, const LabelEntry* seeds_begin,
-                 std::size_t seeds_count, LabelEntry* seed_out,
-                 std::vector<PathStep>* steps_out) const;
+  /// Walks `side`'s parent chain (stamped under `epoch`) from `meet` back
+  /// to its seed, writing the G_k tree edges and the seed's label entry.
+  void TraceSide(int side, VertexId meet, std::uint32_t epoch,
+                 const LabelEntry* seeds_begin, std::size_t seeds_count,
+                 LabelEntry* seed_out, std::vector<PathStep>* steps_out) const;
 
   const VertexHierarchy* h_;
   LabelProvider provider_;
 
-  // Epoch-stamped search state, one packed record per G_k vertex indexed
-  // by dense core id (so |G_k| records, not n, in BFS order); allocated
-  // lazily at first query, reused across queries without clearing. The
-  // search runs entirely in dense ids; TraceSide maps what leaves the
-  // engine back to global ids.
-  struct NodeState {
-    Distance dist = kInfDistance;
-    std::uint32_t stamp = 0;          // epoch when dist became valid
-    std::uint32_t settled_stamp = 0;
-    VertexId parent = kInvalidVertex;      // kInvalidVertex = seeded entry
-    VertexId parent_via = kInvalidVertex;  // via of the parent edge (global)
+  // Epoch-stamped search state: one record per G_k vertex, indexed by
+  // dense core id (so |G_k| records, not n, in BFS order), holding both
+  // sides, so a relaxation's own-side update and its opposite-side µ
+  // check touch one cache line (DESIGN §7.2). Allocated lazily at first
+  // query, reused across queries without clearing. A heap entry is live
+  // exactly when its key equals its vertex's stamped distance: pushes are
+  // strict improvements and each side pops in order, so a settled vertex
+  // keeps no matching entry. The search runs entirely in dense ids;
+  // TraceSide maps what leaves the engine back to global ids.
+  struct alignas(32) CoreState {
+    Distance dist[2] = {kInfDistance, kInfDistance};
+    std::uint32_t stamp[2] = {0, 0};  // epoch when dist[side] became valid
+    VertexId parent[2] = {kInvalidVertex, kInvalidVertex};  // invalid = seed
   };
-  std::vector<NodeState> sides_[2];
+  static_assert(sizeof(CoreState) == 32 && alignof(CoreState) == 32,
+                "a search record must never straddle a cache line");
+  std::vector<CoreState> state_;
   std::uint32_t epoch_ = 0;
 
   // Reusable per-query buffers (capacity persists across queries; the hot

@@ -44,11 +44,13 @@
 // with a usage error instead of being silently ignored.
 //
 // Both front ends parse with ParseRequest and format with the Format*
-// helpers below, so the stdin loop and the TCP server cannot drift.
+// helpers below, so the stdin loop and the TCP server cannot drift. Every
+// front end that reads request lines caps them at kMaxRequestLineBytes.
 
 #ifndef ISLABEL_SERVER_PROTOCOL_H_
 #define ISLABEL_SERVER_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -59,6 +61,14 @@
 
 namespace islabel {
 namespace server {
+
+/// The longest request line a front end accepts, its '\n' not counted.
+/// 1 MiB bounds a `one S T1 T2...` list. A longer line is answered with
+/// kLineTooLongError and ends the session: the TCP server closes the
+/// connection and `serve` on stdin stops reading. `islabel batch`, whose
+/// input is a file of "S T" lines, names the line and exits 1.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+inline constexpr char kLineTooLongError[] = "error: request line too long";
 
 enum class RequestKind : std::uint8_t {
   kNone = 0,    // blank line or comment: no response

@@ -26,9 +26,6 @@ constexpr int kListenBacklog = 128;
 /// How long shutdown keeps draining buffered responses before
 /// force-closing connections.
 constexpr std::uint64_t kDrainTimeoutMs = 5000;
-/// A request line longer than this (no '\n' seen) closes the connection
-/// with an error response.
-constexpr std::size_t kMaxLineBytes = 1u << 20;
 
 /// The server whose Stop() the SIGINT/SIGTERM handlers call. One server
 /// per process may install handlers (the CLI case).
@@ -468,7 +465,9 @@ void TcpServer::ParseLines(const std::shared_ptr<Connection>& conn) {
     if (req.kind != RequestKind::kNone) parsed.push_back(std::move(req));
   }
   conn->in.erase(0, begin);
-  const bool overlong = conn->in.size() > kMaxLineBytes;
+  // A request line longer than the protocol's limit (no '\n' seen yet)
+  // closes the connection with an error response.
+  const bool overlong = conn->in.size() > kMaxRequestLineBytes;
   const bool overcap = !overlong && options_.max_buffered_bytes > 0 &&
                        conn->in.size() > options_.max_buffered_bytes;
   if (overlong || overcap) {
@@ -480,7 +479,7 @@ void TcpServer::ParseLines(const std::shared_ptr<Connection>& conn) {
     if (overcap) idle_closed_->Inc();
     Request err;
     err.kind = RequestKind::kInvalid;
-    err.error = overcap ? "error: timeout" : "error: request line too long";
+    err.error = overcap ? "error: timeout" : kLineTooLongError;
     parsed.push_back(std::move(err));
     Request quit;
     quit.kind = RequestKind::kQuit;

@@ -34,7 +34,8 @@ enum class Family {
   kStar,
   kTree,
   kClique,
-  kDisconnected,  // two ER components + isolated vertices
+  kDisconnected,     // two ER components + isolated vertices
+  kCliqueCommunity,  // the recipe behind the perf/ workload graphs
 };
 
 inline const char* FamilyName(Family f) {
@@ -50,13 +51,14 @@ inline const char* FamilyName(Family f) {
     case Family::kTree: return "Tree";
     case Family::kClique: return "Clique";
     case Family::kDisconnected: return "Disconnected";
+    case Family::kCliqueCommunity: return "CliqueCommunity";
   }
   return "?";
 }
 
 /// Deterministic test graph: `n` is a size hint (grids round down, R-MAT
 /// rounds to a power of two). When `weighted`, weights are uniform in
-/// [1, 8].
+/// [1, 8], or in [1, 2] for the clique-community family, as on synth-web.
 inline Graph MakeTestGraph(Family family, VertexId n, bool weighted,
                            std::uint64_t seed) {
   Rng rng(seed);
@@ -111,17 +113,28 @@ inline Graph MakeTestGraph(Family family, VertexId n, bool weighted,
       edges.EnsureVertices(n + 3);  // trailing isolated vertices
       break;
     }
+    case Family::kCliqueCommunity:
+      // synth-skitter's parameters; synth-web, -wiki and -google vary
+      // them. Cliques of 14 with sparse links biased toward low ids, and
+      // 10% of the vertices on chains hanging off the cliques.
+      edges = GenerateCliqueCommunity(n, 14, 0.5, 0.10, 24.0, &rng);
+      break;
   }
-  if (weighted) AssignUniformWeights(&edges, 1, 8, &rng);
+  if (weighted) {
+    AssignUniformWeights(&edges, 1,
+                         family == Family::kCliqueCommunity ? 2 : 8, &rng);
+  }
   return Graph::FromEdgeList(std::move(edges));
 }
 
 /// All property-test families.
 inline std::vector<Family> AllFamilies() {
-  return {Family::kErdosRenyi, Family::kBarabasiAlbert, Family::kRMat,
-          Family::kGrid,       Family::kWattsStrogatz,  Family::kPath,
-          Family::kCycle,      Family::kStar,           Family::kTree,
-          Family::kClique,     Family::kDisconnected};
+  return {Family::kErdosRenyi,     Family::kBarabasiAlbert,
+          Family::kRMat,           Family::kGrid,
+          Family::kWattsStrogatz,  Family::kPath,
+          Family::kCycle,          Family::kStar,
+          Family::kTree,           Family::kClique,
+          Family::kDisconnected,   Family::kCliqueCommunity};
 }
 
 /// Samples `count` (s, t) pairs, mixing uniform pairs with same-vertex and

@@ -92,7 +92,11 @@ INSTANTIATE_TEST_SUITE_P(
         QueryCase{Family::kTree, 127, true, false, 1},
         QueryCase{Family::kClique, 24, true, false, 1},
         QueryCase{Family::kDisconnected, 120, false, false, 1},
-        QueryCase{Family::kDisconnected, 120, true, true, 2}),
+        QueryCase{Family::kDisconnected, 120, true, true, 2},
+        // Below ~200 vertices the recipe peels completely (G_k is empty).
+        QueryCase{Family::kCliqueCommunity, 256, false, false, 1},
+        QueryCase{Family::kCliqueCommunity, 256, true, false, 2},
+        QueryCase{Family::kCliqueCommunity, 256, true, true, 3}),
     QueryCaseName);
 
 // Sweep forced k: correctness must hold at every cut level.
@@ -445,11 +449,12 @@ TEST(EpochWrap, QueriesStayExactAcrossInsertAndWrap) {
 // ---------- One-to-many matches the single-query engine ----------
 
 // The warm forward ball is exact only with the seed-time µ check of
-// DESIGN §10.1. Without that check the grid input answers wrong; the R-MAT
-// and Barabási-Albert inputs do not show it.
+// DESIGN §10.1, and only if it keeps every push (§7.5). Without that check
+// the grid input answers wrong; the R-MAT and Barabási-Albert inputs do
+// not show it.
 TEST(Query, OneToManyMatchesSingleQueries) {
-  for (const Family family :
-       {Family::kRMat, Family::kBarabasiAlbert, Family::kGrid}) {
+  for (const Family family : {Family::kRMat, Family::kBarabasiAlbert,
+                              Family::kGrid, Family::kCliqueCommunity}) {
     SCOPED_TRACE(testing::FamilyName(family));
     Graph g = MakeTestGraph(family, 256, true, 57);
     auto built = ISLabelIndex::Build(g, IndexOptions{});

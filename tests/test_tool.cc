@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,30 @@ TEST_F(ToolTest, ServeRejectsMalformedRequests) {
   EXPECT_EQ(lines[4], DistStr(7, 8));  // the loop keeps serving
 }
 
+// A request line of exactly the protocol's limit is served; one byte more
+// is answered with an error and ends the session, as the TCP server closes
+// the connection, so the request after it is never answered.
+TEST_F(ToolTest, ServeEndsSessionOnOverlongRequestLine) {
+  const std::string input_path = dir_ + "/overlong.txt";
+  {
+    std::ofstream f(input_path);
+    std::string at_limit = "3 4";
+    at_limit.resize(server::kMaxRequestLineBytes, ' ');
+    f << "1 2\n" << at_limit << "\n"
+      << std::string(server::kMaxRequestLineBytes + 1, '7') << "\n5 6\nquit\n";
+  }
+  std::string out;
+  ASSERT_EQ(RunCommand(tool_ + " serve --index " + index_dir_ + " < " +
+                           input_path,
+                       &out),
+            0);
+  const std::vector<std::string> lines = SplitLines(out);
+  ASSERT_EQ(lines.size(), 3u) << out;
+  EXPECT_EQ(lines[0], DistStr(1, 2));
+  EXPECT_EQ(lines[1], DistStr(3, 4));
+  EXPECT_EQ(lines[2], server::kLineTooLongError);
+}
+
 TEST_F(ToolTest, ServeDiskModeMatchesInMemory) {
   std::string out;
   const std::string script = "printf '1 2\\n3 4\\nquit\\n'";
@@ -194,6 +219,27 @@ TEST_F(ToolTest, BatchAnswersPairsFile) {
   EXPECT_EQ(lines[0], "1 2 " + DistStr(1, 2));
   EXPECT_EQ(lines[1], "3 4 " + DistStr(3, 4));
   EXPECT_EQ(lines[2], "5 6 " + DistStr(5, 6));
+}
+
+// batch reads its pairs under the same limit: a line one byte over it
+// fails the run with its line number, before any pair is answered.
+TEST_F(ToolTest, BatchRejectsOverlongLineWithItsNumber) {
+  const std::string pairs_path = dir_ + "/overlong_pairs.txt";
+  {
+    std::ofstream f(pairs_path);
+    std::string at_limit = "3 4";
+    at_limit.resize(server::kMaxRequestLineBytes, ' ');
+    f << "1 2\n" << at_limit << "\n# comment\n"
+      << std::string(server::kMaxRequestLineBytes + 1, '7') << "\n5 6\n";
+  }
+  std::string out;  // stdout and stderr
+  ASSERT_EQ(RunCommand("{ " + tool_ + " batch --index " + index_dir_ +
+                           " --in " + pairs_path + " 2>&1; }",
+                       &out),
+            1);
+  EXPECT_NE(out.find("line 4: request line too long"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("1 2 " + DistStr(1, 2)), std::string::npos) << out;
 }
 
 TEST_F(ToolTest, BenchPrintsSummaryLine) {

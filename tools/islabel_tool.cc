@@ -457,9 +457,31 @@ Result<ISLabelIndex> LoadIndexArg(const Args& args) {
   return ISLabelIndex::Load(dir, /*labels_in_memory=*/!args.Has("disk"));
 }
 
+/// How ReadRequestLine ended.
+enum class LineRead { kLine, kEnd, kTooLong };
+
+/// Reads one '\n'-terminated line of `in` into *line, without the '\n'.
+/// Stops at server::kMaxRequestLineBytes: a longer line is kTooLong, and
+/// what is left of it stays unread, so no input can grow *line past the
+/// protocol's limit.
+LineRead ReadRequestLine(std::istream& in, std::string* line) {
+  line->clear();
+  std::streambuf* buf = in.rdbuf();
+  for (;;) {
+    const int c = buf->sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      return line->empty() ? LineRead::kEnd : LineRead::kLine;
+    }
+    if (c == '\n') return LineRead::kLine;
+    if (line->size() == server::kMaxRequestLineBytes) return LineRead::kTooLong;
+    line->push_back(static_cast<char>(c));
+  }
+}
+
 // batch: reads "s t" pairs (one per line, '#' comments) from --in FILE or
 // stdin, answers them all with QueryBatch over the engine pool, and prints
-// "s t dist" per pair in input order.
+// "s t dist" per pair in input order. A line over the protocol's request
+// limit fails the run with its line number.
 int CmdBatch(const Args& args) {
   auto loaded = LoadIndexArg(args);
   if (!loaded.ok()) {
@@ -483,7 +505,16 @@ int CmdBatch(const Args& args) {
 
   std::vector<std::pair<VertexId, VertexId>> pairs;
   std::string line;
-  while (std::getline(*in, line)) {
+  std::size_t line_no = 0;
+  LineRead r;
+  while ((r = ReadRequestLine(*in, &line)) != LineRead::kEnd) {
+    ++line_no;
+    if (r == LineRead::kTooLong) {
+      std::fprintf(stderr,
+                   "line %zu: request line too long (limit %zu bytes)\n",
+                   line_no, server::kMaxRequestLineBytes);
+      return 1;
+    }
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
     VertexId s = 0, t = 0;
@@ -638,7 +669,14 @@ int ServeFrontEnd(const Args& args, server::RequestDispatcher* dispatcher,
     const Clock* clock = dispatcher->clock();
     const bool time_parse = dispatcher->tracing_enabled();
     std::string line;
-    while (std::getline(std::cin, line)) {
+    LineRead r;
+    while ((r = ReadRequestLine(std::cin, &line)) != LineRead::kEnd) {
+      if (r == LineRead::kTooLong) {
+        // Ends the session, as the TCP server closes the connection.
+        std::printf("%s\n", server::kLineTooLongError);
+        std::fflush(stdout);
+        break;
+      }
       const std::uint64_t t0 = time_parse ? clock->NowMicros() : 0;
       server::Request req = server::ParseRequest(line);
       if (time_parse) {
