@@ -4,36 +4,39 @@
 
 namespace islabel {
 
-namespace {
-
-template <typename NeighborFn>
-SsspResult RunSssp(VertexId n, VertexId source, NeighborFn&& neighbors) {
+SsspResult DijkstraSssp(const Csr& g, VertexId source) {
   SsspResult r;
-  r.dist.assign(n, kInfDistance);
-  r.parent.assign(n, kInvalidVertex);
-  IndexedHeap heap(n);
+  r.dist.assign(g.NumVertices(), kInfDistance);
+  r.parent.assign(g.NumVertices(), kInvalidVertex);
+  IndexedHeap heap(g.NumVertices());
   r.dist[source] = 0;
   heap.Push(source, 0);
   while (!heap.Empty()) {
     auto [v, d] = heap.PopMin();
-    neighbors(v, [&](VertexId u, Weight w) {
-      const Distance nd = d + w;
+    auto nbrs = g.Neighbors(v);
+    auto ws = g.NeighborWeights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = nbrs[i];
+      const Distance nd = d + ws[i];
       if (nd < r.dist[u]) {
         r.dist[u] = nd;
         r.parent[u] = v;
         heap.PushOrDecrease(u, nd);
       }
-    });
+    }
   }
   return r;
 }
 
-template <typename NeighborFn>
-Distance RunP2P(VertexId n, VertexId s, VertexId t, std::uint64_t* settled,
-                NeighborFn&& neighbors) {
+SsspResult DijkstraSssp(const DiGraph& g, VertexId source) {
+  return DijkstraSssp(g.out(), source);
+}
+
+Distance DijkstraP2P(const Csr& g, VertexId s, VertexId t,
+                     std::uint64_t* settled) {
   if (s == t) return 0;
-  std::vector<Distance> dist(n, kInfDistance);
-  IndexedHeap heap(n);
+  std::vector<Distance> dist(g.NumVertices(), kInfDistance);
+  IndexedHeap heap(g.NumVertices());
   dist[s] = 0;
   heap.Push(s, 0);
   std::uint64_t count = 0;
@@ -44,58 +47,24 @@ Distance RunP2P(VertexId n, VertexId s, VertexId t, std::uint64_t* settled,
       if (settled != nullptr) *settled = count;
       return d;
     }
-    neighbors(v, [&](VertexId u, Weight w) {
-      const Distance nd = d + w;
+    auto nbrs = g.Neighbors(v);
+    auto ws = g.NeighborWeights(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId u = nbrs[i];
+      const Distance nd = d + ws[i];
       if (nd < dist[u]) {
         dist[u] = nd;
         heap.PushOrDecrease(u, nd);
       }
-    });
+    }
   }
   if (settled != nullptr) *settled = count;
   return kInfDistance;
 }
 
-}  // namespace
-
-SsspResult DijkstraSssp(const Graph& g, VertexId source) {
-  return RunSssp(g.NumVertices(), source, [&g](VertexId v, auto&& relax) {
-    auto nbrs = g.Neighbors(v);
-    auto ws = g.NeighborWeights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) relax(nbrs[i], ws[i]);
-  });
-}
-
-SsspResult DijkstraSssp(const DiGraph& g, VertexId source) {
-  return RunSssp(g.NumVertices(), source, [&g](VertexId v, auto&& relax) {
-    auto nbrs = g.OutNeighbors(v);
-    auto ws = g.OutWeights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) relax(nbrs[i], ws[i]);
-  });
-}
-
-Distance DijkstraP2P(const Graph& g, VertexId s, VertexId t,
-                     std::uint64_t* settled) {
-  return RunP2P(g.NumVertices(), s, t, settled,
-                [&g](VertexId v, auto&& relax) {
-                  auto nbrs = g.Neighbors(v);
-                  auto ws = g.NeighborWeights(v);
-                  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-                    relax(nbrs[i], ws[i]);
-                  }
-                });
-}
-
 Distance DijkstraP2P(const DiGraph& g, VertexId s, VertexId t,
                      std::uint64_t* settled) {
-  return RunP2P(g.NumVertices(), s, t, settled,
-                [&g](VertexId v, auto&& relax) {
-                  auto nbrs = g.OutNeighbors(v);
-                  auto ws = g.OutWeights(v);
-                  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-                    relax(nbrs[i], ws[i]);
-                  }
-                });
+  return DijkstraP2P(g.out(), s, t, settled);
 }
 
 }  // namespace islabel

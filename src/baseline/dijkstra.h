@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr.h"
 #include "graph/digraph.h"
 #include "graph/graph.h"
 
@@ -19,12 +20,14 @@ struct SsspResult {
   std::vector<VertexId> parent;   // kInvalidVertex = source/unreachable
 };
 
-SsspResult DijkstraSssp(const Graph& g, VertexId source);
+/// Over an undirected Graph, or any Csr's lists read as arcs v -> u.
+SsspResult DijkstraSssp(const Csr& g, VertexId source);
+/// Over the out-arcs.
 SsspResult DijkstraSssp(const DiGraph& g, VertexId source);
 
 /// Point-to-point with early termination once t is settled.
 /// `settled` (optional) receives the number of settled vertices.
-Distance DijkstraP2P(const Graph& g, VertexId s, VertexId t,
+Distance DijkstraP2P(const Csr& g, VertexId s, VertexId t,
                      std::uint64_t* settled = nullptr);
 Distance DijkstraP2P(const DiGraph& g, VertexId s, VertexId t,
                      std::uint64_t* settled = nullptr);

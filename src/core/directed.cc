@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <utility>
 
-#include "core/label.h"
-#include "core/search_order.h"
+#include "core/labeling.h"
 #include "util/bit_vector.h"
 #include "util/random.h"
 
@@ -80,20 +81,20 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   lg.alive.Resize(n, true);
   lg.num_alive = n;
   for (VertexId v = 0; v < n; ++v) {
-    auto outs = g.OutNeighbors(v);
-    auto ow = g.OutWeights(v);
+    auto outs = g.out().Neighbors(v);
+    auto ow = g.out().NeighborWeights(v);
     for (std::size_t i = 0; i < outs.size(); ++i) {
       lg.out[v].emplace_back(outs[i], ow[i]);
     }
-    auto ins = g.InNeighbors(v);
-    auto iw = g.InWeights(v);
+    auto ins = g.in().Neighbors(v);
+    auto iw = g.in().NeighborWeights(v);
     for (std::size_t i = 0; i < ins.size(); ++i) {
       lg.in[v].emplace_back(ins[i], iw[i]);
     }
   }
 
-  DirectedISLabel idx;
-  idx.level_.assign(n, 0);
+  auto h = std::make_unique<VertexHierarchy>();
+  h->level.assign(n, 0);
   std::vector<std::vector<HierEdge>> removed_out(n), removed_in(n);
   std::vector<std::vector<VertexId>> levels;
   levels.push_back({});
@@ -104,7 +105,7 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   while (true) {
     const std::uint64_t cur_size = lg.SizeVE();
     if (options.StopsAtLevel(i, cur_size, prev_size, lg.num_alive)) {
-      idx.k_ = i;
+      h->k = i;
       break;
     }
 
@@ -150,7 +151,7 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
     BitVector in_li(n);
     for (VertexId v : li) in_li.Set(v);
     for (VertexId v : li) {
-      idx.level_[v] = i;
+      h->level[v] = i;
       removed_out[v] = std::move(lg.out[v]);
       removed_in[v] = std::move(lg.in[v]);
       lg.out[v].clear();
@@ -191,160 +192,63 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   }
 
   for (VertexId v = 0; v < n; ++v) {
-    if (lg.alive[v]) idx.level_[v] = idx.k_;
+    if (lg.alive[v]) h->level[v] = h->k;
   }
 
-  // Residual directed core.
+  // Residual directed core, numbered by the undirected index's BFS rule
+  // over its out-lists and stored over the dense ids. Every list of lg.out
+  // is sorted by head (FilterList keeps the order, MergeArcs merges), so
+  // the arcs come out sorted by (from, to).
   std::vector<Arc> core_arcs;
   for (VertexId v = 0; v < n; ++v) {
-    for (const HierEdge& e : lg.out[v]) {
-      core_arcs.emplace_back(v, e.to, e.w,
-                             options.keep_vias ? e.via : kInvalidVertex);
-    }
+    for (const HierEdge& e : lg.out[v]) core_arcs.emplace_back(v, e.to, e.w);
   }
-  idx.gk_ = DiGraph::FromArcs(std::move(core_arcs), n, options.keep_vias);
+  h->NumberCore(Csr::FromSortedArcs(core_arcs, n, /*keep_vias=*/false));
+  for (Arc& a : core_arcs) {
+    a.from = h->core_id[a.from];
+    a.to = h->core_id[a.to];
+  }
+  DirectedISLabel idx;
+  idx.core_ = std::make_unique<DiGraph>(DiGraph::FromArcs(
+      std::move(core_arcs), static_cast<VertexId>(h->core_vertex.size())));
 
   // Top-down labeling, once per direction: Algorithm 4 only reads the
   // level structure and the per-vertex DAG adjacency, so each direction is
-  // a plain ComputeLabelsTopDown over a hierarchy view whose removed_adj
-  // is that direction's arc set — the directed path gets the arena layout,
+  // a plain ComputeLabelsTopDown over the hierarchy with removed_adj set to
+  // that direction's arc set — the directed path gets the arena layout,
   // the level-parallel builder, and the deterministic (dist, via) tiebreak
   // for free.
-  VertexHierarchy dag;
-  dag.level = idx.level_;
-  dag.k = idx.k_;
-  dag.levels = std::move(levels);
-  dag.removed_adj = std::move(removed_out);
-  idx.out_labels_ = ComputeLabelsTopDown(dag, nullptr, options.num_threads);
-  dag.removed_adj = std::move(removed_in);
-  idx.in_labels_ = ComputeLabelsTopDown(dag, nullptr, options.num_threads);
+  h->levels = std::move(levels);
+  h->removed_adj = std::move(removed_out);
+  idx.out_labels_ = std::make_unique<LabelArena>(
+      ComputeLabelsTopDown(*h, nullptr, options.num_threads));
+  h->removed_adj = std::move(removed_in);
+  idx.in_labels_ = std::make_unique<LabelArena>(
+      ComputeLabelsTopDown(*h, nullptr, options.num_threads));
+  h->removed_adj.clear();
+  idx.hierarchy_ = std::move(h);
+  idx.pool_ = std::make_unique<QueryEnginePool>(
+      idx.hierarchy_.get(),
+      SearchSide{LabelProvider(idx.out_labels_.get()), &idx.core_->out()},
+      SearchSide{LabelProvider(idx.in_labels_.get()), &idx.core_->in()});
   return idx;
 }
 
 std::uint64_t DirectedISLabel::TotalLabelEntries() const {
-  return out_labels_.TotalEntries() + in_labels_.TotalEntries();
+  return out_labels_->TotalEntries() + in_labels_->TotalEntries();
 }
 
-void DirectedISLabel::EnsureScratch() {
-  const std::size_t n = level_.size();
-  for (auto& side : sides_) {
-    if (side.size() != n) side.assign(n, NodeState{});
-  }
+Status DirectedISLabel::Query(VertexId s, VertexId t, Distance* out) const {
+  if (pool_ == nullptr) return Status::FailedPrecondition("index not built");
+  QueryEnginePool::Lease engine = pool_->Acquire();
+  return engine->Query(s, t, out);
 }
 
-Status DirectedISLabel::Query(VertexId s, VertexId t, Distance* out) {
-  const VertexId n = NumVertices();
-  if (s >= n || t >= n) return Status::OutOfRange("vertex id out of range");
-  if (s == t) {
-    *out = 0;
-    return Status::OK();
-  }
-
-  const LabelView ls = out_labels_.View(s);
-  const LabelView lt = in_labels_.View(t);
-  const Eq1Result eq1 = EvaluateEq1(ls, lt);
-
-  // Seed extraction into engine-owned buffers, scanning from each label's
-  // precomputed first-core cut.
-  seeds_[0].clear();
-  seeds_[1].clear();
-  for (std::size_t i = out_labels_.SeedStart(s); i < ls.size(); ++i) {
-    if (InCore(ls[i].node)) seeds_[0].push_back(ls[i]);
-  }
-  for (std::size_t i = in_labels_.SeedStart(t); i < lt.size(); ++i) {
-    if (InCore(lt[i].node)) seeds_[1].push_back(lt[i]);
-  }
-  if (seeds_[0].empty() || seeds_[1].empty()) {
-    *out = eq1.dist;
-    return Status::OK();
-  }
-  *out = BiDijkstra(eq1.dist);
-  return Status::OK();
-}
-
-Status DirectedISLabel::Reachable(VertexId s, VertexId t, bool* out) {
+Status DirectedISLabel::Reachable(VertexId s, VertexId t, bool* out) const {
   Distance d = kInfDistance;
   ISLABEL_RETURN_IF_ERROR(Query(s, t, &d));
   *out = (d != kInfDistance);
   return Status::OK();
-}
-
-Distance DirectedISLabel::BiDijkstra(Distance mu) {
-  EnsureScratch();
-  // Epoch wrap (one in 2^32 queries): stamps compare for exact equality,
-  // so an epoch value may not be reused while stale stamps survive —
-  // reset the state and restart the counter. Same invariant as
-  // QueryEngine::ReserveEpochs (query.cc); kept inline here because this
-  // engine's vertex count is fixed at build time (no resize interaction)
-  // and it reserves exactly one epoch per query.
-  if (++epoch_ == 0) {
-    for (auto& side : sides_) side.assign(side.size(), NodeState{});
-    epoch_ = 1;
-  }
-  const std::uint32_t epoch = epoch_;
-
-  auto dist_of = [&](int side, VertexId v) -> Distance {
-    const NodeState& node = sides_[side][v];
-    return node.stamp == epoch ? node.dist : kInfDistance;
-  };
-
-  pq_[0].Clear();
-  pq_[1].Clear();
-  auto seed = [&](int side) {
-    for (const LabelEntry& e : seeds_[side]) {
-      if (e.dist < dist_of(side, e.node)) {
-        sides_[side][e.node].dist = e.dist;
-        sides_[side][e.node].stamp = epoch;
-        pq_[side].Push(e.node, e.dist);
-      }
-    }
-  };
-  seed(0);
-  seed(1);
-
-  Distance best = mu;
-  // Lazy deletion: an entry is live exactly when its key is its vertex's
-  // stamped distance.
-  auto purge = [&](int side) {
-    while (!pq_[side].Empty()) {
-      const auto [v, d] = pq_[side].PeekMin();
-      if (d == dist_of(side, v)) break;
-      pq_[side].PopMin();
-    }
-  };
-
-  while (true) {
-    purge(0);
-    purge(1);
-    const Distance mf =
-        pq_[0].Empty() ? kInfDistance : pq_[0].PeekMin().second;
-    const Distance mr =
-        pq_[1].Empty() ? kInfDistance : pq_[1].PeekMin().second;
-    if (SatAdd(mf, mr) >= best) break;
-    const int side = SmallerFrontier(pq_[0].Size(), pq_[1].Size());
-    const int opp = 1 - side;
-    const auto [v, d] = pq_[side].PopMin();
-    // Tentative-distance µ update (see query.cc / DESIGN.md).
-    best = std::min(best, SatAdd(dist_of(0, v), dist_of(1, v)));
-    // Forward explores out-arcs; backward explores in-arcs (i.e., walks
-    // arcs against their direction toward t).
-    const auto nbrs = side == 0 ? gk_.OutNeighbors(v) : gk_.InNeighbors(v);
-    const auto ws = side == 0 ? gk_.OutWeights(v) : gk_.InWeights(v);
-    for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      const VertexId u = nbrs[j];
-      const Distance nd = d + ws[j];
-      NodeState& node = sides_[side][u];
-      Distance du = node.stamp == epoch ? node.dist : kInfDistance;
-      if (nd < du) {
-        node.dist = nd;
-        node.stamp = epoch;
-        pq_[side].Push(u, nd);
-        du = nd;
-      }
-      best = std::min(best, SatAdd(du, dist_of(opp, u)));
-    }
-  }
-  return best;
 }
 
 }  // namespace islabel

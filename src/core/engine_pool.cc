@@ -20,7 +20,7 @@ QueryEnginePool::Lease QueryEnginePool::Acquire() {
     if (auto* c = engines_created_.load(std::memory_order_acquire)) c->Inc();
     // Construction happens outside the lock; the constructor only stores
     // pointers (scratch is lazily sized at the engine's first query).
-    engine = std::make_unique<QueryEngine>(hierarchy_, provider_);
+    engine = std::make_unique<QueryEngine>(hierarchy_, forward_, reverse_);
   }
   if (auto* g = leases_active_.load(std::memory_order_acquire)) g->Add(1);
   return Lease(this, std::move(engine));

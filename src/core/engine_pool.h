@@ -31,10 +31,18 @@ namespace islabel {
 
 class QueryEnginePool {
  public:
-  /// Every engine gets a copy of `provider`; the hierarchy and the
-  /// provider's backing storage (arena or store) must outlive the pool.
+  /// Every engine gets a copy of `provider` for both sides and reads
+  /// hierarchy->g_k; the hierarchy and the provider's backing storage
+  /// (arena or store) must outlive the pool.
   QueryEnginePool(const VertexHierarchy* hierarchy, LabelProvider provider)
-      : hierarchy_(hierarchy), provider_(provider) {}
+      : QueryEnginePool(hierarchy, {provider, &hierarchy->g_k},
+                        {provider, &hierarchy->g_k}) {}
+  /// Every engine gets copies of both sides (QueryEngine's two-sided
+  /// constructor); the hierarchy, both providers' storage and both sides'
+  /// lists must outlive the pool.
+  QueryEnginePool(const VertexHierarchy* hierarchy, SearchSide forward,
+                  SearchSide reverse)
+      : hierarchy_(hierarchy), forward_(forward), reverse_(reverse) {}
 
   QueryEnginePool(const QueryEnginePool&) = delete;
   QueryEnginePool& operator=(const QueryEnginePool&) = delete;
@@ -105,7 +113,8 @@ class QueryEnginePool {
   void Return(std::unique_ptr<QueryEngine> engine);
 
   const VertexHierarchy* hierarchy_;
-  LabelProvider provider_;
+  SearchSide forward_;
+  SearchSide reverse_;
   mutable Mutex mu_;
   std::vector<std::unique_ptr<QueryEngine>> free_ GUARDED_BY(mu_);
   std::size_t created_ GUARDED_BY(mu_) = 0;

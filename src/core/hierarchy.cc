@@ -79,7 +79,7 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
 
 }  // namespace
 
-void VertexHierarchy::SetCore(const Graph& core) {
+void VertexHierarchy::NumberCore(const Csr& core) {
   const VertexId n = NumVertices();
   const auto degree = [&](VertexId v) {
     return v < core.NumVertices() ? core.Degree(v) : 0u;
@@ -115,12 +115,19 @@ void VertexHierarchy::SetCore(const Graph& core) {
   }
 
   for (VertexId v = 0; v < core.NumVertices(); ++v) {
-    ISLABEL_DCHECK(core.Degree(v) == 0 || core_id[v] != kInvalidVertex)
-        << "G_k edge endpoint " << v << " is below level " << k;
+    for (const VertexId u : core.Neighbors(v)) {
+      ISLABEL_DCHECK(core_id[v] != kInvalidVertex &&
+                     core_id[u] != kInvalidVertex)
+          << "G_k edge (" << v << ", " << u << ") leaves level " << k;
+    }
   }
   for (VertexId c = 0; c < core_vertex.size(); ++c) {
     ISLABEL_DCHECK(core_id[core_vertex[c]] == c) << "dense id " << c;
   }
+}
+
+void VertexHierarchy::SetCore(const Graph& core) {
+  NumberCore(core);
   g_k = core.Renumbered(core_id, core_vertex);
 }
 

@@ -88,13 +88,19 @@ struct VertexHierarchy {
   }
   bool InCore(VertexId v) const { return level[v] == k; }
 
-  /// Installs G_k from `core`, a CSR over global ids whose edges all join
-  /// level-k vertices (set `level` and `k` first). Every level-k vertex
-  /// gets a dense id in BFS order: components are visited from their
-  /// highest-degree vertex, in descending order of that degree (ties by
-  /// lower id), and neighbors are enqueued in ascending global id. The one
-  /// way to assign g_k, core_id and core_vertex: O(n + |E_k|) plus a sort
+  /// Assigns core_id and core_vertex from `core`, lists over global ids
+  /// whose entries all join level-k vertices (set `level` and `k` first).
+  /// Every level-k vertex gets a dense id in BFS order: components are
+  /// visited from their highest-degree vertex, in descending order of that
+  /// degree (ties by lower id), and neighbors are enqueued in ascending
+  /// global id. The one numbering rule, for G_k here and for the directed
+  /// core over its out-lists (core/directed.h): O(n + |E_k|) plus a sort
   /// of the core vertices by degree.
+  void NumberCore(const Csr& core);
+
+  /// Installs G_k from `core`, a CSR over global ids whose edges all join
+  /// level-k vertices: NumberCore, then g_k is `core` in dense ids. The
+  /// one way to assign g_k, core_id and core_vertex.
   void SetCore(const Graph& core);
 
   /// G_k back in global ids over core_id.size() vertices (NumVertices()

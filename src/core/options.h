@@ -40,7 +40,9 @@ struct IndexOptions {
 
   /// Keep per-edge / per-entry intermediate vertices so shortest *paths*
   /// (not just distances) can be reconstructed (§8.1). Costs one extra
-  /// VertexId per augmenting edge and label entry.
+  /// VertexId per augmenting edge and label entry. Applies to the
+  /// undirected index only: the directed index (§8.2) rebuilds no paths,
+  /// and its core keeps no vias.
   bool keep_vias = true;
 
   /// Vertex consideration order for the independent set (see IsOrder).

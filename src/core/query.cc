@@ -4,11 +4,35 @@
 #include <limits>
 #include <optional>
 
-#include "core/search_order.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace islabel {
+
+namespace {
+
+// The expansion order of Algorithm 1's stage 2 (DESIGN §7.4): the side to
+// expand next, 0 (forward) or 1 (reverse), is the one whose frontier holds
+// fewer entries (Pohl's cardinality rule); ties go forward. A frontier's
+// size is its heap's entry count, lazily deleted entries included, plus
+// the pushes it dropped because they could not beat µ (DESIGN §7.5):
+// counting those keeps the order of the unpruned search.
+//
+// Not the side whose heap minimum, its radius, is smaller: the two sides'
+// seeds start at different label distances (a core endpoint seeds at 0, a
+// below-core one at its label depth), and the radius rule lets the near
+// side flood G_k until its radius catches up. The order never changes an
+// answer: µ is tightened against the opposite side's tentative distance at
+// every settle and at every relaxation that records a distance, and
+// against the warm forward ball when a one-to-many target is seeded, so
+// the stop rule min(FQ) + min(RQ) >= µ is exact whichever side runs. The
+// loop checks the stop rule first, and an empty heap's minimum is ∞, so an
+// exhausted side is never chosen.
+int SmallerFrontier(std::size_t forward, std::size_t reverse) {
+  return forward <= reverse ? 0 : 1;
+}
+
+}  // namespace
 
 Status LabelProvider::View(VertexId v, LabelView* view,
                            std::vector<LabelEntry>* scratch,
@@ -30,7 +54,12 @@ Status LabelProvider::View(VertexId v, LabelView* view,
 
 QueryEngine::QueryEngine(const VertexHierarchy* hierarchy,
                          LabelProvider provider)
-    : h_(hierarchy), provider_(provider) {}
+    : QueryEngine(hierarchy, {provider, &hierarchy->g_k},
+                  {provider, &hierarchy->g_k}) {}
+
+QueryEngine::QueryEngine(const VertexHierarchy* hierarchy, SearchSide forward,
+                         SearchSide reverse)
+    : h_(hierarchy), side_{forward, reverse} {}
 
 void QueryEngine::ExtractSeeds(LabelView label, std::uint32_t cut,
                                std::vector<LabelEntry>* seeds) const {
@@ -54,7 +83,7 @@ Status QueryEngine::FetchLabel(int side, VertexId v, LabelView* label,
     *cut = 0;
     return Status::OK();
   }
-  return provider_.View(v, label, &fetch_[side], ios, cut);
+  return side_[side].labels.View(v, label, &fetch_[side], ios, cut);
 }
 
 void QueryEngine::SeedSide(int side, std::uint32_t epoch) {
@@ -256,7 +285,6 @@ Status QueryEngine::QueryOneToMany(VertexId s,
 Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
                                  std::uint32_t rev_epoch, bool forward_ball,
                                  QueryStats* stats, PathCapture* capture) {
-  const Graph& gk = h_->g_k;
   const std::uint32_t ep[2] = {fwd_epoch, rev_epoch};
 
   auto dist_of = [&](int side, VertexId v) -> Distance {
@@ -291,8 +319,8 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
     // through G_k can beat µ (Theorem 4).
     if (SatAdd(mins[0], mins[1]) >= best) break;
 
-    // Expand the side with fewer frontier entries (core/search_order.h):
-    // the stop rule above is exact in any order.
+    // Expand the side with fewer frontier entries: the stop rule above is
+    // exact in any order.
     const int side = SmallerFrontier(pq_[0].Size() + dropped[0],
                                      pq_[1].Size() + dropped[1]);
     const int opp = 1 - side;
@@ -317,8 +345,11 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
       }
     }
 
-    auto nbrs = gk.Neighbors(v);
-    auto ws = gk.NeighborWeights(v);
+    // The forward side relaxes v's arcs v -> u, the reverse side its arcs
+    // u -> v (one list for both on an undirected G_k).
+    const Csr& arcs = *side_[side].arcs;
+    auto nbrs = arcs.Neighbors(v);
+    auto ws = arcs.NeighborWeights(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId u = nbrs[i];
       const Distance nd = d + ws[i];
@@ -376,7 +407,7 @@ void QueryEngine::TraceSide(int side, VertexId meet, std::uint32_t epoch,
   // record on the chain is stamped: µ only ever comes from recorded
   // distances (a dropped push never lowers it, DESIGN §7.5), and a parent
   // is a settled vertex, whose record no later push rewrites.
-  const Graph& gk = h_->g_k;
+  const Csr& arcs = *side_[side].arcs;
   const std::vector<VertexId>& global = h_->core_vertex;
   steps_out->clear();
   VertexId v = meet;
@@ -384,17 +415,17 @@ void QueryEngine::TraceSide(int side, VertexId meet, std::uint32_t epoch,
   while (state_[v].parent[side] != kInvalidVertex) {
     const VertexId p = state_[v].parent[side];
     ISLABEL_DCHECK(state_[p].stamp[side] == epoch) << "parent not stamped";
-    // The record keeps no via: read it from the G_k edge (p, v) whose
-    // weight is the distance the relaxation added, so only path queries
-    // pay for it.
+    // The record keeps no via: read it from the entry v of p's list (the
+    // one this side relaxed) whose weight is the distance the relaxation
+    // added, so only path queries pay for it.
     const Distance w = state_[v].dist[side] - state_[p].dist[side];
     VertexId via = kInvalidVertex;
-    if (gk.has_vias()) {
-      const auto nbrs = gk.Neighbors(p);
-      const auto ws = gk.NeighborWeights(p);
+    if (arcs.has_vias()) {
+      const auto nbrs = arcs.Neighbors(p);
+      const auto ws = arcs.NeighborWeights(p);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         if (nbrs[i] == v && ws[i] == w) {
-          via = gk.NeighborVias(p)[i];
+          via = arcs.NeighborVias(p)[i];
           break;
         }
       }

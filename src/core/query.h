@@ -10,9 +10,15 @@
 //      with the label entries that land in G_k and pruned by
 //      min(FQ) + min(RQ) >= µ (Theorem 4). This is the paper's Time (b).
 //      Each round expands the side whose frontier holds fewer entries
-//      (core/search_order.h, DESIGN §7.4), and a relaxation whose new
-//      distance plus the opposite heap's minimum cannot beat µ pushes
-//      nothing (DESIGN §7.5); the stop rule stays exact in any order.
+//      (DESIGN §7.4), and a relaxation whose new distance plus the
+//      opposite heap's minimum cannot beat µ pushes nothing (DESIGN §7.5);
+//      the stop rule stays exact in any order.
+//
+// Each side of the search reads its own labels and its own G_k lists (a
+// SearchSide). The undirected index gives both sides its one label source
+// and g_k; the directed index (§8.2, core/directed.h) gives the forward
+// side the out-labels and out-arcs and the reverse side the in-labels and
+// in-arcs, so both run this one loop.
 //
 // The engine owns every piece of per-query state (seed buffers, search
 // arrays, heaps); after the first query on a given hierarchy the hot path
@@ -28,6 +34,7 @@
 #include "core/label.h"
 #include "core/label_arena.h"
 #include "core/labeling.h"
+#include "graph/csr.h"
 #include "storage/label_store.h"
 #include "util/radix_heap.h"
 #include "util/status.h"
@@ -98,11 +105,18 @@ class LabelProvider {
   Status View(VertexId v, LabelView* view, std::vector<LabelEntry>* scratch,
               std::uint64_t* ios, std::uint32_t* seed_start = nullptr);
 
-  bool on_disk() const { return store_ != nullptr; }
-
  private:
   const LabelArena* arena_ = nullptr;
   LabelStore* store_ = nullptr;
+};
+
+/// What one side of the search reads: the labels of its endpoint and the
+/// G_k lists it relaxes, over dense core ids. Side 0 (forward, from s)
+/// relaxes v's list as arcs v -> u; side 1 (reverse, from t) as arcs
+/// u -> v.
+struct SearchSide {
+  LabelProvider labels;
+  const Csr* arcs = nullptr;
 };
 
 /// Executes distance queries against a built hierarchy + labels.
@@ -110,7 +124,12 @@ class LabelProvider {
 /// thread if needed — the hierarchy itself is immutable and shared).
 class QueryEngine {
  public:
+  /// Undirected: both sides read `provider` and hierarchy->g_k.
   QueryEngine(const VertexHierarchy* hierarchy, LabelProvider provider);
+  /// The hierarchy supplies levels and dense core ids; its g_k is read
+  /// only through the sides' `arcs`.
+  QueryEngine(const VertexHierarchy* hierarchy, SearchSide forward,
+              SearchSide reverse);
 
   /// Point-to-point distance (Equation 1 / Algorithm 1). kInfDistance means
   /// unreachable.
@@ -136,8 +155,6 @@ class QueryEngine {
   /// against it.
   void set_disable_mu_pruning(bool v) { disable_mu_pruning_ = v; }
 
-  const VertexHierarchy& hierarchy() const { return *h_; }
-
   /// Test hook: plants the epoch counter so the wrap path (one in 2^32
   /// queries) can be exercised deterministically.
   void SetEpochForTesting(std::uint32_t epoch) { epoch_ = epoch; }
@@ -150,8 +167,8 @@ class QueryEngine {
 
   /// Points *label at label(v) for `side` (0 = s, 1 = t): the synthesized
   /// {(v, 0)} of a core endpoint, which touches no provider, or else the
-  /// provider's view with its first-core cut in *cut. The view stays valid
-  /// until the next fetch for the same side.
+  /// side's provider's view with its first-core cut in *cut. The view
+  /// stays valid until the next fetch for the same side.
   Status FetchLabel(int side, VertexId v, LabelView* label,
                     std::uint32_t* cut, std::uint64_t* ios);
 
@@ -185,7 +202,7 @@ class QueryEngine {
                  LabelEntry* seed_out, std::vector<PathStep>* steps_out) const;
 
   const VertexHierarchy* h_;
-  LabelProvider provider_;
+  SearchSide side_[2];
 
   // Epoch-stamped search state: one record per G_k vertex, indexed by
   // dense core id (so |G_k| records, not n, in BFS order), holding both

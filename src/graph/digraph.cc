@@ -1,11 +1,11 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace islabel {
 
-DiGraph DiGraph::FromArcs(std::vector<Arc> arcs, VertexId num_vertices,
-                          bool keep_vias) {
+DiGraph DiGraph::FromArcs(std::vector<Arc> arcs, VertexId num_vertices) {
   // Drop self-loops; find vertex count.
   std::size_t out = 0;
   VertexId n = num_vertices;
@@ -33,50 +33,12 @@ DiGraph DiGraph::FromArcs(std::vector<Arc> arcs, VertexId num_vertices,
   arcs.resize(out);
 
   DiGraph g;
-  g.out_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  g.in_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  g.out_targets_.resize(arcs.size());
-  g.out_weights_.resize(arcs.size());
-  g.in_sources_.resize(arcs.size());
-  g.in_weights_.resize(arcs.size());
-  if (keep_vias) {
-    g.out_vias_.resize(arcs.size());
-    g.in_vias_.resize(arcs.size());
-  }
-
-  // Out-CSR: arcs already sorted by (from, to).
-  for (const Arc& a : arcs) ++g.out_offsets_[a.from + 1];
-  for (std::size_t i = 1; i < g.out_offsets_.size(); ++i) {
-    g.out_offsets_[i] += g.out_offsets_[i - 1];
-  }
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    g.out_targets_[i] = arcs[i].to;
-    g.out_weights_[i] = arcs[i].w;
-    if (keep_vias) g.out_vias_[i] = arcs[i].via;
-  }
-
-  // In-CSR: re-sort by (to, from).
-  std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {
-    if (a.to != b.to) return a.to < b.to;
-    return a.from < b.from;
-  });
-  for (const Arc& a : arcs) ++g.in_offsets_[a.to + 1];
-  for (std::size_t i = 1; i < g.in_offsets_.size(); ++i) {
-    g.in_offsets_[i] += g.in_offsets_[i - 1];
-  }
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    g.in_sources_[i] = arcs[i].from;
-    g.in_weights_[i] = arcs[i].w;
-    if (keep_vias) g.in_vias_[i] = arcs[i].via;
-  }
+  g.out_ = Csr::FromSortedArcs(arcs, n, /*keep_vias=*/false);
+  // The in-lists are the out-lists of the reversed arcs.
+  for (Arc& a : arcs) std::swap(a.from, a.to);
+  std::sort(arcs.begin(), arcs.end(), kArcOrder);
+  g.in_ = Csr::FromSortedArcs(arcs, n, /*keep_vias=*/false);
   return g;
-}
-
-Distance DiGraph::ArcWeight(VertexId u, VertexId v) const {
-  auto nbrs = OutNeighbors(u);
-  auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) return kInfDistance;
-  return OutWeights(u)[static_cast<std::size_t>(it - nbrs.begin())];
 }
 
 }  // namespace islabel

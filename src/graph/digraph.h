@@ -1,6 +1,7 @@
 // Immutable CSR weighted *directed* graph, the substrate for the directed
-// IS-LABEL variant (§8.2). Stores both out- and in-adjacency so that
-// forward and reverse traversals are symmetric in cost.
+// IS-LABEL variant (§8.2). Stores both out- and in-adjacency, one Csr
+// (graph/csr.h) each, so that forward and reverse traversals are
+// symmetric in cost.
 
 #ifndef ISLABEL_GRAPH_DIGRAPH_H_
 #define ISLABEL_GRAPH_DIGRAPH_H_
@@ -9,21 +10,10 @@
 #include <span>
 #include <vector>
 
+#include "graph/csr.h"
 #include "graph/graph_defs.h"
 
 namespace islabel {
-
-/// A directed edge u -> v.
-struct Arc {
-  VertexId from = 0;
-  VertexId to = 0;
-  Weight w = 1;
-  VertexId via = kInvalidVertex;
-
-  Arc() = default;
-  Arc(VertexId f, VertexId t, Weight ww, VertexId via_v = kInvalidVertex)
-      : from(f), to(t), w(ww), via(via_v) {}
-};
 
 /// Immutable weighted directed graph with out- and in-CSR.
 class DiGraph {
@@ -31,73 +21,32 @@ class DiGraph {
   DiGraph() = default;
 
   /// Builds from an arc list. Self-loops dropped; parallel arcs merged with
-  /// min weight. `num_vertices` may exceed the max endpoint + 1.
-  static DiGraph FromArcs(std::vector<Arc> arcs, VertexId num_vertices = 0,
-                          bool keep_vias = false);
+  /// min weight; vias dropped. `num_vertices` may exceed the max endpoint
+  /// + 1.
+  static DiGraph FromArcs(std::vector<Arc> arcs, VertexId num_vertices = 0);
 
-  VertexId NumVertices() const {
-    return out_offsets_.empty()
-               ? 0
-               : static_cast<VertexId>(out_offsets_.size() - 1);
-  }
-  std::uint64_t NumArcs() const { return out_targets_.size(); }
+  /// Out-lists: v's list holds the head u and weight of each arc v -> u.
+  const Csr& out() const { return out_; }
+  /// In-lists: v's list holds the tail u and weight of each arc u -> v.
+  const Csr& in() const { return in_; }
 
-  std::uint32_t OutDegree(VertexId v) const {
-    return static_cast<std::uint32_t>(out_offsets_[v + 1] - out_offsets_[v]);
-  }
-  std::uint32_t InDegree(VertexId v) const {
-    return static_cast<std::uint32_t>(in_offsets_[v + 1] - in_offsets_[v]);
-  }
-
-  std::span<const VertexId> OutNeighbors(VertexId v) const {
-    return {out_targets_.data() + out_offsets_[v],
-            out_targets_.data() + out_offsets_[v + 1]};
-  }
-  std::span<const Weight> OutWeights(VertexId v) const {
-    return {out_weights_.data() + out_offsets_[v],
-            out_weights_.data() + out_offsets_[v + 1]};
-  }
-  std::span<const VertexId> OutVias(VertexId v) const {
-    return {out_vias_.data() + out_offsets_[v],
-            out_vias_.data() + out_offsets_[v + 1]};
-  }
-
+  VertexId NumVertices() const { return out_.NumVertices(); }
+  std::uint64_t NumArcs() const { return out_.NumArcs(); }
+  std::uint32_t OutDegree(VertexId v) const { return out_.Degree(v); }
+  std::uint32_t InDegree(VertexId v) const { return in_.Degree(v); }
   /// In-neighbors: u such that (u -> v) is an arc.
   std::span<const VertexId> InNeighbors(VertexId v) const {
-    return {in_sources_.data() + in_offsets_[v],
-            in_sources_.data() + in_offsets_[v + 1]};
+    return in_.Neighbors(v);
   }
-  std::span<const Weight> InWeights(VertexId v) const {
-    return {in_weights_.data() + in_offsets_[v],
-            in_weights_.data() + in_offsets_[v + 1]};
-  }
-  std::span<const VertexId> InVias(VertexId v) const {
-    return {in_vias_.data() + in_offsets_[v],
-            in_vias_.data() + in_offsets_[v + 1]};
-  }
-
-  bool has_vias() const { return !out_vias_.empty(); }
 
   /// Weight of arc u -> v, or kInfDistance if absent.
-  Distance ArcWeight(VertexId u, VertexId v) const;
-
-  std::uint64_t MemoryBytes() const {
-    return (out_offsets_.size() + in_offsets_.size()) * sizeof(std::uint64_t) +
-           (out_targets_.size() + in_sources_.size()) * sizeof(VertexId) +
-           (out_weights_.size() + in_weights_.size()) * sizeof(Weight) +
-           (out_vias_.size() + in_vias_.size()) * sizeof(VertexId);
+  Distance ArcWeight(VertexId u, VertexId v) const {
+    return out_.ArcWeight(u, v);
   }
 
  private:
-  std::vector<std::uint64_t> out_offsets_;
-  std::vector<VertexId> out_targets_;
-  std::vector<Weight> out_weights_;
-  std::vector<VertexId> out_vias_;
-
-  std::vector<std::uint64_t> in_offsets_;
-  std::vector<VertexId> in_sources_;
-  std::vector<Weight> in_weights_;
-  std::vector<VertexId> in_vias_;
+  Csr out_;
+  Csr in_;
 };
 
 }  // namespace islabel

@@ -6,64 +6,19 @@
 
 namespace islabel {
 
-namespace {
-
-// A directed copy of an undirected edge, used transiently during CSR build.
-struct DirectedEdge {
-  VertexId src;
-  VertexId dst;
-  Weight w;
-  VertexId via;
-};
-
-}  // namespace
-
 Graph Graph::FromEdgeList(EdgeList edges, bool keep_vias) {
   edges.Normalize();
-  const VertexId n = edges.num_vertices();
 
-  // Expand each undirected edge into its two directed copies and sort by
-  // (src, dst); a single global sort leaves every adjacency list sorted.
-  std::vector<DirectedEdge> directed;
-  directed.reserve(edges.size() * 2);
+  // Expand each undirected edge into its two arcs and sort by (from, to);
+  // a single global sort leaves every adjacency list sorted.
+  std::vector<Arc> arcs;
+  arcs.reserve(edges.size() * 2);
   for (const Edge& e : edges.edges()) {
-    directed.push_back({e.u, e.v, e.w, e.via});
-    directed.push_back({e.v, e.u, e.w, e.via});
+    arcs.emplace_back(e.u, e.v, e.w, e.via);
+    arcs.emplace_back(e.v, e.u, e.w, e.via);
   }
-  std::sort(directed.begin(), directed.end(),
-            [](const DirectedEdge& a, const DirectedEdge& b) {
-              if (a.src != b.src) return a.src < b.src;
-              return a.dst < b.dst;
-            });
-
-  Graph g;
-  g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  g.targets_.resize(directed.size());
-  g.weights_.resize(directed.size());
-  if (keep_vias) g.vias_.resize(directed.size());
-
-  for (const DirectedEdge& e : directed) ++g.offsets_[e.src + 1];
-  for (std::size_t i = 1; i < g.offsets_.size(); ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
-  }
-  for (std::size_t i = 0; i < directed.size(); ++i) {
-    g.targets_[i] = directed[i].dst;
-    g.weights_[i] = directed[i].w;
-    if (keep_vias) g.vias_[i] = directed[i].via;
-  }
-  return g;
-}
-
-bool Graph::HasEdge(VertexId u, VertexId v) const {
-  auto nbrs = Neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
-}
-
-Distance Graph::EdgeWeight(VertexId u, VertexId v) const {
-  auto nbrs = Neighbors(u);
-  auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) return kInfDistance;
-  return NeighborWeights(u)[static_cast<std::size_t>(it - nbrs.begin())];
+  std::sort(arcs.begin(), arcs.end(), kArcOrder);
+  return Graph(Csr::FromSortedArcs(arcs, edges.num_vertices(), keep_vias));
 }
 
 EdgeList Graph::ToEdgeList() const {

@@ -55,6 +55,20 @@ struct Edge {
   }
 };
 
+/// A weighted directed arc from -> to: the input of a DiGraph and of a CSR
+/// fill (graph/csr.h), where an undirected edge is its two arcs. `via` is
+/// as for Edge.
+struct Arc {
+  VertexId from = 0;
+  VertexId to = 0;
+  Weight w = 1;
+  VertexId via = kInvalidVertex;
+
+  Arc() = default;
+  Arc(VertexId f, VertexId t, Weight ww, VertexId via_v = kInvalidVertex)
+      : from(f), to(t), w(ww), via(via_v) {}
+};
+
 }  // namespace islabel
 
 #endif  // ISLABEL_GRAPH_GRAPH_DEFS_H_

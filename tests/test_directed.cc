@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "baseline/dijkstra.h"
 #include "core/directed.h"
@@ -169,6 +171,54 @@ TEST(Directed, StronglyConnectedCycleExact) {
   EXPECT_EQ(d, 30u);
   ASSERT_TRUE(index.Query(0, 59, &d).ok());
   EXPECT_EQ(d, 59u);
+}
+
+TEST(Directed, ConcurrentQueriesMatchDirectedDijkstra) {
+  // One index, four threads: every query leases its own engine, so the
+  // threads share nothing mutable (the TSan job runs this test).
+  DiGraph g = RandomDiGraph(300, 1000, true, 4);
+  auto built = DirectedISLabel::Build(g, IndexOptions{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const DirectedISLabel index = std::move(built).value();
+  std::vector<SsspResult> sssp;
+  for (VertexId s = 0; s < 24; ++s) sssp.push_back(DijkstraSssp(g, s));
+
+  constexpr unsigned kThreads = 4;
+  std::vector<std::thread> pool;
+  for (unsigned w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&, w] {
+      // Each thread walks every source, starting at a different one.
+      for (std::size_t i = 0; i < sssp.size(); ++i) {
+        const VertexId s =
+            static_cast<VertexId>((i + w * sssp.size() / kThreads) %
+                                  sssp.size());
+        for (VertexId t = 0; t < g.NumVertices(); ++t) {
+          Distance got = 0;
+          ASSERT_TRUE(index.Query(s, t, &got).ok());
+          ASSERT_EQ(got, sssp[s].dist[t]) << "(" << s << "->" << t << ")";
+        }
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+}
+
+TEST(Directed, UnbuiltIndexRejectsQueries) {
+  Distance d = 0;
+  bool reachable = false;
+  const DirectedISLabel unbuilt;
+  EXPECT_TRUE(unbuilt.Query(0, 1, &d).IsFailedPrecondition());
+  EXPECT_TRUE(unbuilt.Reachable(0, 1, &reachable).IsFailedPrecondition());
+
+  auto built = DirectedISLabel::Build(RandomDiGraph(20, 40, false, 2),
+                                      IndexOptions{});
+  ASSERT_TRUE(built.ok());
+  DirectedISLabel index = std::move(built).value();
+  const DirectedISLabel moved = std::move(index);
+  EXPECT_TRUE(moved.Query(0, 1, &d).ok());
+  // A moved-from index holds nothing, like a default-constructed one.
+  EXPECT_TRUE(index.Query(0, 1, &d).IsFailedPrecondition());  // NOLINT
+  EXPECT_TRUE(index.Reachable(0, 1, &reachable).IsFailedPrecondition());
 }
 
 }  // namespace

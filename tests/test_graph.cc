@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "graph/components.h"
 #include "graph/digraph.h"
@@ -210,6 +213,48 @@ TEST(DiGraph, SelfLoopsDropped) {
   std::vector<Arc> arcs = {{0, 0, 1}, {0, 1, 1}};
   DiGraph g = DiGraph::FromArcs(arcs);
   EXPECT_EQ(g.NumArcs(), 1u);
+}
+
+TEST(DiGraph, RandomArcsAppearOnceInTheirHeadsInList) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    const VertexId n = 60;
+    std::vector<Arc> arcs;
+    for (int i = 0; i < 400; ++i) {
+      arcs.emplace_back(static_cast<VertexId>(rng.Uniform(n)),
+                        static_cast<VertexId>(rng.Uniform(n)),
+                        static_cast<Weight>(1 + rng.Uniform(9)));
+    }
+    const DiGraph g = DiGraph::FromArcs(arcs, n);
+    // Expected arcs: self-loops dropped, parallel arcs at their min weight.
+    std::map<std::pair<VertexId, VertexId>, Weight> expect;
+    for (const Arc& a : arcs) {
+      if (a.from == a.to) continue;
+      const auto [it, fresh] = expect.emplace(std::pair(a.from, a.to), a.w);
+      if (!fresh) it->second = std::min(it->second, a.w);
+    }
+    ASSERT_EQ(g.NumVertices(), n);
+    ASSERT_EQ(g.NumArcs(), expect.size());
+    ASSERT_EQ(g.in().NumArcs(), expect.size());
+    for (VertexId v = 0; v < n; ++v) {
+      for (const Csr* lists : {&g.out(), &g.in()}) {
+        const auto ids = lists->Neighbors(v);
+        EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(),
+                                     std::greater_equal<VertexId>()),
+                  ids.end())
+            << "list of " << v << " is not strictly sorted by id";
+      }
+    }
+    for (const auto& [arc, w] : expect) {
+      const auto [u, v] = arc;
+      EXPECT_EQ(g.ArcWeight(u, v), w);
+      const auto tails = g.in().Neighbors(v);
+      ASSERT_EQ(std::count(tails.begin(), tails.end(), u), 1)
+          << u << " -> " << v << " in " << v << "'s in-list";
+      const auto at = std::find(tails.begin(), tails.end(), u) - tails.begin();
+      EXPECT_EQ(g.in().NeighborWeights(v)[static_cast<std::size_t>(at)], w);
+    }
+  }
 }
 
 // ---------- Generators ----------
