@@ -196,9 +196,10 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   }
 
   // Residual directed core, numbered by the undirected index's BFS rule
-  // over its out-lists and stored over the dense ids. Every list of lg.out
-  // is sorted by head (FilterList keeps the order, MergeArcs merges), so
-  // the arcs come out sorted by (from, to).
+  // over its out-lists and stored over the dense ids, every list sorted by
+  // weight for the search (DESIGN §7.5). Every list of lg.out is sorted by
+  // head (FilterList keeps the order, MergeArcs merges), so the arcs come
+  // out sorted by (from, to).
   std::vector<Arc> core_arcs;
   for (VertexId v = 0; v < n; ++v) {
     for (const HierEdge& e : lg.out[v]) core_arcs.emplace_back(v, e.to, e.w);
@@ -211,6 +212,7 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   DirectedISLabel idx;
   idx.core_ = std::make_unique<DiGraph>(DiGraph::FromArcs(
       std::move(core_arcs), static_cast<VertexId>(h->core_vertex.size())));
+  idx.core_->SortListsByWeight();
 
   // Top-down labeling, once per direction: Algorithm 4 only reads the
   // level structure and the per-vertex DAG adjacency, so each direction is

@@ -129,6 +129,7 @@ void VertexHierarchy::NumberCore(const Csr& core) {
 void VertexHierarchy::SetCore(const Graph& core) {
   NumberCore(core);
   g_k = core.Renumbered(core_id, core_vertex);
+  g_k.SortListsByWeight();
 }
 
 Graph VertexHierarchy::GlobalCore() const {

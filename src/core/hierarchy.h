@@ -65,7 +65,10 @@ struct VertexHierarchy {
 
   /// Residual graph G_k over dense core ids 0..|G_k|-1 (see SetCore), so
   /// search state can be sized |G_k| rather than n. Via vertices stay
-  /// global ids. Carries vias iff options.keep_vias.
+  /// global ids. Carries vias iff options.keep_vias. Each list is sorted
+  /// by (weight, neighbor id), not by id, so that the G_k search can stop
+  /// at a list's first edge that cannot beat µ (DESIGN §7.5): HasEdge and
+  /// EdgeWeight do not apply (they fail an ISLABEL_DCHECK).
   Graph g_k;
 
   /// Global id -> dense core id; kInvalidVertex for vertices below level k.
@@ -99,12 +102,14 @@ struct VertexHierarchy {
   void NumberCore(const Csr& core);
 
   /// Installs G_k from `core`, a CSR over global ids whose edges all join
-  /// level-k vertices: NumberCore, then g_k is `core` in dense ids. The
-  /// one way to assign g_k, core_id and core_vertex.
+  /// level-k vertices: NumberCore, then g_k is `core` in dense ids with
+  /// its lists sorted by weight. The one way to assign g_k, core_id and
+  /// core_vertex.
   void SetCore(const Graph& core);
 
   /// G_k back in global ids over core_id.size() vertices (NumVertices()
-  /// outside an update): the form core.islg stores and updates edit.
+  /// outside an update), its lists id-ordered: the form core.islg stores
+  /// and updates edit.
   Graph GlobalCore() const;
 };
 

@@ -15,8 +15,8 @@ namespace {
 // expand next, 0 (forward) or 1 (reverse), is the one whose frontier holds
 // fewer entries (Pohl's cardinality rule); ties go forward. A frontier's
 // size is its heap's entry count, lazily deleted entries included, plus
-// the pushes it dropped because they could not beat µ (DESIGN §7.5):
-// counting those keeps the order of the unpruned search.
+// the edges it skipped because they could not beat µ (DESIGN §7.5):
+// counting those keeps close to the order of the unpruned search.
 //
 // Not the side whose heap minimum, its radius, is smaller: the two sides'
 // seeds start at different label distances (a core endpoint seeds at 0, a
@@ -294,10 +294,10 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
 
   Distance best = mu;
   VertexId meet = kInvalidVertex;
-  // Pushes each side dropped because they could not beat µ (DESIGN §7.5).
+  // Edges each side skipped because they could not beat µ (DESIGN §7.5).
   // The expansion order counts them as frontier entries, as if they had
   // been pushed: none of them would ever be popped.
-  std::size_t dropped[2] = {0, 0};
+  std::size_t skipped[2] = {0, 0};
 
   // Drops stale entries so PeekMin is live (lazy deletion). An entry is
   // live exactly when its key is its vertex's stamped distance.
@@ -321,8 +321,8 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
 
     // Expand the side with fewer frontier entries: the stop rule above is
     // exact in any order.
-    const int side = SmallerFrontier(pq_[0].Size() + dropped[0],
-                                     pq_[1].Size() + dropped[1]);
+    const int side = SmallerFrontier(pq_[0].Size() + skipped[0],
+                                     pq_[1].Size() + skipped[1]);
     const int opp = 1 - side;
     // The forward ball of a one-to-many batch serves later targets, whose
     // µ is not this one's, so it keeps every push.
@@ -346,29 +346,37 @@ Distance QueryEngine::SearchLoop(Distance mu, std::uint32_t fwd_epoch,
     }
 
     // The forward side relaxes v's arcs v -> u, the reverse side its arcs
-    // u -> v (one list for both on an undirected G_k).
+    // u -> v (one list for both on an undirected G_k). Lists run in
+    // ascending weight (Csr::SortListsByWeight).
     const Csr& arcs = *side_[side].arcs;
     auto nbrs = arcs.Neighbors(v);
     auto ws = arcs.NeighborWeights(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const VertexId u = nbrs[i];
       const Distance nd = d + ws[i];
       if (stats != nullptr) ++stats->relaxed;
+      // An entry that cannot beat µ against the opposite frontier is never
+      // popped: the stop rule fires first. Every later edge is at least as
+      // heavy, so each would push such an entry or not improve its target:
+      // leave the list here, touching no record. The candidate paths
+      // through the skipped targets are no loss (DESIGN §7.5).
+      if (may_drop && SatAdd(nd, mins[opp]) >= best) {
+        for (std::size_t j = i; j < nbrs.size(); ++j) {
+          const Distance dj = d + ws[j];
+          ISLABEL_DCHECK(ws[j] >= ws[i] && SatAdd(dj, mins[opp]) >= best)
+              << "edge " << j << " of " << v << "'s list is lighter than "
+              << "the edge that stopped the loop";
+          ISLABEL_DCHECK(dj >= dist_of(side, nbrs[j]) ||
+                         SatAdd(dj, dist_of(opp, nbrs[j])) >= best)
+              << "a skipped push would have lowered µ";
+        }
+        skipped[side] += nbrs.size() - i;
+        break;
+      }
+      const VertexId u = nbrs[i];
       CoreState& node = state_[u];
       Distance du =
           node.stamp[side] == ep[side] ? node.dist[side] : kInfDistance;
       if (nd < du) {
-        // An entry that cannot beat µ against the opposite frontier is
-        // never popped: the stop rule fires first. Leave u's record alone
-        // and push nothing. The candidate path through u is no loss: v's
-        // settle above, or the opposite side's settle of u, already saw
-        // one at most as long (DESIGN §7.5).
-        if (may_drop && SatAdd(nd, mins[opp]) >= best) {
-          ISLABEL_DCHECK(SatAdd(nd, dist_of(opp, u)) >= best)
-              << "a dropped push would have lowered µ";
-          ++dropped[side];
-          continue;
-        }
         node.dist[side] = nd;
         node.stamp[side] = ep[side];
         node.parent[side] = v;
@@ -405,8 +413,8 @@ void QueryEngine::TraceSide(int side, VertexId meet, std::uint32_t epoch,
                             std::vector<PathStep>* steps_out) const {
   // The walk runs over dense ids; everything written out is global. Every
   // record on the chain is stamped: µ only ever comes from recorded
-  // distances (a dropped push never lowers it, DESIGN §7.5), and a parent
-  // is a settled vertex, whose record no later push rewrites.
+  // distances (no skipped edge would have lowered it, DESIGN §7.5), and a
+  // parent is a settled vertex, whose record no later push rewrites.
   const Csr& arcs = *side_[side].arcs;
   const std::vector<VertexId>& global = h_->core_vertex;
   steps_out->clear();

@@ -10,9 +10,11 @@
 //      with the label entries that land in G_k and pruned by
 //      min(FQ) + min(RQ) >= µ (Theorem 4). This is the paper's Time (b).
 //      Each round expands the side whose frontier holds fewer entries
-//      (DESIGN §7.4), and a relaxation whose new distance plus the
-//      opposite heap's minimum cannot beat µ pushes nothing (DESIGN §7.5);
-//      the stop rule stays exact in any order.
+//      (DESIGN §7.4). G_k's lists run in ascending weight, so a settled
+//      vertex's list is read only up to its first edge whose new distance
+//      plus the opposite heap's minimum cannot beat µ: that edge and every
+//      later one push nothing (DESIGN §7.5). The stop rule stays exact in
+//      any order.
 //
 // Each side of the search reads its own labels and its own G_k lists (a
 // SearchSide). The undirected index gives both sides its one label source
@@ -57,7 +59,9 @@ struct QueryStats {
   LocationType location = LocationType::kNoneInCore;
   bool used_search = false;          // false = answered by Equation 1 alone
   std::uint64_t settled = 0;         // vertices settled by bi-Dijkstra
-  std::uint64_t relaxed = 0;         // edge relaxations
+  // G_k edges read by bi-Dijkstra, each list up to and including the
+  // edge that stopped it (DESIGN §7.5); the skipped rest is not counted.
+  std::uint64_t relaxed = 0;
   std::size_t intersection_size = 0;
 };
 
@@ -151,8 +155,8 @@ class QueryEngine {
   /// starts with µ = ∞ instead of the Equation-1 bound; answers stay exact
   /// (the final result still takes min with Equation 1). The search then
   /// loses the Equation-1 bound only: µ still tightens as the two sides
-  /// meet, and the stop rule and the dropped pushes (DESIGN §7.5) prune
-  /// against it.
+  /// meet, and from then on the stop rule and each relax loop's early stop
+  /// (DESIGN §7.5) prune against it.
   void set_disable_mu_pruning(bool v) { disable_mu_pruning_ = v; }
 
   /// Test hook: plants the epoch counter so the wrap path (one in 2^32

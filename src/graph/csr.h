@@ -1,11 +1,18 @@
-// Immutable CSR (compressed sparse row) weighted adjacency lists: the one
-// adjacency type behind the undirected Graph (graph/graph.h), which stores
-// each edge in both endpoints' lists, and the DiGraph (graph/digraph.h),
-// which holds one Csr of out-lists and one of in-lists. The arcs of vertex
-// v are positions [offsets[v], offsets[v + 1]) of three aligned arrays:
-// target ids, weights and, optionally, the via of each augmenting edge
-// for shortest-path reconstruction (§8.1); lists without vias do not
-// allocate that array.
+// CSR (compressed sparse row) weighted adjacency lists: the one adjacency
+// type behind the undirected Graph (graph/graph.h), which stores each edge
+// in both endpoints' lists, and the DiGraph (graph/digraph.h), which holds
+// one Csr of out-lists and one of in-lists. The arcs of vertex v are
+// positions [offsets[v], offsets[v + 1]) of three aligned arrays: target
+// ids, weights and, optionally, the via of each augmenting edge for
+// shortest-path reconstruction (§8.1); lists without vias do not allocate
+// that array.
+//
+// Lists are built sorted by target id, and ArcWeight's binary search needs
+// that order. The searched cores (VertexHierarchy::g_k and the directed
+// index's core) are reordered by (weight, target id) once built
+// (SortListsByWeight), so that the G_k search can leave a list at its
+// first edge that cannot beat µ (DESIGN §7.5); nothing looks up an arc
+// by id in them.
 
 #ifndef ISLABEL_GRAPH_CSR_H_
 #define ISLABEL_GRAPH_CSR_H_
@@ -25,7 +32,8 @@ inline constexpr auto kArcOrder = [](const Arc& a, const Arc& b) {
   return a.from != b.from ? a.from < b.from : a.to < b.to;
 };
 
-/// Immutable weighted adjacency lists in CSR form, each sorted by target id.
+/// Weighted adjacency lists in CSR form, each sorted by target id unless
+/// SortListsByWeight reordered them. Immutable but for that reorder.
 class Csr {
  public:
   Csr() = default;
@@ -65,7 +73,8 @@ class Csr {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
-  /// Target ids of v's list, sorted ascending.
+  /// Target ids of v's list: ascending, or in ascending weight (ties by
+  /// id) after SortListsByWeight.
   std::span<const VertexId> Neighbors(VertexId v) const {
     return {targets_.data() + offsets_[v],
             targets_.data() + offsets_[v + 1]};
@@ -81,12 +90,44 @@ class Csr {
   bool has_vias() const { return !vias_.empty(); }
 
   /// Weight of the entry v in u's list, or kInfDistance if absent (binary
-  /// search, O(log deg)).
+  /// search, O(log deg)). u's list must be in target-id order: a lookup on
+  /// a weight-ordered list fails an ISLABEL_DCHECK.
   Distance ArcWeight(VertexId u, VertexId v) const {
     const auto nbrs = Neighbors(u);
+    ISLABEL_DCHECK(std::is_sorted(nbrs.begin(), nbrs.end()))
+        << "id lookup in vertex " << u << "'s list, which is not id-ordered";
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
     if (it == nbrs.end() || *it != v) return kInfDistance;
     return NeighborWeights(u)[static_cast<std::size_t>(it - nbrs.begin())];
+  }
+
+  /// Reorders every list by (weight, target id), each entry keeping its
+  /// weight and via. Binary searches by id (ArcWeight) are then invalid.
+  /// O(|A| log max degree), through one scratch buffer for all lists.
+  void SortListsByWeight() {
+    struct Entry {
+      Weight w;
+      VertexId to;
+      VertexId via;
+    };
+    std::vector<Entry> list;
+    for (VertexId v = 0; v < NumVertices(); ++v) {
+      const std::uint64_t begin = offsets_[v], end = offsets_[v + 1];
+      list.clear();
+      for (std::uint64_t i = begin; i < end; ++i) {
+        list.push_back({weights_[i], targets_[i],
+                        has_vias() ? vias_[i] : kInvalidVertex});
+      }
+      std::sort(list.begin(), list.end(), [](const Entry& a, const Entry& b) {
+        return a.w != b.w ? a.w < b.w : a.to < b.to;
+      });
+      for (std::uint64_t i = begin; i < end; ++i) {
+        const Entry& e = list[i - begin];
+        weights_[i] = e.w;
+        targets_[i] = e.to;
+        if (has_vias()) vias_[i] = e.via;
+      }
+    }
   }
 
   /// Approximate heap footprint, used to report index/graph sizes.

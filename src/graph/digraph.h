@@ -1,5 +1,5 @@
-// Immutable CSR weighted *directed* graph, the substrate for the directed
-// IS-LABEL variant (§8.2). Stores both out- and in-adjacency, one Csr
+// CSR weighted *directed* graph, the substrate for the directed IS-LABEL
+// variant (§8.2). Stores both out- and in-adjacency, one Csr
 // (graph/csr.h) each, so that forward and reverse traversals are
 // symmetric in cost.
 
@@ -15,7 +15,8 @@
 
 namespace islabel {
 
-/// Immutable weighted directed graph with out- and in-CSR.
+/// Weighted directed graph with out- and in-CSR, immutable but for
+/// SortListsByWeight.
 class DiGraph {
  public:
   DiGraph() = default;
@@ -39,9 +40,17 @@ class DiGraph {
     return in_.Neighbors(v);
   }
 
-  /// Weight of arc u -> v, or kInfDistance if absent.
+  /// Weight of arc u -> v, or kInfDistance if absent (u's out-list must be
+  /// id-ordered, see Csr::ArcWeight).
   Distance ArcWeight(VertexId u, VertexId v) const {
     return out_.ArcWeight(u, v);
+  }
+
+  /// Reorders the out- and in-lists by (weight, id), as the G_k search
+  /// reads a core (Csr::SortListsByWeight).
+  void SortListsByWeight() {
+    out_.SortListsByWeight();
+    in_.SortListsByWeight();
   }
 
  private:

@@ -2,7 +2,10 @@
 //
 // This is the in-memory adjacency-list representation the paper assumes
 // (§2): vertices are dense ids, each adjacency list is sorted by neighbor
-// id, and each undirected edge {u,v} is stored in both lists. The lists
+// id, and each undirected edge {u,v} is stored in both lists. The one
+// exception is the searched core VertexHierarchy::g_k, whose lists are
+// sorted by (weight, neighbor id) for the G_k search (Csr::SortListsByWeight,
+// DESIGN §7.5): HasEdge and EdgeWeight do not apply to it. The lists
 // live in the Csr base (graph/csr.h), so Neighbors, NeighborWeights,
 // NeighborVias and Degree read it directly; the optional per-edge `via`
 // array carries augmenting-edge provenance for shortest-path
@@ -37,7 +40,8 @@ class Graph : public Csr {
   /// compares these sizes across levels.
   std::uint64_t SizeVE() const { return NumVertices() + NumEdges(); }
 
-  /// True iff the edge {u,v} exists (binary search, O(log deg)).
+  /// True iff the edge {u,v} exists (binary search, O(log deg); u's list
+  /// must be id-ordered, see Csr::ArcWeight).
   bool HasEdge(VertexId u, VertexId v) const {
     return ArcWeight(u, v) != kInfDistance;
   }
@@ -48,9 +52,10 @@ class Graph : public Csr {
   EdgeList ToEdgeList() const;
 
   /// This graph with vertex v renamed new_id[v], over old_id.size()
-  /// vertices; adjacency lists come out sorted by the new ids. The maps
-  /// must be inverse on every vertex that has an edge (old_id[new_id[v]]
-  /// == v); old_id holds kInvalidVertex for new ids with no old vertex.
+  /// vertices; adjacency lists come out sorted by the new ids, whatever
+  /// the order of this graph's lists. The maps must be inverse on every
+  /// vertex that has an edge (old_id[new_id[v]] == v); old_id holds
+  /// kInvalidVertex for new ids with no old vertex.
   /// O(|V| + |E|), no sort. The transpose that sorts the lists holds only
   /// because every edge sits in both of its endpoints' lists.
   Graph Renumbered(const std::vector<VertexId>& new_id,

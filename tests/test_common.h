@@ -179,6 +179,25 @@ inline void AssertValidPath(const Graph& g, VertexId s, VertexId t,
   ASSERT_EQ(total, dist) << "path length disagrees with reported distance";
 }
 
+/// Passes iff every list of `g` runs in ascending (weight, neighbor id)
+/// order, the order the G_k search reads (Csr::SortListsByWeight).
+inline ::testing::AssertionResult ListsAreWeightOrdered(const Csr& g) {
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const auto nbrs = g.Neighbors(v);
+    const auto ws = g.NeighborWeights(v);
+    for (std::size_t i = 1; i < nbrs.size(); ++i) {
+      if (ws[i - 1] < ws[i] || (ws[i - 1] == ws[i] && nbrs[i - 1] < nbrs[i])) {
+        continue;
+      }
+      return ::testing::AssertionFailure()
+             << "vertex " << v << ": entry " << i << " (" << nbrs[i] << ", w "
+             << ws[i] << ") follows (" << nbrs[i - 1] << ", w " << ws[i - 1]
+             << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // ---------------------------------------------------------------------------
 // The paper's worked example (Figures 1-3, Examples 1-6).
 //

@@ -269,9 +269,11 @@ TEST_P(HierarchyTest, StructuralInvariants) {
     }
   }
 
-  // G_k spans exactly the level-k vertices, one dense id each.
+  // G_k spans exactly the level-k vertices, one dense id each, and its
+  // lists run in the (weight, id) order the search reads.
   ASSERT_EQ(h.core_id.size(), g.NumVertices());
   ASSERT_EQ(h.g_k.NumVertices(), h.core_vertex.size());
+  EXPECT_TRUE(testing::ListsAreWeightOrdered(h.g_k));
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     if (h.level[v] < h.k) {
       ASSERT_EQ(h.core_id[v], kInvalidVertex) << "removed vertex in G_k";
@@ -326,6 +328,20 @@ TEST(Hierarchy, CoreIdsFollowBfsOrderFromHighestDegreeRoots) {
     ASSERT_TRUE(hr.ok());
     const VertexHierarchy& h = *hr;
     const Graph& gk = h.g_k;
+    // g_k's lists are weight-ordered: walk each in id order, and find an
+    // edge by a linear scan, not by EdgeWeight's binary search.
+    const auto ids_in_order = [&](VertexId v) {
+      std::vector<VertexId> ids(gk.Neighbors(v).begin(),
+                                gk.Neighbors(v).end());
+      std::sort(ids.begin(), ids.end());
+      return ids;
+    };
+    const auto weight_of = [&](VertexId u, VertexId v) -> Distance {
+      const auto nbrs = gk.Neighbors(u);
+      const auto it = std::find(nbrs.begin(), nbrs.end(), v);
+      if (it == nbrs.end()) return kInfDistance;
+      return gk.NeighborWeights(u)[static_cast<std::size_t>(it - nbrs.begin())];
+    };
 
     std::uint32_t prev_root_degree = std::numeric_limits<std::uint32_t>::max();
     std::size_t components = 0;
@@ -339,7 +355,7 @@ TEST(Hierarchy, CoreIdsFollowBfsOrderFromHighestDegreeRoots) {
       for (VertexId v = root; v < end; ++v) {
         ASSERT_GE(hops[v], hops[v - (v > root ? 1 : 0)]) << "dense id " << v;
         max_degree = std::max(max_degree, gk.Degree(v));
-        for (VertexId u : gk.Neighbors(v)) {
+        for (VertexId u : ids_in_order(v)) {
           if (hops[u] != kInvalidVertex) continue;
           ASSERT_EQ(u, end) << "component ids are not one BFS range";
           hops[u] = hops[v] + 1;
@@ -364,7 +380,7 @@ TEST(Hierarchy, CoreIdsFollowBfsOrderFromHighestDegreeRoots) {
     for (const Edge& e : edges.edges()) {
       ASSERT_EQ(h.level[e.u], h.k);
       ASSERT_EQ(h.level[e.v], h.k);
-      ASSERT_EQ(gk.EdgeWeight(h.core_id[e.u], h.core_id[e.v]), e.w);
+      ASSERT_EQ(weight_of(h.core_id[e.u], h.core_id[e.v]), e.w);
     }
   }
 }

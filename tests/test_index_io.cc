@@ -241,10 +241,14 @@ TEST_F(IndexIoTest, CoreFileRoundTripsByteIdentical) {
     auto built = ISLabelIndex::Build(g, opts);
     ASSERT_TRUE(built.ok());
     ISLabelIndex index = std::move(built).value();
+    // Searched in (weight, id) order, whichever way G_k was installed.
+    EXPECT_TRUE(testing::ListsAreWeightOrdered(index.hierarchy().g_k));
     ASSERT_TRUE(index.InsertVertex(index.NumVertices(), {{0, 3}, {90, 2}}).ok());
+    EXPECT_TRUE(testing::ListsAreWeightOrdered(index.hierarchy().g_k));
     VertexId core = 0;
     while (!index.InCore(core)) ++core;
     ASSERT_TRUE(index.DeleteVertex(core).ok());
+    EXPECT_TRUE(testing::ListsAreWeightOrdered(index.hierarchy().g_k));
 
     const std::string first = dir_ + "/first", second = dir_ + "/second";
     ASSERT_TRUE(index.Save(first).ok());
@@ -253,6 +257,7 @@ TEST_F(IndexIoTest, CoreFileRoundTripsByteIdentical) {
 
     auto in_memory = ISLabelIndex::Load(first, /*labels_in_memory=*/true);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    EXPECT_TRUE(testing::ListsAreWeightOrdered(in_memory->hierarchy().g_k));
     ASSERT_TRUE(in_memory->Save(second).ok());
     for (const char* name : {"core.islg", "meta.islm", "labels.isl"}) {
       EXPECT_EQ(ReadBytes(second + "/" + name),
@@ -263,6 +268,7 @@ TEST_F(IndexIoTest, CoreFileRoundTripsByteIdentical) {
     auto on_disk = ISLabelIndex::Load(first, /*labels_in_memory=*/false);
     ASSERT_TRUE(on_disk.ok()) << on_disk.status().ToString();
     const VertexHierarchy& h = on_disk->hierarchy();
+    EXPECT_TRUE(testing::ListsAreWeightOrdered(h.g_k));
     ASSERT_TRUE(WriteGraphBinary(h.GlobalCore(), dir_ + "/disk.islg").ok());
     EXPECT_EQ(ReadBytes(dir_ + "/disk.islg"), core_bytes);
   }

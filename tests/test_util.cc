@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <map>
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "graph/graph.h"
 #include "util/bit_vector.h"
 #include "util/indexed_heap.h"
 #include "util/io_stats.h"
@@ -457,6 +459,23 @@ TEST(DcheckDeathTest, FailedCheckLogsAndAborts) {
   EXPECT_EQ(calls, 1);
   EXPECT_DEATH(ISLABEL_DCHECK(calls == 2) << "context " << 42,
                "Check failed: calls == 2 context 42");
+#endif
+}
+
+// An id lookup binary-searches its list, so on a weight-ordered one (G_k's,
+// Csr::SortListsByWeight) it must abort rather than answer wrong.
+TEST(DcheckDeathTest, IdLookupOnWeightOrderedListAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "ISLABEL_DCHECK is compiled out under NDEBUG";
+#else
+  EdgeList edges(3);
+  edges.Add(0, 1, 5);
+  edges.Add(0, 2, 1);
+  Graph g = Graph::FromEdgeList(std::move(edges));
+  EXPECT_EQ(g.EdgeWeight(0, 1), 5u);
+  g.SortListsByWeight();
+  ASSERT_EQ(g.Neighbors(0)[0], 2u);
+  EXPECT_DEATH((void)g.EdgeWeight(0, 1), "which is not id-ordered");
 #endif
 }
 
