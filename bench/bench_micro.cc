@@ -125,7 +125,7 @@ void BM_IndependentSet(benchmark::State& state) {
   for (auto _ : state) {
     LevelGraph lg = LevelGraph::FromGraph(g);
     benchmark::DoNotOptimize(
-        ComputeIndependentSet(lg, IsOrder::kMinDegree, &rng));
+        ComputeIndependentSet({&lg}, IsOrder::kMinDegree, &rng));
   }
 }
 BENCHMARK(BM_IndependentSet);

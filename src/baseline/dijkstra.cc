@@ -62,9 +62,4 @@ Distance DijkstraP2P(const Csr& g, VertexId s, VertexId t,
   return kInfDistance;
 }
 
-Distance DijkstraP2P(const DiGraph& g, VertexId s, VertexId t,
-                     std::uint64_t* settled) {
-  return DijkstraP2P(g.out(), s, t, settled);
-}
-
 }  // namespace islabel

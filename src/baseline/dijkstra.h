@@ -29,8 +29,6 @@ SsspResult DijkstraSssp(const DiGraph& g, VertexId source);
 /// `settled` (optional) receives the number of settled vertices.
 Distance DijkstraP2P(const Csr& g, VertexId s, VertexId t,
                      std::uint64_t* settled = nullptr);
-Distance DijkstraP2P(const DiGraph& g, VertexId s, VertexId t,
-                     std::uint64_t* settled = nullptr);
 
 }  // namespace islabel
 

@@ -4,59 +4,19 @@
 #include <queue>
 #include <utility>
 
-#include "core/augment.h"
-#include "core/independent_set.h"
-#include "core/level_graph.h"
-#include "util/random.h"
-
 namespace islabel {
 
-Result<VcIndex> VcIndex::Build(const Graph& g, const VcIndexOptions& options) {
-  if (options.tau <= 0.0 || options.tau > 1.0) {
-    return Status::InvalidArgument("tau must be in (0, 1]");
-  }
-  const VertexId n = g.NumVertices();
+Result<VcIndex> VcIndex::Build(const Graph& g) {
+  IndexOptions options;
+  options.keep_vias = false;
+  ISLABEL_ASSIGN_OR_RETURN(VertexHierarchy h, BuildHierarchy(g, options));
   VcIndex idx;
-  idx.level_.assign(n, 0);
-  idx.removed_adj_.resize(n);
-  idx.waves_.push_back({});  // 1-based
-
-  LevelGraph lg = LevelGraph::FromGraph(g);
-  Rng rng(options.seed);
-  std::uint64_t prev_size = lg.SizeVE();
-  std::uint32_t i = 1;
-  while (true) {
-    const std::uint64_t cur_size = lg.SizeVE();
-    bool stop = lg.num_alive == 0 || i >= options.max_levels;
-    if (!stop && i >= 2 &&
-        static_cast<double>(cur_size) >
-            options.tau * static_cast<double>(prev_size)) {
-      stop = true;
-    }
-    if (stop) {
-      idx.num_levels_ = i;
-      break;
-    }
-    // W_i := complement of a greedy vertex cover = a maximal independent
-    // set chosen min-degree-first, exactly the reduction step of the
-    // original system.
-    std::vector<VertexId> wave =
-        ComputeIndependentSet(lg, IsOrder::kMinDegree, &rng);
-    for (VertexId v : wave) {
-      idx.level_[v] = i;
-      idx.removed_adj_[v] = std::move(lg.adj[v]);
-    }
-    auto aug = AugmentInPlace(&lg, wave, idx.removed_adj_);
-    if (!aug.ok()) return aug.status();
-    idx.waves_.push_back(std::move(wave));
-    prev_size = cur_size;
-    ++i;
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    if (lg.alive[v]) idx.level_[v] = idx.num_levels_;
-  }
-  idx.top_vertices_ = lg.num_alive;
-  idx.top_graph_ = lg.ToGraph(/*keep_vias=*/false);
+  idx.top_graph_ = h.GlobalCore();
+  idx.top_vertices_ = h.core_vertex.size();
+  idx.num_levels_ = h.k;
+  idx.level_ = std::move(h.level);
+  idx.removed_adj_ = std::move(h.removed_adj);
+  idx.waves_ = std::move(h.levels);
   return idx;
 }
 

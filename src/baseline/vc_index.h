@@ -4,14 +4,16 @@
 //
 // Construction removes, per level, an independent set W_i (the complement
 // of a vertex cover C_i of G_i) and preserves distances by clique-joining
-// each removed vertex's neighborhood — structurally the same reduction
-// IS-LABEL uses, which is why the two indexes have comparable build costs.
-// The difference is the query algorithm: VC-Index answers *single-source*
-// queries by lifting the source to the top graph, running a full Dijkstra
-// there, and sweeping distances back down level by level. Following §7.3,
-// the P2P conversion simply stops as soon as t's distance is final — the
-// remaining per-level sweeps still touch many irrelevant vertices, which
-// is exactly the inefficiency Table 8 quantifies.
+// each removed vertex's neighborhood — the same reduction IS-LABEL uses,
+// so the index is IS-LABEL's own hierarchy (BuildHierarchy with default
+// options, min-degree-first sets and τ = σ = 0.95, without vias), and the
+// two indexes have comparable build costs. The difference is the query
+// algorithm: VC-Index answers *single-source* queries by lifting the
+// source to the top graph, running a full Dijkstra there, and sweeping
+// distances back down level by level. Following §7.3, the P2P conversion
+// simply stops as soon as t's distance is final — the remaining per-level
+// sweeps still touch many irrelevant vertices, which is exactly the
+// inefficiency Table 8 quantifies.
 
 #ifndef ISLABEL_BASELINE_VC_INDEX_H_
 #define ISLABEL_BASELINE_VC_INDEX_H_
@@ -20,20 +22,10 @@
 #include <vector>
 
 #include "core/hierarchy.h"
-#include "core/options.h"
 #include "graph/graph.h"
 #include "util/result.h"
 
 namespace islabel {
-
-/// Build configuration for VC-Index.
-struct VcIndexOptions {
-  /// Stop reducing when |G_{i+1}| / |G_i| exceeds this (same role as
-  /// IS-LABEL's σ).
-  double tau = 0.95;
-  std::uint32_t max_levels = 64;
-  std::uint64_t seed = 42;
-};
 
 /// Vertex-cover hierarchy distance index (exact).
 class VcIndex {
@@ -42,8 +34,7 @@ class VcIndex {
   VcIndex(VcIndex&&) = default;
   VcIndex& operator=(VcIndex&&) = default;
 
-  static Result<VcIndex> Build(const Graph& g,
-                               const VcIndexOptions& options = {});
+  static Result<VcIndex> Build(const Graph& g);
 
   /// P2P distance: SSSP machinery halted once dist(s, t) is final.
   Distance QueryP2P(VertexId s, VertexId t, std::uint64_t* settled = nullptr);

@@ -65,8 +65,6 @@ struct Catalog::Dataset {
 // Handle
 // ---------------------------------------------------------------------------
 
-const std::string& Catalog::Handle::name() const { return dataset_->name; }
-
 DatasetState Catalog::Handle::state() const {
   MutexLock lock(&dataset_->mu);
   return dataset_->state;

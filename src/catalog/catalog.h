@@ -122,7 +122,6 @@ class Catalog {
     Handle& operator=(Handle&&) = default;
 
     explicit operator bool() const { return dataset_ != nullptr; }
-    const std::string& name() const;
     DatasetState state() const;
 
     /// Snapshot of the current index (nullptr until loaded). Holding the

@@ -7,25 +7,9 @@
 
 namespace islabel {
 
-namespace {
-
-// One directed augmenting-edge record; mirrors the EA array of Algorithm 3.
-struct EaRecord {
-  VertexId src;
-  VertexId dst;
-  Weight w;
-  VertexId via;
-};
-
-}  // namespace
-
-Result<AugmentStats> AugmentInPlace(
-    LevelGraph* g, const std::vector<VertexId>& removed,
-    const std::vector<std::vector<HierEdge>>& removed_adj) {
-  AugmentStats stats;
-  const VertexId n = static_cast<VertexId>(g->adj.size());
-
-  BitVector in_removed(n);
+Status DropVertices(LevelGraph* g, const std::vector<VertexId>& removed,
+                    const std::vector<std::vector<HierEdge>>& named_by) {
+  BitVector in_removed(static_cast<VertexId>(g->adj.size()));
   for (VertexId v : removed) in_removed.Set(v);
 
   // Line 2 of Algorithm 3: delete the removed vertices and their incident
@@ -39,10 +23,10 @@ Result<AugmentStats> AugmentInPlace(
     g->alive.Clear(v);
   }
   g->num_alive -= removed.size();
-  // Only lists that touched a removed vertex need filtering; find them from
-  // the removed adjacency snapshots rather than scanning every list.
+  // Only lists that name a removed vertex need filtering; find them from
+  // `named_by` rather than scanning every list.
   for (VertexId v : removed) {
-    for (const HierEdge& e : removed_adj[v]) {
+    for (const HierEdge& e : named_by[v]) {
       if (in_removed[e.to]) {
         return Status::FailedPrecondition(
             "removed set is not independent: edge inside L_i");
@@ -55,27 +39,34 @@ Result<AugmentStats> AugmentInPlace(
       list.resize(out);
     }
   }
+  return Status::OK();
+}
 
-  // Lines 3-6: the 2-hop self-join producing EA. Each pair u < w of
-  // neighbors of a removed v yields both directed copies.
-  std::vector<EaRecord> ea;
+Status EmitAugmentingArcs(const std::vector<VertexId>& removed,
+                          const std::vector<std::vector<HierEdge>>& in,
+                          const std::vector<std::vector<HierEdge>>& out,
+                          std::vector<EaRecord>* ea) {
+  // Lines 3-6: the 2-hop self-join producing EA.
   for (VertexId v : removed) {
-    const auto& adj = removed_adj[v];
-    for (std::size_t i = 0; i < adj.size(); ++i) {
-      for (std::size_t j = i + 1; j < adj.size(); ++j) {
-        const std::uint64_t wide =
-            static_cast<std::uint64_t>(adj[i].w) + adj[j].w;
+    for (const HierEdge& from : in[v]) {
+      for (const HierEdge& to : out[v]) {
+        if (from.to == to.to) continue;  // no self-loop u -> u
+        const std::uint64_t wide = static_cast<std::uint64_t>(from.w) + to.w;
         if (wide > std::numeric_limits<Weight>::max()) {
           return Status::OutOfRange(
               "augmenting edge weight overflows the Weight type");
         }
-        const Weight w = static_cast<Weight>(wide);
-        ea.push_back({adj[i].to, adj[j].to, w, v});
-        ea.push_back({adj[j].to, adj[i].to, w, v});
-        ++stats.pairs_considered;
+        ea->push_back({from.to, to.to, static_cast<Weight>(wide), v});
       }
     }
   }
+  return Status::OK();
+}
+
+AugmentStats MergeAugmentingArcs(std::vector<EaRecord>* records,
+                                 LevelGraph* g) {
+  AugmentStats stats;
+  std::vector<EaRecord>& ea = *records;
 
   // Line 7: sort EA by vertex ids (weight as tiebreak so the min-weight
   // copy of duplicate pairs comes first).
@@ -90,15 +81,11 @@ Result<AugmentStats> AugmentInPlace(
 
   // Collapse duplicate (src, dst) records; the sort put the minimum-weight
   // copy first, so keeping the first occurrence applies the min() rule.
-  std::size_t uniq = 0;
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    if (uniq > 0 && ea[uniq - 1].src == ea[i].src &&
-        ea[uniq - 1].dst == ea[i].dst) {
-      continue;
-    }
-    ea[uniq++] = ea[i];
-  }
-  ea.resize(uniq);
+  ea.erase(std::unique(ea.begin(), ea.end(),
+                       [](const EaRecord& a, const EaRecord& b) {
+                         return a.src == b.src && a.dst == b.dst;
+                       }),
+           ea.end());
 
   // Line 8: merge EA into the (sorted) adjacency lists, keeping the smaller
   // weight for duplicates. Process one source vertex's run at a time.
@@ -119,14 +106,13 @@ Result<AugmentStats> AugmentInPlace(
         merged.push_back(list[li++]);
       } else if (li >= list.size() || ea[ei].dst < list[li].to) {
         merged.emplace_back(ea[ei].dst, ea[ei].w, ea[ei].via);
-        // Each undirected insertion is counted once (on the src < dst copy).
-        if (src < ea[ei].dst) ++stats.edges_inserted;
+        ++stats.edges_inserted;
         ++ei;
       } else {
         // Same target: keep the smaller weight (and its via).
         if (ea[ei].w < list[li].w) {
           merged.emplace_back(ea[ei].dst, ea[ei].w, ea[ei].via);
-          if (src < ea[ei].dst) ++stats.weights_lowered;
+          ++stats.weights_lowered;
         } else {
           merged.push_back(list[li]);
         }
@@ -137,7 +123,21 @@ Result<AugmentStats> AugmentInPlace(
     list.swap(merged);
     pos = end;
   }
+  return stats;
+}
 
+Result<AugmentStats> AugmentInPlace(
+    LevelGraph* g, const std::vector<VertexId>& removed,
+    const std::vector<std::vector<HierEdge>>& removed_adj) {
+  ISLABEL_RETURN_IF_ERROR(DropVertices(g, removed, removed_adj));
+  std::vector<EaRecord> ea;
+  ISLABEL_RETURN_IF_ERROR(
+      EmitAugmentingArcs(removed, removed_adj, removed_adj, &ea));
+  AugmentStats stats = MergeAugmentingArcs(&ea, g);
+  // Each edge arrives as both of its arcs, which the symmetric lists
+  // treat alike.
+  stats.edges_inserted /= 2;
+  stats.weights_lowered /= 2;
   return stats;
 }
 

@@ -1,10 +1,12 @@
 // Directed IS-LABEL (§8.2).
 //
-// The independent set ignores edge direction; augmenting arcs are created
-// only for directed 2-paths u→v→w over a removed vertex v. Every vertex
-// carries two labels: the out-label (ancestors reached by arcs from lower
-// to higher level) and the in-label (the symmetric construction on
-// reversed arcs). A query s→t evaluates Equation 1 over
+// The hierarchy runs the undirected index's Algorithms 2 and 3
+// (core/independent_set.h, core/augment.h) over G_i's out- and in-lists:
+// the independent set ignores edge direction, and augmenting arcs are
+// created only for directed 2-paths u→v→w over a removed vertex v.
+// Every vertex carries two labels: the out-label (ancestors reached by
+// arcs from lower to higher level) and the in-label (the symmetric
+// construction on reversed arcs). A query s→t evaluates Equation 1 over
 // LABEL_out(s) ∩ LABEL_in(t), falling back to the label-seeded
 // bidirectional Dijkstra on G_k of the undirected index: a QueryEngine
 // (core/query.h) whose forward side reads the out-labels and out-arcs and

@@ -38,8 +38,8 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
     ls.num_vertices = lg.num_alive;
     ls.num_edges = cur_edges;
 
-    // Termination (§5.1): forced k, the σ shrinkage criterion, exhaustion,
-    // or the level-count safety bound.
+    // Termination (§5.1): forced k, the σ shrinkage criterion or
+    // exhaustion.
     if (options.StopsAtLevel(i, cur_size, prev_size, lg.num_alive)) {
       h.k = i;
       h.stats.push_back(ls);
@@ -47,7 +47,7 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
     }
 
     std::vector<VertexId> li =
-        ComputeIndependentSet(lg, options.is_order, &rng);
+        ComputeIndependentSet({&lg}, options.is_order, &rng);
     ls.is_size = li.size();
 
     // Snapshot ADJ(L_i) — both the labeling input and what Algorithm 3
@@ -56,15 +56,10 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
       h.level[v] = i;
       h.removed_adj[v] = std::move(lg.adj[v]);
     }
-    auto aug = AugmentInPlace(&lg, li, h.removed_adj);
-    if (!aug.ok()) return aug.status();
-    ls.augmenting_edges = aug->edges_inserted + aug->weights_lowered;
+    ISLABEL_RETURN_IF_ERROR(AugmentInPlace(&lg, li, h.removed_adj).status());
 
     h.levels.push_back(std::move(li));
     h.stats.push_back(ls);
-    ISLABEL_LOG(kInfo) << "level " << i << ": |V|=" << ls.num_vertices
-                       << " |E|=" << ls.num_edges << " |L|=" << ls.is_size
-                       << " aug=" << ls.augmenting_edges;
     prev_size = cur_size;
     ++i;
   }

@@ -48,7 +48,6 @@ struct LevelStats {
   std::uint64_t num_vertices = 0;  // |V_{G_i}|
   std::uint64_t num_edges = 0;     // |E_{G_i}|
   std::uint64_t is_size = 0;       // |L_i| (0 for the terminal level)
-  std::uint64_t augmenting_edges = 0;  // edges inserted/updated building G_{i+1}
 };
 
 /// The k-level vertex hierarchy (Definition 4).

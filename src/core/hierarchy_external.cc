@@ -27,7 +27,6 @@
 #include "storage/external_sorter.h"
 #include "storage/record_stream.h"
 #include "util/bit_vector.h"
-#include "util/logging.h"
 
 namespace islabel {
 
@@ -338,8 +337,6 @@ Result<VertexHierarchy> BuildHierarchyExternal(const Graph& g,
 
     h.levels.push_back(std::move(li));
     h.stats.push_back(ls);
-    ISLABEL_LOG(kInfo) << "ext level " << i << ": |V|=" << ls.num_vertices
-                       << " |E|=" << ls.num_edges << " |L|=" << ls.is_size;
     prev_size = cur_size;
     ++i;
   }

@@ -5,10 +5,16 @@
 // keeps an exclusion set L' (vertices adjacent to an already-selected
 // vertex); a vertex is selected iff it is not yet excluded. The result is a
 // *maximal* independent set of G_i.
+//
+// One scan serves every in-memory hierarchy. It reads G_i as the level
+// graphs that share one vertex set: the undirected G_i is one graph, and a
+// directed G_i (§8.2) is its out- and in-graph, so that the set is
+// independent over both arc directions.
 
 #ifndef ISLABEL_CORE_INDEPENDENT_SET_H_
 #define ISLABEL_CORE_INDEPENDENT_SET_H_
 
+#include <initializer_list>
 #include <vector>
 
 #include "core/level_graph.h"
@@ -17,12 +23,14 @@
 
 namespace islabel {
 
-/// Computes a maximal independent set of the alive subgraph of `g`,
-/// considering vertices in the order implied by `order` (ties broken by
-/// vertex id so results are deterministic). Returns the selected vertices
-/// sorted by id.
-std::vector<VertexId> ComputeIndependentSet(const LevelGraph& g,
-                                            IsOrder order, Rng* rng);
+/// Computes a maximal independent set of the alive vertices of `graphs`,
+/// level graphs over one vertex set (alive bits are read from the first).
+/// A vertex's degree is the sum of its list lengths, and selecting it
+/// excludes every vertex on any of its lists. Vertices are considered in
+/// the order implied by `order` (ties broken by vertex id so results are
+/// deterministic). Returns the selected vertices sorted by id.
+std::vector<VertexId> ComputeIndependentSet(
+    std::initializer_list<const LevelGraph*> graphs, IsOrder order, Rng* rng);
 
 }  // namespace islabel
 

@@ -1,7 +1,8 @@
 // LevelGraph: the mutable working graph G_i used during hierarchy
 // construction. Adjacency lists are kept sorted by target id — the on-disk
 // "adjacency list representation" of the paper, materialized in memory for
-// the in-memory pipeline.
+// the in-memory pipeline. An undirected G_i is one LevelGraph; a directed
+// one is two, its out- and in-lists (core/augment.h).
 
 #ifndef ISLABEL_CORE_LEVEL_GRAPH_H_
 #define ISLABEL_CORE_LEVEL_GRAPH_H_
@@ -15,14 +16,15 @@
 
 namespace islabel {
 
-/// Mutable symmetric adjacency over the full vertex-id space; vertices
-/// removed at earlier levels have alive=false and empty lists.
+/// Mutable adjacency over the full vertex-id space; vertices removed at
+/// earlier levels have alive=false and empty lists.
 struct LevelGraph {
   std::vector<std::vector<HierEdge>> adj;
   BitVector alive;
   std::uint64_t num_alive = 0;
 
-  static LevelGraph FromGraph(const Graph& g) {
+  /// The lists of `g`: an undirected Graph, or a DiGraph's out() or in().
+  static LevelGraph FromGraph(const Csr& g) {
     LevelGraph lg;
     const VertexId n = g.NumVertices();
     lg.adj.resize(n);
@@ -41,12 +43,15 @@ struct LevelGraph {
     return lg;
   }
 
-  /// Undirected edge count (each edge appears in two lists).
-  std::uint64_t CountEdges() const {
-    std::uint64_t dir = 0;
-    for (const auto& list : adj) dir += list.size();
-    return dir / 2;
+  /// Entries over all lists: |A| of a directed out- or in-graph.
+  std::uint64_t CountArcs() const {
+    std::uint64_t arcs = 0;
+    for (const auto& list : adj) arcs += list.size();
+    return arcs;
   }
+
+  /// Undirected edge count (each edge appears in two lists).
+  std::uint64_t CountEdges() const { return CountArcs() / 2; }
 
   /// |G| = |V| + |E| (§2), the quantity the σ criterion compares.
   std::uint64_t SizeVE() const { return num_alive + CountEdges(); }

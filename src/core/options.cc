@@ -24,7 +24,7 @@ Status IndexOptions::Validate() const {
 bool IndexOptions::StopsAtLevel(std::uint32_t i, std::uint64_t cur_size,
                                 std::uint64_t prev_size,
                                 std::uint64_t alive) const {
-  if (alive == 0 || (max_levels != 0 && i >= max_levels)) return true;
+  if (alive == 0) return true;
   if (forced_k != 0) return i == forced_k;
   return !full_hierarchy && i >= 2 &&
          static_cast<double>(cur_size) >

@@ -34,10 +34,6 @@ struct IndexOptions {
   /// §4 "full hierarchy" in which every query is answered by Equation 1.
   bool full_hierarchy = false;
 
-  /// Safety bound on the number of levels (0 = none). Construction stops
-  /// with k = max_levels when reached.
-  std::uint32_t max_levels = 0;
-
   /// Keep per-edge / per-entry intermediate vertices so shortest *paths*
   /// (not just distances) can be reconstructed (§8.1). Costs one extra
   /// VertexId per augmenting edge and label entry. Applies to the
@@ -75,7 +71,8 @@ struct IndexOptions {
   /// (|V| + |E|) and `alive` is |V(G_i)|.
   /// Stops at forced_k when set, otherwise (unless full_hierarchy) at the
   /// first i >= 2 with cur_size > sigma * prev_size; always stops once
-  /// G_i is empty or i reaches max_levels.
+  /// G_i is empty, which ends every peel: a non-empty G_i has a non-empty
+  /// maximal independent set.
   bool StopsAtLevel(std::uint32_t i, std::uint64_t cur_size,
                     std::uint64_t prev_size, std::uint64_t alive) const;
 };

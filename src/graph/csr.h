@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_defs.h"
@@ -105,27 +106,26 @@ class Csr {
   /// weight and via. Binary searches by id (ArcWeight) are then invalid.
   /// O(|A| log max degree), through one scratch buffer for all lists.
   void SortListsByWeight() {
-    struct Entry {
-      Weight w;
-      VertexId to;
-      VertexId via;
-    };
-    std::vector<Entry> list;
+    // One (w << 32 | to) key per entry orders by (weight, id) in a single
+    // integer compare; the via rides along. A list names a target once,
+    // so the keys are distinct and the order is total.
+    static_assert(sizeof(Weight) == 4 && sizeof(VertexId) == 4);
+    std::vector<std::pair<std::uint64_t, VertexId>> list;
     for (VertexId v = 0; v < NumVertices(); ++v) {
       const std::uint64_t begin = offsets_[v], end = offsets_[v + 1];
       list.clear();
       for (std::uint64_t i = begin; i < end; ++i) {
-        list.push_back({weights_[i], targets_[i],
-                        has_vias() ? vias_[i] : kInvalidVertex});
+        list.emplace_back((std::uint64_t{weights_[i]} << 32) | targets_[i],
+                          has_vias() ? vias_[i] : kInvalidVertex);
       }
-      std::sort(list.begin(), list.end(), [](const Entry& a, const Entry& b) {
-        return a.w != b.w ? a.w < b.w : a.to < b.to;
+      std::sort(list.begin(), list.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
       });
       for (std::uint64_t i = begin; i < end; ++i) {
-        const Entry& e = list[i - begin];
-        weights_[i] = e.w;
-        targets_[i] = e.to;
-        if (has_vias()) vias_[i] = e.via;
+        const auto& [key, via] = list[i - begin];
+        weights_[i] = static_cast<Weight>(key >> 32);
+        targets_[i] = static_cast<VertexId>(key);
+        if (has_vias()) vias_[i] = via;
       }
     }
   }

@@ -22,11 +22,6 @@ void FaultInjector::AddRule(FaultRule rule) {
   rules_.push_back(std::move(rule));
 }
 
-void FaultInjector::Clear() {
-  MutexLock lock(&mu_);
-  rules_.clear();
-}
-
 FaultStats FaultInjector::stats() const {
   MutexLock lock(&mu_);
   return stats_;

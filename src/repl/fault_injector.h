@@ -68,11 +68,10 @@ struct FaultStats {
 class FaultInjector {
  public:
   void AddRule(FaultRule rule);
-  void Clear();
   FaultStats stats() const;
 
   // -- Used by FaultInjectingTransport and its connections; tests only
-  // need AddRule/Clear/stats. --
+  // need AddRule/stats. --
 
   /// Consumes one firing of the first live rule of `kind` matching
   /// `endpoint`; returns false if none. `arg` (nullable) receives the

@@ -117,8 +117,8 @@ bool ReplicaAgent::Tick() {
     MutexLock lock(&mu_);
     if (clock_->NowMs() < next_due_ms_) return false;
   }
-  // The sync outcome is recorded in last_status_ (and drives backoff);
-  // Tick's contract is only "was a sync attempted".
+  // The sync outcome drives backoff; Tick's contract is only "was a sync
+  // attempted".
   (void)SyncNow();
   return true;
 }
@@ -143,7 +143,6 @@ Status ReplicaAgent::SyncNow() {
     }
   }
   MutexLock lock(&mu_);
-  last_status_ = st;
   if (st.ok()) {
     backoff_.Reset();
     next_due_ms_ = now + options_.poll_interval_ms;
@@ -382,11 +381,6 @@ ReplicaAgent::Stats ReplicaAgent::stats() const {
   s.primary_up =
       contacted_ && now - last_contact_ms_ <= options_.primary_timeout_ms;
   return s;
-}
-
-Status ReplicaAgent::last_status() const {
-  MutexLock lock(&mu_);
-  return last_status_;
 }
 
 std::string ReplicaAgent::HandleVersion() {

@@ -106,8 +106,6 @@ class ReplicaAgent : public server::ReplicationHooks {
     bool primary_up = false;
   };
   Stats stats() const;
-  /// The last sync error (OK after a clean sync).
-  Status last_status() const;
 
   // -- ReplicationHooks: the serving face of a replica. --
   std::string HandleVersion() override;
@@ -140,7 +138,6 @@ class ReplicaAgent : public server::ReplicationHooks {
   // last_contact_ms_ is meaningless until contacted_.
   std::uint64_t last_contact_ms_ GUARDED_BY(mu_) = 0;
   std::uint64_t lag_gens_ GUARDED_BY(mu_) = 0;
-  Status last_status_ GUARDED_BY(mu_);
   // Registry series (catalog registry, DESIGN.md §16) — atomics, bumped
   // wherever convenient without mu_.
   obs::Counter* polls_c_;

@@ -1,5 +1,5 @@
 // Baseline cross-validation: Dijkstra vs BFS, bidirectional Dijkstra,
-// VC-Index (SSSP and P2P), and Pruned Landmark Labeling all agree.
+// CH and VC-Index (SSSP and P2P) all agree.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "baseline/bidijkstra.h"
 #include "baseline/contraction_hierarchy.h"
 #include "baseline/dijkstra.h"
-#include "baseline/pll.h"
 #include "baseline/vc_index.h"
 #include "tests/test_common.h"
 
@@ -225,47 +224,6 @@ TEST(ContractionHierarchies, SettledCountsStaySmallOnGrid) {
   }
   // CH's upward searches touch a tiny fraction of a road-like graph.
   EXPECT_LT(total_settled / 50, g.NumVertices() / 4);
-}
-
-// ---------- PLL ----------
-
-class PllTest : public ::testing::TestWithParam<std::tuple<Family, bool>> {};
-
-TEST_P(PllTest, MatchesDijkstra) {
-  const auto [family, weighted] = GetParam();
-  Graph g = MakeTestGraph(family, 150, weighted, 6);
-  auto built = PrunedLandmarkLabeling::Build(g);
-  ASSERT_TRUE(built.ok());
-  PrunedLandmarkLabeling pll = std::move(built).value();
-  for (VertexId s = 0; s < std::min<VertexId>(g.NumVertices(), 8); ++s) {
-    SsspResult expect = DijkstraSssp(g, s);
-    for (VertexId t = 0; t < g.NumVertices(); ++t) {
-      ASSERT_EQ(pll.Query(s, t), expect.dist[t])
-          << "(" << s << "," << t << ")";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Families, PllTest,
-    ::testing::Combine(::testing::Values(Family::kErdosRenyi, Family::kRMat,
-                                         Family::kGrid, Family::kStar,
-                                         Family::kTree,
-                                         Family::kDisconnected),
-                       ::testing::Bool()),
-    ([](const auto& info) {
-      const auto [family, weighted] = info.param;
-      return std::string(testing::FamilyName(family)) +
-             (weighted ? "_Weighted" : "_Unit");
-    }));
-
-TEST(Pll, LabelsAreModest) {
-  Graph g = MakeTestGraph(Family::kBarabasiAlbert, 300, false, 7);
-  auto built = PrunedLandmarkLabeling::Build(g);
-  ASSERT_TRUE(built.ok());
-  // Pruning must keep labels well below the quadratic worst case.
-  EXPECT_LT(built->MeanLabelSize(), 64.0);
-  EXPECT_GT(built->TotalEntries(), g.NumVertices());  // at least self+some
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Tests for hierarchy construction: Algorithm 2 (independent set),
-// Algorithm 3 (distance-preserving augmentation), the σ / forced-k / full
-// termination rules, and the structural invariants of Definition 1.
+// Algorithm 3 (distance-preserving augmentation), both also over a
+// digraph's out- and in-graph (§8.2), the σ / forced-k / full termination
+// rules, and the structural invariants of Definition 1.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/dijkstra.h"
@@ -14,6 +16,7 @@
 #include "core/hierarchy.h"
 #include "core/independent_set.h"
 #include "core/level_graph.h"
+#include "graph/digraph.h"
 #include "tests/test_common.h"
 #include "util/random.h"
 
@@ -33,7 +36,7 @@ TEST_P(IsOrderTest, IndependentAndMaximal) {
   Graph g = MakeTestGraph(family, n, /*weighted=*/false, /*seed=*/4);
   LevelGraph lg = LevelGraph::FromGraph(g);
   Rng rng(7);
-  std::vector<VertexId> is = ComputeIndependentSet(lg, order, &rng);
+  std::vector<VertexId> is = ComputeIndependentSet({&lg}, order, &rng);
 
   BitVector in_set(g.NumVertices());
   for (VertexId v : is) in_set.Set(v);
@@ -76,7 +79,7 @@ TEST(IndependentSet, MinDegreeSelectsIsolatedAndLeavesFirst) {
   Graph g = Graph::FromEdgeList(GenerateStar(50));
   LevelGraph lg = LevelGraph::FromGraph(g);
   Rng rng(1);
-  auto is = ComputeIndependentSet(lg, IsOrder::kMinDegree, &rng);
+  auto is = ComputeIndependentSet({&lg}, IsOrder::kMinDegree, &rng);
   EXPECT_EQ(is.size(), 49u);
   for (VertexId v : is) EXPECT_NE(v, 0u);
 }
@@ -87,7 +90,7 @@ TEST(IndependentSet, IncludesIsolatedVertices) {
   Graph g = Graph::FromEdgeList(el);  // 2,3,4,5 isolated
   LevelGraph lg = LevelGraph::FromGraph(g);
   Rng rng(1);
-  auto is = ComputeIndependentSet(lg, IsOrder::kMinDegree, &rng);
+  auto is = ComputeIndependentSet({&lg}, IsOrder::kMinDegree, &rng);
   BitVector in_set(6);
   for (VertexId v : is) in_set.Set(v);
   for (VertexId v = 2; v < 6; ++v) EXPECT_TRUE(in_set[v]);
@@ -98,8 +101,58 @@ TEST(IndependentSet, DeterministicForFixedSeed) {
   LevelGraph lg1 = LevelGraph::FromGraph(g);
   LevelGraph lg2 = LevelGraph::FromGraph(g);
   Rng r1(5), r2(5);
-  EXPECT_EQ(ComputeIndependentSet(lg1, IsOrder::kRandom, &r1),
-            ComputeIndependentSet(lg2, IsOrder::kRandom, &r2));
+  EXPECT_EQ(ComputeIndependentSet({&lg1}, IsOrder::kRandom, &r1),
+            ComputeIndependentSet({&lg2}, IsOrder::kRandom, &r2));
+}
+
+// A vertex's degree is the sum of its list lengths. In an in-star (arcs
+// leaf -> 0) the hub has out-degree 0 but 49 in-arcs, so min-degree
+// order takes the 49 leaves (degree 1) before the hub.
+TEST(IndependentSet, DirectedDegreeCountsBothLists) {
+  std::vector<Arc> arcs;
+  for (VertexId leaf = 1; leaf < 50; ++leaf) arcs.emplace_back(leaf, 0, 1);
+  const DiGraph g = DiGraph::FromArcs(std::move(arcs), 50);
+  const LevelGraph out = LevelGraph::FromGraph(g.out());
+  const LevelGraph in = LevelGraph::FromGraph(g.in());
+  Rng rng(1);
+  const std::vector<VertexId> is =
+      ComputeIndependentSet({&out, &in}, IsOrder::kMinDegree, &rng);
+  EXPECT_EQ(is.size(), 49u);
+  for (VertexId v : is) EXPECT_NE(v, 0u);
+}
+
+// Over a digraph's out- and in-graph the set holds no arc, in either
+// direction, and every vertex left out has an in- or out-neighbor in it.
+TEST(IndependentSet, DirectedSetHoldsNoArc) {
+  const VertexId n = 200;
+  for (const IsOrder order :
+       {IsOrder::kMinDegree, IsOrder::kRandom, IsOrder::kMaxDegree}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      std::vector<Arc> arcs;
+      for (int a = 0; a < 3 * static_cast<int>(n); ++a) {
+        arcs.emplace_back(static_cast<VertexId>(rng.Uniform(n)),
+                          static_cast<VertexId>(rng.Uniform(n)), 1);
+      }
+      const DiGraph g = DiGraph::FromArcs(std::move(arcs), n);
+      const LevelGraph out = LevelGraph::FromGraph(g.out());
+      const LevelGraph in = LevelGraph::FromGraph(g.in());
+      const std::vector<VertexId> is =
+          ComputeIndependentSet({&out, &in}, order, &rng);
+
+      BitVector in_set(n);
+      for (VertexId v : is) in_set.Set(v);
+      for (VertexId v = 0; v < n; ++v) {
+        bool dominated = in_set[v];
+        for (VertexId u : g.out().Neighbors(v)) {
+          ASSERT_FALSE(in_set[v] && in_set[u]) << "arc " << v << "->" << u;
+          dominated |= in_set[u];
+        }
+        for (VertexId u : g.in().Neighbors(v)) dominated |= in_set[u];
+        ASSERT_TRUE(dominated) << "vertex " << v << " could be added";
+      }
+    }
+  }
 }
 
 // ---------- Augmentation (Algorithm 3, Lemma 2) ----------
@@ -114,7 +167,7 @@ TEST_P(AugmentTest, PreservesAllPairDistances) {
 
   LevelGraph lg = LevelGraph::FromGraph(g);
   Rng rng(seed);
-  std::vector<VertexId> is = ComputeIndependentSet(lg, IsOrder::kMinDegree,
+  std::vector<VertexId> is = ComputeIndependentSet({&lg}, IsOrder::kMinDegree,
                                                    &rng);
   std::vector<std::vector<HierEdge>> removed_adj(n);
   for (VertexId v : is) removed_adj[v] = std::move(lg.adj[v]);
@@ -226,6 +279,48 @@ TEST(Augment, WeightOverflowDetected) {
   auto aug = AugmentInPlace(&lg, {1}, removed_adj);
   ASSERT_FALSE(aug.ok());
   EXPECT_TRUE(aug.status().IsOutOfRange());
+}
+
+// The three steps over a digraph, as the directed index runs them: the
+// out-graph gains the EA records, the in-graph the reversed ones.
+TEST(Augment, DirectedTwoPathsBecomeArcs) {
+  // In-arcs of 1 come from 0 (2), 2 (1) and 3 (1); its out-arcs go to
+  // 2 (3) and 4 (1); 3 -> 4 (1) is lighter than 3 -> 1 -> 4.
+  const DiGraph g = DiGraph::FromArcs(
+      {{0, 1, 2}, {1, 2, 3}, {2, 1, 1}, {3, 1, 1}, {1, 4, 1}, {3, 4, 1}}, 5);
+  LevelGraph out = LevelGraph::FromGraph(g.out());
+  LevelGraph in = LevelGraph::FromGraph(g.in());
+  const std::vector<VertexId> removed = {1};
+  std::vector<std::vector<HierEdge>> removed_out(5), removed_in(5);
+  removed_out[1] = std::move(out.adj[1]);
+  removed_in[1] = std::move(in.adj[1]);
+  ASSERT_TRUE(DropVertices(&out, removed, removed_in).ok());
+  ASSERT_TRUE(DropVertices(&in, removed, removed_out).ok());
+  std::vector<EaRecord> ea;
+  ASSERT_TRUE(EmitAugmentingArcs(removed, removed_in, removed_out, &ea).ok());
+  MergeAugmentingArcs(&ea, &out);
+  for (EaRecord& r : ea) std::swap(r.src, r.dst);
+  MergeAugmentingArcs(&ea, &in);
+
+  // u -> 1 -> w adds u -> w, weight summed and via 1, to u's out-list and
+  // w's in-list; 2 -> 1 -> 2 adds no self-loop; 3 -> 4 keeps weight 1.
+  using Edges = std::vector<HierEdge>;
+  EXPECT_EQ(out.adj[0], (Edges{{2, 5, 1}, {4, 3, 1}}));
+  EXPECT_EQ(out.adj[2], (Edges{{4, 2, 1}}));
+  EXPECT_EQ(out.adj[3], (Edges{{2, 4, 1}, {4, 1}}));
+  EXPECT_EQ(in.adj[2], (Edges{{0, 5, 1}, {3, 4, 1}}));
+  EXPECT_EQ(in.adj[4], (Edges{{0, 3, 1}, {2, 2, 1}, {3, 1}}));
+  // Nothing reaches 0 or 3, nor leaves 4, through 1: no 2 -> 0 arc
+  // without a 2 -> 1 -> 0 path.
+  EXPECT_TRUE(out.adj[4].empty());
+  EXPECT_TRUE(in.adj[0].empty());
+  EXPECT_TRUE(in.adj[3].empty());
+  EXPECT_TRUE(out.adj[1].empty());
+  EXPECT_TRUE(in.adj[1].empty());
+  EXPECT_FALSE(out.alive[1]);
+  EXPECT_FALSE(in.alive[1]);
+  EXPECT_EQ(out.num_alive, 4u);
+  EXPECT_EQ(in.num_alive, 4u);
 }
 
 // ---------- Full hierarchy construction ----------
@@ -419,16 +514,6 @@ TEST(Hierarchy, SigmaMonotonicity) {
   ASSERT_TRUE(h1.ok());
   ASSERT_TRUE(h2.ok());
   EXPECT_LE(h2->k, h1->k);
-}
-
-TEST(Hierarchy, MaxLevelsBound) {
-  Graph g = MakeTestGraph(Family::kGrid, 400, false, 2);
-  IndexOptions opts;
-  opts.full_hierarchy = true;
-  opts.max_levels = 3;
-  auto hr = BuildHierarchy(g, opts);
-  ASSERT_TRUE(hr.ok());
-  EXPECT_EQ(hr->k, 3u);
 }
 
 TEST(Hierarchy, LevelStatsShrink) {

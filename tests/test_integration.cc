@@ -8,7 +8,6 @@
 
 #include "baseline/bidijkstra.h"
 #include "baseline/dijkstra.h"
-#include "baseline/pll.h"
 #include "baseline/vc_index.h"
 #include "core/index.h"
 #include "graph/components.h"
@@ -37,10 +36,6 @@ TEST(Integration, AllMethodsAgreeOnSocialStandIn) {
   ASSERT_TRUE(vc_built.ok());
   VcIndex vc = std::move(vc_built).value();
 
-  auto pll_built = PrunedLandmarkLabeling::Build(g);
-  ASSERT_TRUE(pll_built.ok());
-  PrunedLandmarkLabeling pll = std::move(pll_built).value();
-
   BidirectionalDijkstra bidij(&g);
 
   for (auto [s, t] : SampleQueryPairs(g, 200, 4242)) {
@@ -49,11 +44,9 @@ TEST(Integration, AllMethodsAgreeOnSocialStandIn) {
     const Distance d_dij = DijkstraP2P(g, s, t);
     const Distance d_bi = bidij.Query(s, t);
     const Distance d_vc = vc.QueryP2P(s, t);
-    const Distance d_pll = pll.Query(s, t);
     ASSERT_EQ(d_is, d_dij) << "IS-LABEL (" << s << "," << t << ")";
     ASSERT_EQ(d_bi, d_dij) << "IM-DIJ (" << s << "," << t << ")";
     ASSERT_EQ(d_vc, d_dij) << "VC-Index (" << s << "," << t << ")";
-    ASSERT_EQ(d_pll, d_dij) << "PLL (" << s << "," << t << ")";
   }
 }
 
