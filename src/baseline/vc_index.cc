@@ -1,7 +1,8 @@
 #include "baseline/vc_index.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
+#include <limits>
 #include <utility>
 
 namespace islabel {
@@ -27,24 +28,23 @@ std::uint64_t VcIndex::SizeBytes() const {
   return bytes;
 }
 
-Distance VcIndex::QueryP2P(VertexId s, VertexId t, std::uint64_t* settled) {
+std::uint64_t VcIndex::Search(VertexId s, VertexId t) {
   const VertexId n = static_cast<VertexId>(level_.size());
-  if (s >= n || t >= n) return kInfDistance;
-  if (s == t) return 0;
-
-  if (dist_.size() != n) {
+  // Fresh scratch at the first query and before the epoch would wrap: a
+  // stamp is valid by equality, so no epoch value may come round again
+  // while stamps from its last use survive.
+  if (dist_.size() != n ||
+      epoch_ == std::numeric_limits<std::uint32_t>::max()) {
     dist_.assign(n, kInfDistance);
     stamp_.assign(n, 0);
+    popped_.assign(n, 0);
+    bucket_.assign(num_levels_ + 1, {});
+    epoch_ = 0;
   }
-  ++epoch_;
-  const std::uint32_t epoch = epoch_;
+  const std::uint32_t epoch = ++epoch_;
   std::uint64_t touched = 0;
-
-  auto get = [&](VertexId v) -> Distance {
-    return stamp_[v] == epoch ? dist_[v] : kInfDistance;
-  };
   auto relax = [&](VertexId v, Distance d) {
-    if (d < get(v)) {
+    if (d < DistOf(v)) {
       dist_[v] = d;
       stamp_[v] = epoch;
       return true;
@@ -54,137 +54,85 @@ Distance VcIndex::QueryP2P(VertexId s, VertexId t, std::uint64_t* settled) {
 
   // Phase 1: lift s through the removal DAG (offsets = shortest strictly
   // level-increasing walks from s). Levels are a topological order.
-  std::vector<std::vector<VertexId>> bucket(num_levels_ + 1);
+  for (auto& b : bucket_) b.clear();
   relax(s, 0);
-  bucket[level_[s]].push_back(s);
+  bucket_[level_[s]].push_back(s);
   for (std::uint32_t lvl = level_[s]; lvl < num_levels_; ++lvl) {
-    for (std::size_t bi = 0; bi < bucket[lvl].size(); ++bi) {
-      const VertexId v = bucket[lvl][bi];
+    for (std::size_t bi = 0; bi < bucket_[lvl].size(); ++bi) {
+      const VertexId v = bucket_[lvl][bi];
       ++touched;
       for (const HierEdge& e : removed_adj_[v]) {
         // Push on improvement; duplicates re-expand harmlessly since a
         // vertex's value is final once its level's turn arrives.
-        if (relax(e.to, get(v) + e.w)) bucket[level_[e.to]].push_back(e.to);
+        if (relax(e.to, DistOf(v) + e.w)) {
+          bucket_[level_[e.to]].push_back(e.to);
+        }
       }
     }
   }
 
   // Phase 2: multi-source Dijkstra on the top graph (early exit only when
   // t itself lives there).
-  using PqEntry = std::pair<Distance, VertexId>;
-  std::priority_queue<PqEntry, std::vector<PqEntry>, std::greater<PqEntry>>
-      pq;
-  for (VertexId v : bucket[num_levels_]) pq.push({get(v), v});
-  const bool t_on_top = (level_[t] == num_levels_);
-  std::vector<bool> popped(n, false);
-  while (!pq.empty()) {
-    const auto [d, v] = pq.top();
-    pq.pop();
-    if (popped[v] || d != get(v)) continue;
-    popped[v] = true;
+  const auto later = std::greater<std::pair<Distance, VertexId>>();
+  heap_.clear();
+  for (VertexId v : bucket_[num_levels_]) {
+    heap_.emplace_back(DistOf(v), v);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+  const bool t_on_top = t != kInvalidVertex && level_[t] == num_levels_;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [d, v] = heap_.back();
+    heap_.pop_back();
+    if (popped_[v] == epoch || d != DistOf(v)) continue;
+    popped_[v] = epoch;
     ++touched;
-    if (t_on_top && v == t) {
-      if (settled != nullptr) *settled = touched;
-      return d;
-    }
+    if (t_on_top && v == t) return touched;
     auto nbrs = top_graph_.Neighbors(v);
     auto ws = top_graph_.NeighborWeights(v);
     for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      if (relax(nbrs[j], d + ws[j])) pq.push({d + ws[j], nbrs[j]});
+      if (relax(nbrs[j], d + ws[j])) {
+        heap_.emplace_back(d + ws[j], nbrs[j]);
+        std::push_heap(heap_.begin(), heap_.end(), later);
+      }
     }
   }
-  if (t_on_top) {
-    if (settled != nullptr) *settled = touched;
-    return get(t);
-  }
+  if (t_on_top) return touched;
 
   // Phase 3: sweep distances down, one whole level at a time, stopping at
   // t's level — the P2P conversion of §7.3. Every vertex of every swept
   // level is touched, which is the "wasted computation" the comparison
   // quantifies.
-  for (std::uint32_t lvl = num_levels_; lvl-- > level_[t];) {
-    if (lvl == 0) break;
+  const std::uint32_t last = t == kInvalidVertex ? 1 : level_[t];
+  for (std::uint32_t lvl = num_levels_; lvl-- > last;) {
     for (VertexId w : waves_[lvl]) {
       ++touched;
-      Distance best = get(w);  // lift offset, if any
+      Distance best = DistOf(w);  // lift offset, if any
       for (const HierEdge& e : removed_adj_[w]) {
-        const Distance du = get(e.to);
+        const Distance du = DistOf(e.to);
         if (du != kInfDistance) best = std::min(best, du + e.w);
       }
       if (best != kInfDistance) relax(w, best);
     }
   }
+  return touched;
+}
+
+Distance VcIndex::QueryP2P(VertexId s, VertexId t, std::uint64_t* settled) {
+  const VertexId n = static_cast<VertexId>(level_.size());
+  if (s >= n || t >= n) return kInfDistance;
+  if (s == t) return 0;
+  const std::uint64_t touched = Search(s, t);
   if (settled != nullptr) *settled = touched;
-  return get(t);
+  return DistOf(t);
 }
 
 std::vector<Distance> VcIndex::Sssp(VertexId s) {
   const VertexId n = static_cast<VertexId>(level_.size());
   std::vector<Distance> out(n, kInfDistance);
   if (s >= n) return out;
-  // Reuse the P2P machinery's phases by querying down to level 1: pick any
-  // target at level 1 if one exists; otherwise t = s (the sweep below still
-  // fills everything because we force a full sweep here).
-  // Simpler: replicate the phases inline with a full sweep.
-  if (dist_.size() != n) {
-    dist_.assign(n, kInfDistance);
-    stamp_.assign(n, 0);
-  }
-  ++epoch_;
-  const std::uint32_t epoch = epoch_;
-  auto get = [&](VertexId v) -> Distance {
-    return stamp_[v] == epoch ? dist_[v] : kInfDistance;
-  };
-  auto relax = [&](VertexId v, Distance d) {
-    if (d < get(v)) {
-      dist_[v] = d;
-      stamp_[v] = epoch;
-      return true;
-    }
-    return false;
-  };
-
-  std::vector<std::vector<VertexId>> bucket(num_levels_ + 1);
-  relax(s, 0);
-  bucket[level_[s]].push_back(s);
-  for (std::uint32_t lvl = level_[s]; lvl < num_levels_; ++lvl) {
-    for (std::size_t bi = 0; bi < bucket[lvl].size(); ++bi) {
-      const VertexId v = bucket[lvl][bi];
-      for (const HierEdge& e : removed_adj_[v]) {
-        // Push on improvement; duplicates re-expand harmlessly since a
-        // vertex's value is final once its level's turn arrives.
-        if (relax(e.to, get(v) + e.w)) bucket[level_[e.to]].push_back(e.to);
-      }
-    }
-  }
-  using PqEntry = std::pair<Distance, VertexId>;
-  std::priority_queue<PqEntry, std::vector<PqEntry>, std::greater<PqEntry>>
-      pq;
-  for (VertexId v : bucket[num_levels_]) pq.push({get(v), v});
-  std::vector<bool> popped(n, false);
-  while (!pq.empty()) {
-    const auto [d, v] = pq.top();
-    pq.pop();
-    if (popped[v] || d != get(v)) continue;
-    popped[v] = true;
-    auto nbrs = top_graph_.Neighbors(v);
-    auto ws = top_graph_.NeighborWeights(v);
-    for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      if (relax(nbrs[j], d + ws[j])) pq.push({d + ws[j], nbrs[j]});
-    }
-  }
-  for (std::uint32_t lvl = num_levels_; lvl-- >= 1;) {
-    if (lvl == 0) break;
-    for (VertexId w : waves_[lvl]) {
-      Distance best = get(w);
-      for (const HierEdge& e : removed_adj_[w]) {
-        const Distance du = get(e.to);
-        if (du != kInfDistance) best = std::min(best, du + e.w);
-      }
-      if (best != kInfDistance) relax(w, best);
-    }
-  }
-  for (VertexId v = 0; v < n; ++v) out[v] = get(v);
+  Search(s, kInvalidVertex);
+  for (VertexId v = 0; v < n; ++v) out[v] = DistOf(v);
   return out;
 }
 

@@ -19,6 +19,7 @@
 #define ISLABEL_BASELINE_VC_INDEX_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/hierarchy.h"
@@ -36,7 +37,8 @@ class VcIndex {
 
   static Result<VcIndex> Build(const Graph& g);
 
-  /// P2P distance: SSSP machinery halted once dist(s, t) is final.
+  /// P2P distance: the single-source query halted once dist(s, t) is
+  /// final. `settled` (optional) receives the number of vertices touched.
   Distance QueryP2P(VertexId s, VertexId t, std::uint64_t* settled = nullptr);
 
   /// Full single-source distances (the index's native query; used by tests).
@@ -61,10 +63,28 @@ class VcIndex {
   Graph top_graph_;
   std::uint64_t top_vertices_ = 0;
 
-  // Reusable scratch for queries.
+  // The one query behind QueryP2P and Sssp, in three phases: lift s
+  // through the removal DAG, a multi-source Dijkstra on the top graph, and
+  // a sweep down one whole level at a time. A target t ends the top search
+  // once t is settled there, or else the sweep at t's level; with
+  // t = kInvalidVertex the sweep runs down to level 1. Leaves the
+  // distances under the current epoch and returns the vertices touched.
+  std::uint64_t Search(VertexId s, VertexId t);
+  Distance DistOf(VertexId v) const {
+    return stamp_[v] == epoch_ ? dist_[v] : kInfDistance;
+  }
+
+  // Reusable scratch for queries, sized n at the first query. A distance
+  // or a popped mark is valid only when stamped with the current epoch,
+  // so no query clears an O(n) array.
   std::vector<Distance> dist_;
   std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> popped_;
   std::uint32_t epoch_ = 0;
+  // Lift frontier of each level (bucket_[level_[v]]) and the top graph's
+  // heap of (distance, vertex); both keep their capacity across queries.
+  std::vector<std::vector<VertexId>> bucket_;
+  std::vector<std::pair<Distance, VertexId>> heap_;
 };
 
 }  // namespace islabel

@@ -100,7 +100,7 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
   h->removed_adj = std::move(removed_in);
   idx.in_labels_ = std::make_unique<LabelArena>(
       ComputeLabelsTopDown(*h, nullptr, options.num_threads));
-  h->removed_adj.clear();
+  h->ReleaseDag();
   idx.hierarchy_ = std::move(h);
   idx.pool_ = std::make_unique<QueryEnginePool>(
       idx.hierarchy_.get(),

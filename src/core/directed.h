@@ -64,9 +64,10 @@ class DirectedISLabel {
 
  private:
   // On the heap because the pool's engines point into them and the index
-  // moves. The hierarchy keeps the levels and the dense core ids; its g_k
-  // stays empty, the core being `core_`, over dense ids, its out- and
-  // in-lists sorted by weight as g_k's are.
+  // moves. The hierarchy keeps each vertex's level and the dense core ids,
+  // not the ancestor DAG (released after labeling); its g_k stays empty,
+  // the core being `core_`, over dense ids, its out- and in-lists sorted
+  // by weight as g_k's are.
   std::unique_ptr<VertexHierarchy> hierarchy_;
   std::unique_ptr<DiGraph> core_;
   std::unique_ptr<LabelArena> out_labels_;

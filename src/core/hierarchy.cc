@@ -131,6 +131,13 @@ Graph VertexHierarchy::GlobalCore() const {
   return g_k.Renumbered(core_vertex, core_id);
 }
 
+void VertexHierarchy::ReleaseDag() {
+  // Move-assigning empty vectors frees the storage; clear() would keep the
+  // outer arrays' capacity.
+  removed_adj = std::vector<std::vector<HierEdge>>();
+  levels = std::vector<std::vector<VertexId>>();
+}
+
 Result<VertexHierarchy> BuildHierarchy(const Graph& g,
                                        const IndexOptions& options) {
   ISLABEL_RETURN_IF_ERROR(options.Validate());

@@ -12,6 +12,10 @@
 //     exactly the ADJ(L_i) lists Algorithm 2 emits;
 //   * the residual core graph G_k (with augmenting-edge via vertices when
 //     path reconstruction is enabled).
+//
+// Only labeling reads the ancestor DAG (removed_adj and the members of
+// each L_i); a served index releases it once its labels are computed
+// (ReleaseDag) and keeps level, G_k and the core ids.
 
 #ifndef ISLABEL_CORE_HIERARCHY_H_
 #define ISLABEL_CORE_HIERARCHY_H_
@@ -110,6 +114,9 @@ struct VertexHierarchy {
   /// outside an update), its lists id-ordered: the form core.islg stores
   /// and updates edit.
   Graph GlobalCore() const;
+
+  /// Frees removed_adj and levels, which nothing reads after labeling.
+  void ReleaseDag();
 };
 
 /// Builds the k-level vertex hierarchy of `g` (§6.1.3). Dispatches to the

@@ -51,6 +51,7 @@ Result<ISLabelIndex> ISLabelIndex::Build(const Graph& g,
         ComputeLabelsTopDown(*index.hierarchy_, &lstats, options.num_threads);
   }
   index.build_stats_.labeling_seconds = phase.ElapsedSeconds();
+  index.hierarchy_->ReleaseDag();
 
   index.build_stats_.total_seconds = total.ElapsedSeconds();
   index.build_stats_.k = index.hierarchy_->k;
@@ -270,7 +271,6 @@ Result<ISLabelIndex> ISLabelIndex::Load(const std::string& dir,
   index.vias_enabled_ = vias_flag != 0;
   index.hierarchy_->k = k;
   index.hierarchy_->level.resize(n);
-  index.hierarchy_->removed_adj.resize(n);
   index.deleted_.Resize(n);
   for (VertexId v = 0; v < n; ++v) {
     std::uint64_t level, del;

@@ -6,10 +6,6 @@ Status IndexOptions::Validate() const {
   if (sigma <= 0.0 || sigma > 1.0) {
     return Status::InvalidArgument("sigma must be in (0, 1]");
   }
-  if (forced_k == 1) {
-    return Status::InvalidArgument(
-        "forced_k must be >= 2 (k = 1 would leave G_1 = G unindexed)");
-  }
   if (forced_k != 0 && full_hierarchy) {
     return Status::InvalidArgument(
         "forced_k and full_hierarchy are mutually exclusive");

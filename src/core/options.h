@@ -27,7 +27,9 @@ struct IndexOptions {
   double sigma = 0.95;
 
   /// If nonzero, ignore sigma and terminate at exactly this level (the
-  /// Table 6 experiment: forced k around the auto-selected one).
+  /// Table 6 experiment: forced k around the auto-selected one). At k = 1
+  /// nothing is peeled, every label is {(v, 0)}, and a query is a
+  /// bidirectional Dijkstra on G: the paper's IM-DIJ (Table 8).
   std::uint32_t forced_k = 0;
 
   /// Peel every level regardless of sigma (k = h + 1, G_k empty) — the

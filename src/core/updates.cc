@@ -58,7 +58,6 @@ Status ISLabelIndex::InsertVertex(
   // The new vertex lives in G_k with the highest level number; its own
   // label is the trivial {(v, 0)}, appended to the side-table.
   hierarchy_->level.push_back(hierarchy_->k);
-  hierarchy_->removed_adj.emplace_back();
   labels_->AppendLabel(v, {LabelEntry(v, 0)});
   deleted_.Resize(n + 1);
 

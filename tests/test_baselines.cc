@@ -1,15 +1,15 @@
-// Baseline cross-validation: Dijkstra vs BFS, bidirectional Dijkstra,
-// CH and VC-Index (SSSP and P2P) all agree.
+// Baseline cross-validation: Dijkstra vs BFS, the bidirectional Dijkstra
+// IM-DIJ (an index at k = 1), CH and VC-Index (SSSP and P2P) all agree.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "baseline/bfs.h"
-#include "baseline/bidijkstra.h"
 #include "baseline/contraction_hierarchy.h"
 #include "baseline/dijkstra.h"
 #include "baseline/vc_index.h"
+#include "core/index.h"
 #include "tests/test_common.h"
 
 namespace islabel {
@@ -65,16 +65,25 @@ TEST(Dijkstra, DirectedMatchesUndirectedOnSymmetricArcs) {
   EXPECT_EQ(a.dist, b.dist);
 }
 
+// IM-DIJ: at k = 1 nothing is peeled, every label is {(v, 0)}, and the
+// index's query is a bidirectional Dijkstra on G.
 class BiDijkstraTest
     : public ::testing::TestWithParam<std::tuple<Family, bool>> {};
 
 TEST_P(BiDijkstraTest, MatchesUnidirectional) {
   const auto [family, weighted] = GetParam();
   Graph g = MakeTestGraph(family, 200, weighted, 5);
-  BidirectionalDijkstra bidij(&g);
+  IndexOptions k1;
+  k1.forced_k = 1;
+  auto built = ISLabelIndex::Build(g, k1);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ISLabelIndex bidij = std::move(built).value();
+  ASSERT_EQ(bidij.k(), 1u);
+  ASSERT_EQ(bidij.labels().TotalEntries(), g.NumVertices());
   for (auto [s, t] : SampleQueryPairs(g, 120, 7)) {
-    ASSERT_EQ(bidij.Query(s, t), DijkstraP2P(g, s, t))
-        << "(" << s << "," << t << ")";
+    Distance d = 0;
+    ASSERT_TRUE(bidij.Query(s, t, &d).ok());
+    ASSERT_EQ(d, DijkstraP2P(g, s, t)) << "(" << s << "," << t << ")";
   }
 }
 

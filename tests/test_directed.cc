@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -43,17 +44,14 @@ DiGraph LayeredDiGraph(VertexId n, std::uint64_t seed) {
   return DiGraph::FromArcs(std::move(list), n);
 }
 
-class DirectedTest
-    : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
-
-TEST_P(DirectedTest, MatchesDirectedDijkstra) {
-  const auto [weighted, full, seed] = GetParam();
-  DiGraph g = RandomDiGraph(120, 400, weighted, seed);
-  IndexOptions opts;
-  opts.full_hierarchy = full;
+void ExpectMatchesDirectedDijkstra(const DiGraph& g,
+                                   const IndexOptions& opts) {
   auto built = DirectedISLabel::Build(g, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   DirectedISLabel index = std::move(built).value();
+  if (opts.forced_k != 0) {
+    ASSERT_EQ(index.k(), opts.forced_k);
+  }
 
   for (VertexId s = 0; s < std::min<VertexId>(g.NumVertices(), 15); ++s) {
     SsspResult sssp = DijkstraSssp(g, s);
@@ -65,6 +63,17 @@ TEST_P(DirectedTest, MatchesDirectedDijkstra) {
   }
 }
 
+class DirectedTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
+
+TEST_P(DirectedTest, MatchesDirectedDijkstra) {
+  const auto [weighted, full, seed] = GetParam();
+  IndexOptions opts;
+  opts.full_hierarchy = full;
+  ExpectMatchesDirectedDijkstra(RandomDiGraph(120, 400, weighted, seed),
+                                opts);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, DirectedTest,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
@@ -74,6 +83,22 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(weighted ? "W" : "U") + (full ? "_Full" : "_Klevel") +
              "_s" + std::to_string(seed);
     }));
+
+// The third hierarchy shape, over DirectedTest's six graphs: at k = 1
+// nothing is peeled, every out- and in-label is {(v, 0)}, and a query is a
+// bidirectional Dijkstra on the digraph itself.
+TEST(Directed, KOneMatchesDirectedDijkstra) {
+  IndexOptions opts;
+  opts.forced_k = 1;
+  for (const bool weighted : {false, true}) {
+    for (const int seed : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(weighted ? "W" : "U") + "_s" +
+                   std::to_string(seed));
+      ExpectMatchesDirectedDijkstra(RandomDiGraph(120, 400, weighted, seed),
+                                    opts);
+    }
+  }
+}
 
 TEST(Directed, AsymmetricDistances) {
   // 0 -> 1 -> 2, and 2 -> 0: dist(0,2)=2 but dist(2,1)=3 via 0.

@@ -142,10 +142,18 @@ TEST_F(ExternalPipelineTest, ForcedKRespectedExternally) {
   IndexOptions opts;
   opts.memory_budget_bytes = 4096;
   opts.tmp_dir = dir_;
-  opts.forced_k = 3;
-  auto ext = BuildHierarchy(g, opts);
-  ASSERT_TRUE(ext.ok());
-  EXPECT_EQ(ext->k, 3u);
+  SsspResult sssp = DijkstraSssp(g, 7);
+  for (std::uint32_t k : {1u, 3u}) {
+    opts.forced_k = k;
+    auto ext = ISLabelIndex::Build(g, opts);
+    ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    EXPECT_EQ(ext->k(), k);
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      Distance d = 0;
+      ASSERT_TRUE(ext->Query(7, t, &d).ok());
+      ASSERT_EQ(d, sssp.dist[t]) << "k " << k << ", target " << t;
+    }
+  }
 }
 
 TEST_F(ExternalPipelineTest, RandomOrderUnsupportedExternally) {

@@ -532,9 +532,6 @@ TEST(Hierarchy, InvalidOptionsRejected) {
   IndexOptions bad;
   bad.sigma = 0.0;
   EXPECT_FALSE(BuildHierarchy(g, bad).ok());
-  IndexOptions bad2;
-  bad2.forced_k = 1;
-  EXPECT_FALSE(BuildHierarchy(g, bad2).ok());
   IndexOptions bad3;
   bad3.forced_k = 3;
   bad3.full_hierarchy = true;

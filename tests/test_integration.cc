@@ -6,7 +6,6 @@
 
 #include <filesystem>
 
-#include "baseline/bidijkstra.h"
 #include "baseline/dijkstra.h"
 #include "baseline/vc_index.h"
 #include "core/index.h"
@@ -36,13 +35,19 @@ TEST(Integration, AllMethodsAgreeOnSocialStandIn) {
   ASSERT_TRUE(vc_built.ok());
   VcIndex vc = std::move(vc_built).value();
 
-  BidirectionalDijkstra bidij(&g);
+  // IM-DIJ: the index at k = 1.
+  IndexOptions k1;
+  k1.forced_k = 1;
+  auto bi_built = ISLabelIndex::Build(g, k1);
+  ASSERT_TRUE(bi_built.ok());
+  ISLabelIndex bidij = std::move(bi_built).value();
 
   for (auto [s, t] : SampleQueryPairs(g, 200, 4242)) {
     Distance d_is = 0;
     ASSERT_TRUE(index.Query(s, t, &d_is).ok());
     const Distance d_dij = DijkstraP2P(g, s, t);
-    const Distance d_bi = bidij.Query(s, t);
+    Distance d_bi = 0;
+    ASSERT_TRUE(bidij.Query(s, t, &d_bi).ok());
     const Distance d_vc = vc.QueryP2P(s, t);
     ASSERT_EQ(d_is, d_dij) << "IS-LABEL (" << s << "," << t << ")";
     ASSERT_EQ(d_bi, d_dij) << "IM-DIJ (" << s << "," << t << ")";
@@ -128,6 +133,73 @@ TEST(Integration, SaveLoadQueryLifecycle) {
     ASSERT_EQ(dm, truth);
     ASSERT_EQ(dd, truth);
   }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Integration, KOneIndexRoundTripsThroughDisk) {
+  // IM-DIJ's index: at k = 1, G_k is G and every label is {(v, 0)}. Saved,
+  // then loaded with labels in memory and on disk, its distances and paths
+  // stay exact.
+  Graph g = MakeTestGraph(Family::kWattsStrogatz, 400, true, 5);
+  IndexOptions k1;
+  k1.forced_k = 1;
+  auto built = ISLabelIndex::Build(g, k1);
+  ASSERT_TRUE(built.ok());
+  const std::string dir = ::testing::TempDir() + "islabel_k1";
+  ASSERT_TRUE(built->Save(dir).ok());
+  for (const bool in_memory : {true, false}) {
+    auto loaded = ISLabelIndex::Load(dir, in_memory);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->k(), 1u);
+    for (auto [s, t] : SampleQueryPairs(g, 80, 6)) {
+      const Distance truth = DijkstraP2P(g, s, t);
+      Distance d = 0;
+      ASSERT_TRUE(loaded->Query(s, t, &d).ok());
+      ASSERT_EQ(d, truth) << "(" << s << "," << t << ")";
+      std::vector<VertexId> path;
+      ASSERT_TRUE(loaded->ShortestPath(s, t, &path, &d).ok());
+      testing::AssertValidPath(g, s, t, path, d);
+      ASSERT_EQ(d, truth) << "(" << s << "," << t << ")";
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Integration, ServedIndexKeepsNoAncestorDag) {
+  // Only labeling reads the ancestor DAG (removed_adj and the members of
+  // each level), so a served index holds none of it: not after either
+  // build pipeline, not after Load, not after an insert.
+  Graph g = MakeTestGraph(Family::kBarabasiAlbert, 300, true, 17);
+  const std::string dir = ::testing::TempDir() + "islabel_no_dag";
+  const auto expect_no_dag = [](const ISLabelIndex& index) {
+    EXPECT_TRUE(index.hierarchy().removed_adj.empty());
+    EXPECT_TRUE(index.hierarchy().levels.empty());
+  };
+  IndexOptions external;
+  external.memory_budget_bytes = 1 << 16;
+  external.tmp_dir = ::testing::TempDir();
+  for (const IndexOptions& opts : {IndexOptions{}, external}) {
+    auto built = ISLabelIndex::Build(g, opts);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ASSERT_GE(built->k(), 2u);  // there was a DAG to release
+    expect_no_dag(*built);
+    ASSERT_TRUE(built->Save(dir).ok());
+  }
+  auto on_disk = ISLabelIndex::Load(dir, /*labels_in_memory=*/false);
+  ASSERT_TRUE(on_disk.ok());
+  expect_no_dag(*on_disk);
+  auto loaded = ISLabelIndex::Load(dir, /*labels_in_memory=*/true);
+  ASSERT_TRUE(loaded.ok());
+  expect_no_dag(*loaded);
+
+  const VertexId v = loaded->NumVertices();
+  ASSERT_TRUE(loaded->InsertVertex(v, {{0, 2}}).ok());
+  expect_no_dag(*loaded);
+  Distance d = 0;
+  ASSERT_TRUE(loaded->Query(v, 5, &d).ok());
+  EXPECT_EQ(d, 2 + DijkstraP2P(g, 0, 5));
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }

@@ -119,7 +119,7 @@ TEST_P(ForcedKTest, ExactAtEveryK) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KSweep, ForcedKTest,
-                         ::testing::Values(2u, 3u, 4u, 6u, 8u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 6u, 8u));
 
 // ---------- Unweighted graphs double-checked against BFS ----------
 
