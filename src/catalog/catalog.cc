@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/clock.h"
@@ -9,7 +10,6 @@ namespace islabel {
 
 const char* DatasetStateName(DatasetState state) {
   switch (state) {
-    case DatasetState::kLoading: return "loading";
     case DatasetState::kReady: return "ready";
     case DatasetState::kFailed: return "failed";
     case DatasetState::kEmpty: return "empty";
@@ -22,21 +22,23 @@ const char* DatasetStateName(DatasetState state) {
 /// registration (name), snapshotted under `mu` (index), or atomic
 /// (counters).
 struct Catalog::Dataset {
-  std::string name;                // immutable after registration
-  bool labels_in_memory = true;    // immutable after registration
+  Dataset(std::string name, bool labels_in_memory)
+      : name(std::move(name)), labels_in_memory(labels_in_memory) {}
+
+  const std::string name;
+  const bool labels_in_memory;
 
   mutable Mutex mu;
-  CondVar loaded_cv;
   /// Backing directory; repointed by ReloadFrom (snapshot installs).
   std::string dir GUARDED_BY(mu);
   std::shared_ptr<PartitionedIndex> index GUARDED_BY(mu);
-  DatasetState state GUARDED_BY(mu) = DatasetState::kLoading;
+  DatasetState state GUARDED_BY(mu) = DatasetState::kEmpty;
   Status load_status GUARDED_BY(mu);
 
   std::shared_ptr<DistanceCache> cache;  // set before serving starts
 
   /// Registry-backed counters (labeled {dataset=name}); set once in
-  /// Catalog::NewDataset, never null afterwards.
+  /// Catalog::Register, never null once the dataset is listed.
   obs::Counter* requests = nullptr;
   obs::Counter* errors = nullptr;
   obs::Counter* reloads = nullptr;
@@ -50,8 +52,9 @@ struct Catalog::Dataset {
   std::atomic<std::uint64_t> generation{0};
 
   /// Publishes `index` (already swapped in) as generation `gen`, with
-  /// the gauges that describe it. Every install ends here and no
-  /// installed index is mutated in place, so the size gauges stay exact.
+  /// the gauges that describe it. Catalog::Publish is the one caller
+  /// (lint rule catalog-install), and no installed index is mutated in
+  /// place, so the size gauges stay exact.
   void SetGeneration(std::uint64_t gen) REQUIRES(mu) {
     generation.store(gen, std::memory_order_release);
     generation_gauge->Set(static_cast<std::int64_t>(gen));
@@ -86,9 +89,6 @@ Status Catalog::Handle::Ready(
     case DatasetState::kReady:
       *index = dataset_->index;
       return Status::OK();
-    case DatasetState::kLoading:
-      return Status::FailedPrecondition("dataset " + dataset_->name +
-                                        " is still loading");
     case DatasetState::kFailed:
       return Status::FailedPrecondition("dataset " + dataset_->name +
                                         " failed to load: " +
@@ -102,7 +102,7 @@ Status Catalog::Handle::Ready(
 
 Status Catalog::Handle::CheckQueryable(VertexId, VertexId) const {
   // Deliberately no range check here: the index snapshot in
-  // QueryUncached owns validation, so a still-loading dataset reports
+  // QueryUncached owns validation, so a failed or empty dataset reports
   // FailedPrecondition rather than OutOfRange-against-zero-vertices.
   dataset_->requests->Inc();
   return Status::OK();
@@ -174,22 +174,29 @@ Catalog::Catalog(obs::MetricRegistry* metrics) {
                              "Reload/install duration (load + swap)");
 }
 
-Catalog::~Catalog() {
-  std::vector<std::thread> loaders;
-  {
-    MutexLock lock(&mu_);
-    loaders.swap(loaders_);
+std::shared_ptr<Catalog::Dataset> Catalog::Find(
+    const std::string& name) const {
+  MutexLock lock(&mu_);
+  for (const auto& ds : datasets_) {
+    if (ds->name == name) return ds;
   }
-  for (std::thread& t : loaders) {
-    if (t.joinable()) t.join();
-  }
+  return nullptr;
 }
 
-std::shared_ptr<Catalog::Dataset> Catalog::NewDataset(
-    const std::string& name) {
-  auto ds = std::make_shared<Dataset>();
-  ds->name = name;
-  const obs::Labels labels{{"dataset", name}};
+Status Catalog::Register(std::shared_ptr<Dataset> ds,
+                         std::shared_ptr<PartitionedIndex> index,
+                         const std::string& dir) {
+  if (ds->name.empty()) return Status::InvalidArgument("dataset name is empty");
+  MutexLock lock(&mu_);
+  for (const auto& existing : datasets_) {
+    if (existing->name == ds->name) {
+      return Status::InvalidArgument("dataset " + ds->name +
+                                     " is already registered");
+    }
+  }
+  // Resolved only now: a rejected name must not create series, and its
+  // {dataset=name} series are the listed dataset's.
+  const obs::Labels labels{{"dataset", ds->name}};
   ds->requests = metrics_->GetCounter("islabel_dataset_requests_total",
                                       "Queries routed to the dataset",
                                       labels);
@@ -207,132 +214,109 @@ std::shared_ptr<Catalog::Dataset> Catalog::NewDataset(
   ds->index_bytes_gauge = metrics_->GetGauge(
       "islabel_dataset_index_bytes",
       "Bytes of those entries in the installed index", labels);
-  return ds;
+  // Published before it is listed, so no reader finds it without its
+  // index. It cannot be refused: an unlisted dataset is at generation 0.
+  if (index != nullptr) (void)Publish(*ds, std::move(index), dir, 1);
+  datasets_.push_back(std::move(ds));
+  return Status::OK();
 }
 
-std::shared_ptr<Catalog::Dataset> Catalog::Find(
-    const std::string& name) const {
-  MutexLock lock(&mu_);
-  for (const auto& ds : datasets_) {
-    if (ds->name == name) return ds;
+Result<std::uint64_t> Catalog::Publish(
+    Dataset& ds, std::shared_ptr<PartitionedIndex> index,
+    const std::string& dir, std::optional<std::uint64_t> gen) {
+  index->InstallMetrics(metrics_);
+  std::uint64_t published;
+  {
+    MutexLock lock(&ds.mu);
+    const std::uint64_t current =
+        ds.generation.load(std::memory_order_acquire);
+    published = gen.value_or(current + 1);
+    if (published <= current) {
+      return Status::FailedPrecondition(
+          "dataset " + ds.name + " is already at generation " +
+          std::to_string(current) + " >= " + std::to_string(published));
+    }
+    ds.index = std::move(index);  // old version lives on in query snapshots
+    ds.state = DatasetState::kReady;
+    ds.load_status = Status::OK();
+    ds.dir = dir;
+    ds.SetGeneration(published);
   }
-  return nullptr;
+  // Publish-then-bump: an answer computed on the old index carries a
+  // generation that is stale before it can be cached (DESIGN.md §12.4).
+  if (ds.cache != nullptr) ds.cache->BumpGeneration();
+  return published;
+}
+
+Status Catalog::Install(Dataset& ds, const std::string& dir,
+                        std::optional<std::uint64_t> gen) {
+  const std::uint64_t t0 = SystemClock::Default()->NowNanos();
+  // The expensive load runs without any lock; queries proceed on the old
+  // index throughout, and a directory that fails to load leaves it
+  // serving untouched.
+  auto loaded = PartitionedIndex::Load(dir, ds.labels_in_memory);
+  if (!loaded.ok()) return loaded.status();
+  ISLABEL_ASSIGN_OR_RETURN(
+      const std::uint64_t published,
+      Publish(ds, std::make_shared<PartitionedIndex>(std::move(loaded).value()),
+              dir, gen));
+  ds.reloads->Inc();
+  reload_seconds_->RecordNanos(SystemClock::Default()->NowNanos() - t0);
+  if (event_log_ != nullptr) {
+    event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
+                    {{"dataset", ds.name},
+                     {"gen", obs::EventLog::U64(published)},
+                     {"dir", dir}});
+  }
+  return Status::OK();
 }
 
 Status Catalog::Add(const std::string& name, const std::string& dir,
                     bool labels_in_memory) {
-  if (name.empty()) return Status::InvalidArgument("dataset name is empty");
-  auto ds = NewDataset(name);
-  ds->labels_in_memory = labels_in_memory;
-  {
-    // Uncontended: the dataset is not yet published, but the analysis
-    // (rightly) has no notion of "not shared yet".
-    MutexLock dlock(&ds->mu);
-    ds->dir = dir;
+  auto ds = std::make_shared<Dataset>(name, labels_in_memory);
+  auto loaded = PartitionedIndex::Load(dir, labels_in_memory);
+  std::shared_ptr<PartitionedIndex> index;
+  if (loaded.ok()) {
+    index = std::make_shared<PartitionedIndex>(std::move(loaded).value());
+  } else {
+    MutexLock dlock(&ds->mu);  // unpublished; lock only for the analysis
+    ds->dir = dir;             // what Reload retries
+    ds->state = DatasetState::kFailed;
+    ds->load_status = loaded.status();
   }
-  {
-    MutexLock lock(&mu_);
-    for (const auto& existing : datasets_) {
-      if (existing->name == name) {
-        return Status::InvalidArgument("dataset " + name +
-                                       " is already registered");
-      }
+  ISLABEL_RETURN_IF_ERROR(Register(ds, std::move(index), dir));
+  if (event_log_ != nullptr) {
+    if (loaded.ok()) {
+      event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.load",
+                      {{"dataset", name}, {"dir", dir}});
+    } else {
+      event_log_->Log(obs::EventLevel::kError, "islabel.catalog.load_failed",
+                      {{"dataset", name},
+                       {"dir", dir},
+                       {"error", loaded.status().ToString()}});
     }
-    datasets_.push_back(ds);
-    obs::MetricRegistry* metrics = metrics_;
-    obs::EventLog* elog = event_log_;
-    loaders_.emplace_back([ds, dir, metrics, elog] {
-      auto loaded = PartitionedIndex::Load(dir, ds->labels_in_memory);
-      {
-        MutexLock dlock(&ds->mu);
-        // A ReloadFrom that raced the initial load and won owns the state
-        // now; a late initial load must not roll the generation back.
-        if (ds->state == DatasetState::kLoading) {
-          if (loaded.ok()) {
-            ds->index = std::make_shared<PartitionedIndex>(
-                std::move(loaded).value());
-            ds->index->InstallMetrics(metrics);
-            ds->state = DatasetState::kReady;
-            ds->SetGeneration(1);
-          } else {
-            ds->load_status = loaded.status();
-            ds->state = DatasetState::kFailed;
-          }
-        }
-        ds->loaded_cv.NotifyAll();
-      }
-      if (elog != nullptr) {
-        if (loaded.ok()) {
-          elog->Log(obs::EventLevel::kInfo, "islabel.catalog.load",
-                    {{"dataset", ds->name}, {"dir", dir}});
-        } else {
-          elog->Log(obs::EventLevel::kError, "islabel.catalog.load_failed",
-                    {{"dataset", ds->name},
-                     {"dir", dir},
-                     {"error", loaded.status().ToString()}});
-        }
-      }
-    });
   }
   return Status::OK();
 }
 
 Status Catalog::AddIndex(const std::string& name, PartitionedIndex index,
                          std::string dir) {
-  if (name.empty()) return Status::InvalidArgument("dataset name is empty");
-  auto ds = NewDataset(name);
-  {
-    MutexLock dlock(&ds->mu);  // unpublished; lock only for the analysis
-    ds->dir = std::move(dir);
-    ds->index = std::make_shared<PartitionedIndex>(std::move(index));
-    ds->index->InstallMetrics(metrics_);
-    ds->state = DatasetState::kReady;
-    ds->SetGeneration(1);
-  }
-  MutexLock lock(&mu_);
-  for (const auto& existing : datasets_) {
-    if (existing->name == name) {
-      return Status::InvalidArgument("dataset " + name +
-                                     " is already registered");
-    }
-  }
-  datasets_.push_back(std::move(ds));
-  return Status::OK();
+  return Register(std::make_shared<Dataset>(name, /*labels_in_memory=*/true),
+                  std::make_shared<PartitionedIndex>(std::move(index)), dir);
 }
 
 Status Catalog::AddEmpty(const std::string& name) {
-  if (name.empty()) return Status::InvalidArgument("dataset name is empty");
-  auto ds = NewDataset(name);
-  {
-    MutexLock dlock(&ds->mu);  // unpublished; lock only for the analysis
-    ds->state = DatasetState::kEmpty;
-  }
-  MutexLock lock(&mu_);
-  for (const auto& existing : datasets_) {
-    if (existing->name == name) {
-      return Status::InvalidArgument("dataset " + name +
-                                     " is already registered");
-    }
-  }
-  datasets_.push_back(std::move(ds));
-  return Status::OK();
+  return Register(std::make_shared<Dataset>(name, /*labels_in_memory=*/true),
+                  nullptr, "");
 }
 
 Status Catalog::WaitReady() {
-  std::vector<std::shared_ptr<Dataset>> datasets;
-  {
-    MutexLock lock(&mu_);
-    datasets = datasets_;
-  }
-  Status first_error;
-  for (const auto& ds : datasets) {
+  MutexLock lock(&mu_);
+  for (const auto& ds : datasets_) {
     MutexLock dlock(&ds->mu);
-    while (ds->state == DatasetState::kLoading) ds->loaded_cv.Wait(&ds->mu);
-    if (ds->state == DatasetState::kFailed && first_error.ok()) {
-      first_error = ds->load_status;
-    }
+    if (ds->state == DatasetState::kFailed) return ds->load_status;
   }
-  return first_error;
+  return Status::OK();
 }
 
 Catalog::Handle Catalog::Get(const std::string& name) const {
@@ -343,93 +327,22 @@ Status Catalog::Reload(const std::string& name) {
   std::shared_ptr<Dataset> ds = Find(name);
   if (ds == nullptr) return Status::NotFound("unknown dataset " + name);
   std::string dir;
-  bool labels_in_memory;
   {
     MutexLock lock(&ds->mu);
-    if (ds->state == DatasetState::kLoading) {
-      return Status::FailedPrecondition("dataset " + name +
-                                        " is still loading");
-    }
     dir = ds->dir;
-    labels_in_memory = ds->labels_in_memory;
   }
   if (dir.empty()) {
     return Status::FailedPrecondition("dataset " + name +
                                       " has no backing directory");
   }
-  const std::uint64_t t0 = SystemClock::Default()->NowNanos();
-  // The expensive load runs without any lock; queries proceed on the old
-  // index throughout.
-  auto loaded = PartitionedIndex::Load(dir, labels_in_memory);
-  if (!loaded.ok()) return loaded.status();
-  auto fresh =
-      std::make_shared<PartitionedIndex>(std::move(loaded).value());
-  fresh->InstallMetrics(metrics_);
-  {
-    MutexLock lock(&ds->mu);
-    ds->index = std::move(fresh);  // old version lives on in query snapshots
-    ds->state = DatasetState::kReady;
-    ds->load_status = Status::OK();
-    ds->SetGeneration(
-        ds->generation.load(std::memory_order_acquire) + 1);
-  }
-  // Publish-then-bump: see the ordering argument in Handle::Query.
-  if (ds->cache != nullptr) ds->cache->BumpGeneration();
-  ds->reloads->Inc();
-  reload_seconds_->RecordNanos(SystemClock::Default()->NowNanos() - t0);
-  if (event_log_ != nullptr) {
-    event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
-                    {{"dataset", name},
-                     {"gen", obs::EventLog::U64(ds->generation.load(
-                                 std::memory_order_acquire))}});
-  }
-  return Status::OK();
+  return Install(*ds, dir, std::nullopt);  // the current generation + 1
 }
 
 Status Catalog::ReloadFrom(const std::string& name, const std::string& dir,
                            std::uint64_t gen) {
   std::shared_ptr<Dataset> ds = Find(name);
   if (ds == nullptr) return Status::NotFound("unknown dataset " + name);
-  // Check ordering up front to skip a pointless load; re-checked under
-  // the lock before the swap in case installs race.
-  if (gen <= ds->generation.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "dataset " + name + " is already at generation " +
-        std::to_string(ds->generation.load(std::memory_order_acquire)) +
-        " >= " + std::to_string(gen));
-  }
-  const std::uint64_t t0 = SystemClock::Default()->NowNanos();
-  // Load before touching any dataset state: a corrupt or truncated
-  // directory must leave the currently-serving version untouched.
-  auto loaded = PartitionedIndex::Load(dir, ds->labels_in_memory);
-  if (!loaded.ok()) return loaded.status();
-  auto fresh = std::make_shared<PartitionedIndex>(std::move(loaded).value());
-  fresh->InstallMetrics(metrics_);
-  {
-    MutexLock lock(&ds->mu);
-    if (gen <= ds->generation.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition(
-          "dataset " + name + " overtook generation " + std::to_string(gen) +
-          " during install");
-    }
-    ds->index = std::move(fresh);
-    ds->state = DatasetState::kReady;
-    ds->load_status = Status::OK();
-    ds->dir = dir;
-    ds->SetGeneration(gen);
-    ds->loaded_cv.NotifyAll();  // an install also resolves WaitReady
-  }
-  // Publish-then-bump, exactly as Reload.
-  if (ds->cache != nullptr) ds->cache->BumpGeneration();
-  ds->reloads->Inc();
-  reload_seconds_->RecordNanos(SystemClock::Default()->NowNanos() - t0);
-  if (event_log_ != nullptr) {
-    event_log_->Log(obs::EventLevel::kInfo, "islabel.catalog.reload",
-                    {{"dataset", name},
-                     {"gen", obs::EventLog::U64(gen)},
-                     {"dir", dir}});
-  }
-  return Status::OK();
+  return Install(*ds, dir, gen);
 }
 
 std::uint64_t Catalog::Generation(const std::string& name) const {

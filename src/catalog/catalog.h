@@ -1,9 +1,9 @@
 // Catalog: named multi-dataset hosting with hot-swap reload.
 //
 // One process, many indexes: the catalog maps dataset names to
-// PartitionedIndex instances, loads them on background threads, and can
-// atomically replace a dataset's index from its directory while queries
-// are in flight ("reload"). The serving layer (stdin loop and TCP
+// PartitionedIndex instances, loads each on the thread that adds it, and
+// can atomically replace a dataset's index from its directory while
+// queries are in flight ("reload"). The serving layer (stdin loop and TCP
 // server) routes each connection's requests to its selected dataset.
 //
 // Lifetime model — why reload is safe under load:
@@ -12,13 +12,14 @@
 //     alive until the call returns, no matter how many reloads land;
 //   * the swap itself is a pointer assignment under the dataset mutex —
 //     queries never block on a reload (they only take the mutex for the
-//     snapshot copy).
+//     snapshot copy). Every install (Add, AddIndex, Reload, ReloadFrom)
+//     swaps through one routine, Catalog::Publish.
 //
 // Cache coherence across a swap: each dataset may carry a DistanceCache
 // (installed by the serving layer). A handle's Query (the DistanceIndex
 // template method, reading Handle::distance_cache()) snapshots the cache
-// generation BEFORE QueryUncached snapshots the index, and Reload
-// publishes the new index BEFORE bumping the generation. Any answer
+// generation BEFORE QueryUncached snapshots the index, and Publish
+// swaps the new index in BEFORE bumping the generation. Any answer
 // computed on the old index therefore inserts under a generation that
 // has moved on by the time the new index is visible, so the cache (whose
 // Insert drops stale-generation entries by contract) can never serve an
@@ -32,8 +33,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,35 +42,38 @@
 #include "core/distance_cache.h"
 #include "obs/log.h"
 #include "util/mutex.h"
+#include "util/result.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace islabel {
 
-/// Load state of a catalog dataset.
+/// State of a catalog dataset. Add loads before it registers, so a
+/// dataset is never seen half loaded.
 enum class DatasetState : std::uint8_t {
-  kLoading = 0,
   kReady = 1,
+  /// Add could not load its directory; queries answer FailedPrecondition
+  /// with the load error until a Reload or ReloadFrom installs an index.
   kFailed = 2,
   /// Registered but holding no data yet (a replica awaiting its first
   /// snapshot). Queries answer FailedPrecondition until an install.
   kEmpty = 3,
 };
 
-/// Returns "loading" / "ready" / "failed" / "empty".
+/// Returns "ready" / "failed" / "empty".
 const char* DatasetStateName(DatasetState state);
 
 /// Point-in-time counters for one dataset (the `datasets` listing).
 struct DatasetInfo {
   std::string name;
-  DatasetState state = DatasetState::kLoading;
+  DatasetState state = DatasetState::kEmpty;
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;
   std::uint64_t reloads = 0;
-  /// Monotonic data version: 1 once the initial load completes, bumped by
-  /// every Reload, set explicitly by ReloadFrom (snapshot installs). 0
-  /// while no data has ever been served. The replication protocol ships
-  /// and compares exactly this number.
+  /// Monotonic data version: 1 once Add or AddIndex installs an index,
+  /// bumped by every Reload, set explicitly by ReloadFrom (snapshot
+  /// installs). 0 while no data has ever been served. The replication
+  /// protocol ships and compares exactly this number.
   std::uint64_t generation = 0;
   std::uint32_t parts = 0;
   std::uint64_t vertices = 0;
@@ -87,7 +91,6 @@ class Catalog {
   /// index gets InstallMetrics so backend pools feed the same registry.
   /// An injected registry must outlive the catalog.
   explicit Catalog(obs::MetricRegistry* metrics = nullptr);
-  ~Catalog();
 
   obs::MetricRegistry* metrics() const { return metrics_; }
 
@@ -139,8 +142,8 @@ class Catalog {
     Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
                           std::vector<Distance>* out) override;
 
-    /// 0 until the dataset finishes loading (queries before then fail in
-    /// QueryUncached with FailedPrecondition, not OutOfRange — see
+    /// 0 while the dataset holds no index (failed or empty; its queries
+    /// fail in QueryUncached with FailedPrecondition, not OutOfRange — see
     /// CheckQueryable).
     VertexId NumVertices() const override;
     bool has_vias() const override;
@@ -154,8 +157,8 @@ class Catalog {
     /// Counts the dataset request (once per Query, cache hits included)
     /// and returns OK: range validation belongs to the index snapshot
     /// taken inside QueryUncached. The base range check against
-    /// NumVertices() would misreport a still-loading dataset (0 vertices)
-    /// as OutOfRange instead of FailedPrecondition.
+    /// NumVertices() would misreport a failed or empty dataset (0
+    /// vertices) as OutOfRange instead of FailedPrecondition.
     Status CheckQueryable(VertexId s, VertexId t) const override;
 
    private:
@@ -168,14 +171,17 @@ class Catalog {
     std::shared_ptr<Dataset> dataset_;
   };
 
-  /// Registers `name` and starts loading `dir` on a background thread
-  /// (PartitionedIndex::Load — both catalog and plain index directories).
-  /// Fails if the name is already registered.
+  /// Loads `dir` on the calling thread (PartitionedIndex::Load — both
+  /// catalog and plain index directories), then registers `name`: ready
+  /// at generation 1, or failed if the load failed. A failed load still
+  /// returns OK; WaitReady reports it, its queries answer
+  /// FailedPrecondition, and Reload retries the directory. Fails only if
+  /// the name is empty or already registered.
   Status Add(const std::string& name, const std::string& dir,
              bool labels_in_memory = true);
 
-  /// Registers an already-built index under `name` (ready immediately).
-  /// `dir` may be empty; Reload then fails until one is set via Add.
+  /// Registers an already-built index under `name` (ready at generation
+  /// 1). `dir` may be empty; Reload then fails for want of a directory.
   Status AddIndex(const std::string& name, PartitionedIndex index,
                   std::string dir = "");
 
@@ -184,23 +190,24 @@ class Catalog {
   /// until the first ReloadFrom installs a snapshot.
   Status AddEmpty(const std::string& name);
 
-  /// Blocks until every registered dataset has finished loading; returns
-  /// the first load error (all loads still run to completion).
+  /// The load error of the first failed dataset, in registration order;
+  /// OK if none failed. Add loads before it returns, so nothing is left
+  /// to wait for: callers gate serving on this status.
   Status WaitReady();
 
   /// Handle for `name`; an empty Handle if the name is unknown.
   Handle Get(const std::string& name) const;
 
   /// Reloads `name` from its directory and atomically swaps the fresh
-  /// index in. In-flight queries keep the old index alive; the dataset's
-  /// cache generation is bumped after the swap so no cached answer
-  /// outlives it. Blocking (call from a worker, not the event loop).
+  /// index in as the next generation. In-flight queries keep the old
+  /// index alive; the dataset's cache generation is bumped after the swap
+  /// so no cached answer outlives it. Blocking (call from a worker, not
+  /// the event loop).
   Status Reload(const std::string& name);
 
   /// Installs a fully-written index directory as generation `gen` of
-  /// `name`: loads it, atomically swaps it in through the same
-  /// publish-then-bump path as Reload, and repoints the dataset's backing
-  /// directory at `dir`. Rejects gen <= the current generation
+  /// `name` through the same path as Reload, and repoints the dataset's
+  /// backing directory at `dir`. Rejects gen <= the current generation
   /// (FailedPrecondition) so installs are strictly generation-ordered —
   /// a stale or duplicated snapshot can never roll a replica back. The
   /// load runs before any state changes: a corrupt directory leaves the
@@ -229,7 +236,24 @@ class Catalog {
 
  private:
   std::shared_ptr<Dataset> Find(const std::string& name) const;
-  std::shared_ptr<Dataset> NewDataset(const std::string& name);
+  /// Add, AddIndex and AddEmpty: the one name check. Lists `ds` unless
+  /// its name is empty or taken, publishing `index` (when given) as
+  /// generation 1 first.
+  Status Register(std::shared_ptr<Dataset> ds,
+                  std::shared_ptr<PartitionedIndex> index,
+                  const std::string& dir);
+  /// The one install: swaps `index` in as generation `gen` (nullopt: the
+  /// current one + 1) backed by `dir`, then bumps the cache generation,
+  /// and returns the generation published. Refuses a generation that is
+  /// not newer, changing nothing.
+  Result<std::uint64_t> Publish(Dataset& ds,
+                                std::shared_ptr<PartitionedIndex> index,
+                                const std::string& dir,
+                                std::optional<std::uint64_t> gen);
+  /// Reload and ReloadFrom: load `dir` off-lock, Publish, then count and
+  /// log the install.
+  Status Install(Dataset& ds, const std::string& dir,
+                 std::optional<std::uint64_t> gen);
 
   std::unique_ptr<obs::MetricRegistry> own_metrics_;
   obs::MetricRegistry* metrics_ = nullptr;  // never null after construction
@@ -238,7 +262,6 @@ class Catalog {
 
   mutable Mutex mu_;
   std::vector<std::shared_ptr<Dataset>> datasets_ GUARDED_BY(mu_);
-  std::vector<std::thread> loaders_ GUARDED_BY(mu_);
 };
 
 }  // namespace islabel

@@ -120,11 +120,12 @@ LabelArena ComputeLabelsTopDown(const VertexHierarchy& h, LabelingStats* stats,
   // the arena serves. The candidate buffers are released first; the slab
   // itself is transiently duplicated here (~2x label bytes peak) — builds
   // that cannot afford that belong on the memory-budgeted external
-  // pipeline (DESIGN.md §6).
-  cand = {};
-  coff = {};
-  foff = {};
-  flen = {};
+  // pipeline (DESIGN.md §6). Move-assigning empty vectors frees the
+  // candidate storage; `= {}` would keep its capacity.
+  cand = std::vector<LabelEntry>();
+  coff = std::vector<std::uint64_t>();
+  foff = std::vector<std::uint64_t>();
+  flen = std::vector<std::uint32_t>();
   std::vector<std::uint64_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + len[v];
   std::vector<LabelEntry> ordered(static_cast<std::size_t>(offsets[n]));

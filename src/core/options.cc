@@ -6,10 +6,6 @@ Status IndexOptions::Validate() const {
   if (sigma <= 0.0 || sigma > 1.0) {
     return Status::InvalidArgument("sigma must be in (0, 1]");
   }
-  if (forced_k != 0 && full_hierarchy) {
-    return Status::InvalidArgument(
-        "forced_k and full_hierarchy are mutually exclusive");
-  }
   if (memory_budget_bytes != 0 && tmp_dir.empty()) {
     return Status::InvalidArgument(
         "external pipeline requires a tmp_dir for spill files");
@@ -22,7 +18,7 @@ bool IndexOptions::StopsAtLevel(std::uint32_t i, std::uint64_t cur_size,
                                 std::uint64_t alive) const {
   if (alive == 0) return true;
   if (forced_k != 0) return i == forced_k;
-  return !full_hierarchy && i >= 2 &&
+  return i >= 2 &&
          static_cast<double>(cur_size) >
              sigma * static_cast<double>(prev_size);
 }

@@ -29,12 +29,11 @@ struct IndexOptions {
   /// If nonzero, ignore sigma and terminate at exactly this level (the
   /// Table 6 experiment: forced k around the auto-selected one). At k = 1
   /// nothing is peeled, every label is {(v, 0)}, and a query is a
-  /// bidirectional Dijkstra on G: the paper's IM-DIJ (Table 8).
+  /// bidirectional Dijkstra on G: the paper's IM-DIJ (Table 8). A value
+  /// past the peel's depth (UINT32_MAX, say) peels every level, k = h + 1
+  /// and G_k empty: the §4 "full hierarchy", in which Equation 1 answers
+  /// every query.
   std::uint32_t forced_k = 0;
-
-  /// Peel every level regardless of sigma (k = h + 1, G_k empty) — the
-  /// §4 "full hierarchy" in which every query is answered by Equation 1.
-  bool full_hierarchy = false;
 
   /// Keep per-edge / per-entry intermediate vertices so shortest *paths*
   /// (not just distances) can be reconstructed (§8.1). Costs one extra
@@ -71,10 +70,10 @@ struct IndexOptions {
   /// external and directed hierarchy constructions: true iff peeling stops
   /// at level i, where cur_size and prev_size are |G_i| and |G_{i-1}|
   /// (|V| + |E|) and `alive` is |V(G_i)|.
-  /// Stops at forced_k when set, otherwise (unless full_hierarchy) at the
-  /// first i >= 2 with cur_size > sigma * prev_size; always stops once
-  /// G_i is empty, which ends every peel: a non-empty G_i has a non-empty
-  /// maximal independent set.
+  /// Stops at forced_k when set, otherwise at the first i >= 2 with
+  /// cur_size > sigma * prev_size; always stops once G_i is empty, which
+  /// ends every peel: a non-empty G_i has a non-empty maximal independent
+  /// set.
   bool StopsAtLevel(std::uint32_t i, std::uint64_t cur_size,
                     std::uint64_t prev_size, std::uint64_t alive) const;
 };

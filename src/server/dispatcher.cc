@@ -150,9 +150,10 @@ std::string RequestDispatcher::ExecuteInternal(const Request& req,
         errors_c_->Inc();
         return "error: NotFound: unknown dataset " + req.name;
       }
-      // Switching to a loading/failed dataset is allowed deliberately:
-      // the per-query error reports the state, and a dataset that
-      // finishes loading starts answering without a second `use`.
+      // Switching to a failed or empty dataset is allowed deliberately:
+      // the per-query error reports the state, and a dataset that a
+      // reload or replica install fills starts answering without a
+      // second `use`.
       session->dataset = req.name;
       session->handle = std::move(handle);
       return "ok: using " + req.name;

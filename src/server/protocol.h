@@ -120,12 +120,12 @@ bool IsValidDatasetName(std::string_view name);
 /// metric registry (`islabel_dataset_*`), not here.
 struct DatasetCounters {
   std::string name;
-  std::string state;  // "loading" | "ready" | "failed" | "empty"
+  std::string state;  // "ready" | "failed" | "empty"
   std::uint32_t parts = 0;
   std::uint64_t vertices = 0;
   /// Per-part backend summary ("p0=islabel/123,p1=ch/45,..."), colon- and
-  /// space-free by construction so it stays one wire token. Empty until
-  /// the dataset finishes loading.
+  /// space-free by construction so it stays one wire token. Empty while
+  /// the dataset holds no index (failed or empty).
   std::string backends;
 };
 

@@ -2,7 +2,7 @@
 // its id remapping, PartitionedIndex query equivalence against a
 // monolithic ISLabelIndex (distances, paths, batches, one-to-many, fresh
 // and reloaded), the O(1) cross-component answer path, Catalog
-// multi-dataset hosting with background load and hot-swap reload, the
+// multi-dataset hosting and hot-swap reload through one install path, the
 // catalog protocol verbs, and a loopback TCP fixture where concurrent
 // clients query across live reloads. The whole file runs under the TSan
 // preset in CI.
@@ -470,6 +470,84 @@ TEST_F(CatalogHostTest, ReloadWithoutDirectoryFails) {
   ASSERT_TRUE(catalog.AddIndex("mem", std::move(built).value()).ok());
   EXPECT_TRUE(catalog.Reload("mem").IsFailedPrecondition());
   EXPECT_TRUE(catalog.Reload("nope").IsNotFound());
+}
+
+TEST_F(CatalogHostTest, ReloadAndReloadFromShareOneInstallPath) {
+  // Two versions of one weighted path; v2 adds a unit shortcut s—t, so
+  // every install changes the s-t answer.
+  const Graph v1 = MakeTestGraph(Family::kPath, 12, /*weighted=*/true, 4);
+  const VertexId s = 0, t = v1.NumVertices() - 1;
+  EdgeList el = v1.ToEdgeList();
+  el.Add(s, t, 1);
+  const Graph v2 = Graph::FromEdgeList(std::move(el));
+  SaveDataset(v1, "live");
+  SaveDataset(v1, "v1");
+  SaveDataset(v2, "v2");
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Add("d", Path("live")).ok());
+  ASSERT_TRUE(catalog.WaitReady().ok());
+  auto cache = std::make_shared<QueryCache>();
+  ASSERT_TRUE(catalog.SetDistanceCache("d", cache).ok());
+  const obs::Gauge* gauge = catalog.metrics()->GetGauge(
+      "islabel_dataset_generation", "Current data generation",
+      {{"dataset", "d"}});
+  Catalog::Handle h = catalog.Get("d");
+  auto query = [&] {
+    Distance d = 0;
+    EXPECT_TRUE(h.Query(s, t, &d).ok());
+    return d;
+  };
+  // Serving `want` at `gen` from `dir` after `reloads` installs; the query
+  // runs twice, so the answer is cached when the next install lands.
+  auto expect_serving = [&](Distance want, std::uint64_t gen,
+                            std::uint64_t reloads, const std::string& dir) {
+    EXPECT_EQ(query(), want) << "stale cached answer served across install";
+    const std::uint64_t hits = cache->GetStats().hits;
+    EXPECT_EQ(query(), want);
+    EXPECT_EQ(cache->GetStats().hits, hits + 1);
+    EXPECT_EQ(catalog.Generation("d"), gen);
+    EXPECT_EQ(gauge->Value(), static_cast<std::int64_t>(gen));
+    EXPECT_EQ(catalog.List()[0].reloads, reloads);
+    EXPECT_EQ(catalog.Dir("d"), dir);
+  };
+  auto mono = ISLabelIndex::Build(v1);
+  ASSERT_TRUE(mono.ok());
+  Distance d1 = 0;
+  ASSERT_TRUE(mono->Query(s, t, &d1).ok());
+  ASSERT_GT(d1, 1u);
+  expect_serving(d1, 1, 0, Path("live"));
+
+  // Reload: the same directory, rewritten, as the next generation.
+  std::filesystem::remove_all(Path("live"));
+  SaveDataset(v2, "live");
+  ASSERT_TRUE(catalog.Reload("d").ok());
+  expect_serving(1, 2, 1, Path("live"));
+
+  // ReloadFrom: the given generation, from a new directory.
+  ASSERT_TRUE(catalog.ReloadFrom("d", Path("v1"), 7).ok());
+  expect_serving(d1, 7, 2, Path("v1"));
+
+  // A generation that is not newer is refused and changes nothing.
+  EXPECT_TRUE(catalog.ReloadFrom("d", Path("v2"), 7).IsFailedPrecondition());
+  EXPECT_TRUE(catalog.ReloadFrom("d", Path("v2"), 3).IsFailedPrecondition());
+  expect_serving(d1, 7, 2, Path("v1"));
+
+  // A missing directory leaves the old version serving at its generation,
+  // through either install.
+  EXPECT_FALSE(catalog.ReloadFrom("d", Path("missing"), 8).ok());
+  expect_serving(d1, 7, 2, Path("v1"));
+  std::filesystem::remove_all(Path("v1"));
+  EXPECT_FALSE(catalog.Reload("d").ok());
+  expect_serving(d1, 7, 2, Path("v1"));
+
+  // A taken name publishes nothing over the listed dataset.
+  auto built = PartitionedIndex::Build(v2);
+  ASSERT_TRUE(built.ok());
+  EXPECT_TRUE(
+      catalog.AddIndex("d", std::move(built).value()).IsInvalidArgument());
+  EXPECT_TRUE(catalog.Add("d", Path("v2")).IsInvalidArgument());
+  expect_serving(d1, 7, 2, Path("v1"));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <tuple>
 #include <utility>
@@ -483,7 +484,7 @@ TEST(Hierarchy, CoreIdsFollowBfsOrderFromHighestDegreeRoots) {
 TEST(Hierarchy, FullHierarchyEmptiesTheGraph) {
   Graph g = MakeTestGraph(Family::kErdosRenyi, 150, false, 3);
   IndexOptions opts;
-  opts.full_hierarchy = true;
+  opts.forced_k = UINT32_MAX;  // past the depth: the full hierarchy
   auto hr = BuildHierarchy(g, opts);
   ASSERT_TRUE(hr.ok());
   EXPECT_EQ(hr->g_k.NumEdges(), 0u);
@@ -532,10 +533,6 @@ TEST(Hierarchy, InvalidOptionsRejected) {
   IndexOptions bad;
   bad.sigma = 0.0;
   EXPECT_FALSE(BuildHierarchy(g, bad).ok());
-  IndexOptions bad3;
-  bad3.forced_k = 3;
-  bad3.full_hierarchy = true;
-  EXPECT_FALSE(BuildHierarchy(g, bad3).ok());
 }
 
 TEST(Hierarchy, EmptyAndTinyGraphs) {

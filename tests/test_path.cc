@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "baseline/dijkstra.h"
@@ -28,7 +29,7 @@ TEST_P(PathTest, PathsAreValidAndShortest) {
   const VertexId n = family == Family::kCliqueCommunity ? 256 : 120;
   Graph g = MakeTestGraph(family, n, weighted, seed);
   IndexOptions opts;
-  opts.full_hierarchy = full_hierarchy;
+  if (full_hierarchy) opts.forced_k = UINT32_MAX;
   auto built = ISLabelIndex::Build(g, opts);
   ASSERT_TRUE(built.ok());
   ISLabelIndex index = std::move(built).value();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <tuple>
@@ -39,7 +40,7 @@ TEST_P(QueryExactnessTest, MatchesDijkstraOnSampledPairs) {
   const QueryCase& c = GetParam();
   Graph g = MakeTestGraph(c.family, c.n, c.weighted, c.seed);
   IndexOptions opts;
-  opts.full_hierarchy = c.full_hierarchy;
+  if (c.full_hierarchy) opts.forced_k = UINT32_MAX;
   auto built = ISLabelIndex::Build(g, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   ISLabelIndex index = std::move(built).value();
@@ -169,7 +170,7 @@ TEST(Query, LocationTypesReported) {
 TEST(Query, FullHierarchyNeverSearches) {
   Graph g = MakeTestGraph(Family::kErdosRenyi, 150, true, 6);
   IndexOptions opts;
-  opts.full_hierarchy = true;
+  opts.forced_k = UINT32_MAX;  // past the depth: the full hierarchy
   auto built = ISLabelIndex::Build(g, opts);
   ASSERT_TRUE(built.ok());
   ISLabelIndex index = std::move(built).value();
@@ -253,7 +254,7 @@ TEST(Query, AugmentingOverflowSurfacesAsStatus) {
   el.Add(3, 4, huge);
   Graph g = Graph::FromEdgeList(std::move(el));
   IndexOptions opts;
-  opts.full_hierarchy = true;
+  opts.forced_k = UINT32_MAX;  // past the depth: the full hierarchy
   auto built = ISLabelIndex::Build(g, opts);
   ASSERT_FALSE(built.ok());
   EXPECT_TRUE(built.status().IsOutOfRange());

@@ -713,10 +713,10 @@ int ServeFrontEnd(const Args& args, server::RequestDispatcher* dispatcher,
   return 0;
 }
 
-/// Catalog serve: every --dataset NAME=DIR is loaded on its own
-/// background thread; once all are ready the front end (stdin or TCP)
-/// serves them behind the `use` / `datasets` / `reload` verbs, one
-/// generation-invalidated result cache per dataset.
+/// Catalog serve: every --dataset NAME=DIR is loaded in turn; once all
+/// are ready the front end (stdin or TCP) serves them behind the `use` /
+/// `datasets` / `reload` verbs, one generation-invalidated result cache
+/// per dataset.
 int ServeCatalog(const Args& args,
                  const std::vector<std::string>& dataset_specs) {
   ServeObservability sobs;

@@ -70,6 +70,12 @@ this linter proves the conventions that make that proof meaningful:
                    formats (SNAP and DIMACS files larger than memory are
                    parsed line by line); server/tcp_server.cc keeps its
                    reserve fd on /dev/null.
+  catalog-install  SetGeneration( has exactly one call site in src/:
+                   every index the catalog serves (Add, AddIndex,
+                   Reload, ReloadFrom) is published by one routine,
+                   Catalog::Publish, which swaps it in before it bumps
+                   the cache generation (DESIGN.md §12.4). A second
+                   call site is a second install path.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -504,6 +510,30 @@ def rule_io_seam(root):
         "loaders open read-only)")
 
 
+# A call, not the member's declaration or definition.
+INSTALL_CALL_RE = re.compile(r"\bSetGeneration\s*\(")
+INSTALL_DEF_RE = re.compile(r"\bvoid\s+SetGeneration\s*\(")
+
+
+def rule_catalog_install(root):
+    calls = []
+    for rel in walk_sources(root, "src"):
+        for lineno, text in code_lines(read_lines(root, rel)):
+            if not INSTALL_DEF_RE.search(text):
+                calls.extend((rel, lineno)
+                             for _ in INSTALL_CALL_RE.finditer(text))
+    if not calls:
+        return [(os.path.join("src", "catalog", "catalog.cc"), 1,
+                 "catalog-install",
+                 "no SetGeneration call: Catalog::Publish must publish "
+                 "every install")]
+    first = f"{calls[0][0]}:{calls[0][1]}"
+    return [(rel, lineno, "catalog-install",
+             f"a second install path: SetGeneration is called at {first}; "
+             "publish every index through that one routine")
+            for rel, lineno in calls[1:]]
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -537,6 +567,7 @@ RULES = [
     rule_server_transport,
     rule_trace_seam,
     rule_io_seam,
+    rule_catalog_install,
 ]
 
 
@@ -567,6 +598,7 @@ SELF_TEST_EXPECTED = {
     "server-transport": 1,
     "trace-seam": 1,
     "io-seam": 2,
+    "catalog-install": 1,
 }
 
 
