@@ -19,21 +19,9 @@ std::string ChPath(const std::string& dir) { return dir + "/ch.islc"; }
 
 }  // namespace
 
-CHIndex::CHIndex() = default;
-
-CHIndex::ScratchLease::ScratchLease(ScratchPool* pool) : pool_(pool) {
-  MutexLock lock(&pool_->mu);
-  if (!pool_->free_list.empty()) {
-    scratch_ = std::move(pool_->free_list.back());
-    pool_->free_list.pop_back();
-  } else {
-    scratch_ = std::make_unique<ContractionHierarchy::Scratch>();
-  }
-}
-
-CHIndex::ScratchLease::~ScratchLease() {
-  MutexLock lock(&pool_->mu);
-  pool_->free_list.push_back(std::move(scratch_));
+CHIndex::CHIndex()
+    : pool_(std::make_unique<EnginePool<ContractionHierarchy::Scratch>>(
+          [] { return std::make_unique<ContractionHierarchy::Scratch>(); })) {
 }
 
 Result<CHIndex> CHIndex::Build(const Graph& g) {
@@ -47,7 +35,7 @@ Result<CHIndex> CHIndex::Build(const Graph& g) {
 }
 
 Status CHIndex::QueryUncached(VertexId s, VertexId t, Distance* out) {
-  ScratchLease lease(pool_.get());
+  const auto lease = pool_->Acquire();
   *out = ch_.Query(s, t, lease.get());
   return Status::OK();
 }
@@ -55,7 +43,7 @@ Status CHIndex::QueryUncached(VertexId s, VertexId t, Distance* out) {
 Status CHIndex::ShortestPath(VertexId s, VertexId t,
                              std::vector<VertexId>* path, Distance* dist) {
   ISLABEL_RETURN_IF_ERROR(CheckQueryable(s, t));
-  ScratchLease lease(pool_.get());
+  const auto lease = pool_->Acquire();
   *dist = ch_.Path(s, t, lease.get(), path);
   return Status::OK();
 }

@@ -6,11 +6,12 @@
 // inputs, IS-LABEL on scale-free ones; see backends/registry.h for the
 // auto heuristic and bench_backends for the numbers).
 //
-// Concurrency follows the engine-pool pattern of core/engine_pool.h: the
-// hierarchy is immutable after Build/Load, each query leases a
-// ContractionHierarchy::Scratch from a mutex-guarded free list (grown on
-// demand, never shrunk), so any number of threads may query one CHIndex
-// concurrently.
+// Concurrency: the hierarchy is immutable after Build/Load, and each
+// query leases a ContractionHierarchy::Scratch from the index's
+// EnginePool (core/engine_pool.h, the pool IS-LABEL's engines come from
+// too), so any number of threads may query one CHIndex concurrently. A
+// lease's wait is the trace's pool_wait stage, as for IS-LABEL; CH
+// registers no pool instruments.
 //
 // Persistence: Save() writes `<dir>/ch.islc` (magic-tagged, versioned,
 // varint-encoded order + up lists). The file is self-identifying, which
@@ -32,10 +33,9 @@
 
 #include "baseline/contraction_hierarchy.h"
 #include "core/distance_index.h"
+#include "core/engine_pool.h"
 #include "graph/graph.h"
-#include "util/mutex.h"
 #include "util/result.h"
-#include "util/thread_annotations.h"
 
 namespace islabel {
 
@@ -73,30 +73,9 @@ class CHIndex : public DistanceIndex {
   Status QueryUncached(VertexId s, VertexId t, Distance* out) override;
 
  private:
-  /// Mutex-guarded free list of query scratch (engine-pool pattern).
-  /// Heap-allocated so CHIndex stays movable despite the mutex.
-  struct ScratchPool {
-    Mutex mu;
-    std::vector<std::unique_ptr<ContractionHierarchy::Scratch>> free_list
-        GUARDED_BY(mu);
-  };
-
-  /// RAII lease: returns the scratch to the pool on destruction.
-  class ScratchLease {
-   public:
-    explicit ScratchLease(ScratchPool* pool);
-    ~ScratchLease();
-    ScratchLease(const ScratchLease&) = delete;
-    ScratchLease& operator=(const ScratchLease&) = delete;
-    ContractionHierarchy::Scratch* get() { return scratch_.get(); }
-
-   private:
-    ScratchPool* pool_;
-    std::unique_ptr<ContractionHierarchy::Scratch> scratch_;
-  };
-
   ContractionHierarchy ch_;
-  std::unique_ptr<ScratchPool> pool_ = std::make_unique<ScratchPool>();
+  // Heap-held so CHIndex stays movable despite the pool's mutex.
+  std::unique_ptr<EnginePool<ContractionHierarchy::Scratch>> pool_;
   double build_seconds_ = 0.0;
 };
 

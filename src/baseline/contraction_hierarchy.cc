@@ -1,6 +1,7 @@
 #include "baseline/contraction_hierarchy.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <unordered_map>
@@ -255,16 +256,17 @@ Distance ContractionHierarchy::Search(VertexId s, VertexId t,
                : kInfDistance;
   };
 
-  using Entry = std::pair<Distance, VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq[2];
-  scratch->sides[0].dist[s] = 0;
-  scratch->sides[0].stamp[s] = epoch;
-  scratch->sides[0].parent[s] = kInvalidVertex;
-  pq[0].push({0, s});
-  scratch->sides[1].dist[t] = 0;
-  scratch->sides[1].stamp[t] = epoch;
-  scratch->sides[1].parent[t] = kInvalidVertex;
-  pq[1].push({0, t});
+  const std::greater<std::pair<Distance, VertexId>> after;  // min-heap
+  const VertexId source[2] = {s, t};
+  for (int side = 0; side < 2; ++side) {
+    Scratch::Side& state = scratch->sides[side];
+    state.dist[source[side]] = 0;
+    state.stamp[source[side]] = epoch;
+    state.parent[source[side]] = kInvalidVertex;
+    state.heap.assign(1, {0, source[side]});
+  }
+  auto& pq0 = scratch->sides[0].heap;
+  auto& pq1 = scratch->sides[1].heap;
 
   Distance best = kInfDistance;
   VertexId meet = kInvalidVertex;
@@ -272,16 +274,18 @@ Distance ContractionHierarchy::Search(VertexId s, VertexId t,
   // Upward searches cannot prune with min_f + min_r (paths are not
   // monotone in distance along the up-down profile); the standard CH stop
   // rule halts a side once its queue minimum exceeds µ.
-  while (!pq[0].empty() || !pq[1].empty()) {
+  while (!pq0.empty() || !pq1.empty()) {
     for (int side = 0; side < 2; ++side) {
-      if (pq[side].empty()) continue;
-      auto [d, v] = pq[side].top();
+      auto& pq = scratch->sides[side].heap;
+      if (pq.empty()) continue;
+      const auto [d, v] = pq.front();
       if (d >= best) {
         // This side can no longer improve µ.
-        while (!pq[side].empty()) pq[side].pop();
+        pq.clear();
         continue;
       }
-      pq[side].pop();
+      std::pop_heap(pq.begin(), pq.end(), after);
+      pq.pop_back();
       if (d != dist_of(side, v)) continue;
       ++settled;
       const Distance through = SatAdd(dist_of(0, v), dist_of(1, v));
@@ -295,7 +299,8 @@ Distance ContractionHierarchy::Search(VertexId s, VertexId t,
           scratch->sides[side].dist[e.to] = nd;
           scratch->sides[side].stamp[e.to] = epoch;
           scratch->sides[side].parent[e.to] = v;
-          pq[side].push({nd, e.to});
+          pq.emplace_back(nd, e.to);
+          std::push_heap(pq.begin(), pq.end(), after);
         }
       }
     }

@@ -20,6 +20,7 @@
 #define ISLABEL_BASELINE_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -41,13 +42,18 @@ class ContractionHierarchy {
 
   /// Caller-owned query state. The hierarchy itself is immutable after
   /// Build, so any number of threads may query concurrently as long as
-  /// each brings its own Scratch (the engine-pool pattern; CHIndex pools
-  /// these).
+  /// each brings its own Scratch (CHIndex leases these from an
+  /// EnginePool). Every buffer keeps its capacity across queries, so a
+  /// warm Scratch makes a query allocate nothing.
   struct Scratch {
     struct Side {
       std::vector<Distance> dist;
       std::vector<std::uint32_t> stamp;
       std::vector<VertexId> parent;  // predecessor in the upward search
+      // Min-heap of (distance, vertex) under std::push_heap / pop_heap
+      // with std::greater: std::priority_queue's algorithm, on storage
+      // that outlives the query.
+      std::vector<std::pair<Distance, VertexId>> heap;
     };
     Side sides[2];
     std::uint32_t epoch = 0;

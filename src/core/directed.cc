@@ -102,10 +102,14 @@ Result<DirectedISLabel> DirectedISLabel::Build(const DiGraph& g,
       ComputeLabelsTopDown(*h, nullptr, options.num_threads));
   h->ReleaseDag();
   idx.hierarchy_ = std::move(h);
-  idx.pool_ = std::make_unique<QueryEnginePool>(
-      idx.hierarchy_.get(),
-      SearchSide{LabelProvider(idx.out_labels_.get()), &idx.core_->out()},
-      SearchSide{LabelProvider(idx.in_labels_.get()), &idx.core_->in()});
+  const VertexHierarchy* hierarchy = idx.hierarchy_.get();
+  const SearchSide forward{LabelProvider(idx.out_labels_.get()),
+                           &idx.core_->out()};
+  const SearchSide reverse{LabelProvider(idx.in_labels_.get()),
+                           &idx.core_->in()};
+  idx.pool_ = std::make_unique<QueryEnginePool>([hierarchy, forward, reverse] {
+    return std::make_unique<QueryEngine>(hierarchy, forward, reverse);
+  });
   return idx;
 }
 

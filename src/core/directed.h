@@ -28,6 +28,7 @@
 #include "core/hierarchy.h"
 #include "core/label_arena.h"
 #include "core/options.h"
+#include "core/query.h"
 #include "graph/digraph.h"
 #include "util/result.h"
 

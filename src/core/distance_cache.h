@@ -7,11 +7,12 @@
 // server/query_cache.h, so the core library never depends on the serving
 // subsystem.
 //
-// Invalidation contract: the index calls BumpGeneration() every time the
-// engine pool is reset (Build, Load, InsertVertex, DeleteVertex). An
-// implementation must never serve an entry inserted before the latest
-// bump. All methods must be thread-safe: they are called concurrently
-// from every thread driving Query.
+// Invalidation contract: the index calls BumpGeneration() at the end of
+// every update (InsertVertex, DeleteVertex); a reload installs a new
+// index, and the catalog bumps its dataset's cache. An implementation
+// must never serve an entry inserted before the latest bump. All methods
+// must be thread-safe: they are called concurrently from every thread
+// driving Query.
 
 #ifndef ISLABEL_CORE_DISTANCE_CACHE_H_
 #define ISLABEL_CORE_DISTANCE_CACHE_H_

@@ -12,9 +12,10 @@
 //
 //   * Thread-safety: every query entry point may be called from any
 //     number of threads concurrently once the index is built/loaded.
-//     Backends keep per-query scratch in internal pools (engine-pool
-//     pattern); the index structure itself is immutable at query time.
-//     Mutation (updates, Save/Load) must be quiesced by the caller.
+//     Backends lease per-query scratch from an EnginePool
+//     (core/engine_pool.h); the index structure itself is immutable at
+//     query time. Mutation (updates, Save/Load) must be quiesced by the
+//     caller.
 //
 //   * Cache generations: Query() is a template method and the only
 //     place a result cache is consulted. It reads the cache through
@@ -148,10 +149,9 @@ class DistanceIndex {
   // ---- Optional telemetry (DESIGN.md §16) ----
 
   /// Registers backend-owned instruments (engine-pool gauges and
-  /// counters) into `registry` and keeps them wired across internal
-  /// pool resets. Idempotent; composite backends forward to their parts.
-  /// Default: no-op. Call before serving, and again after a mutation
-  /// that rebuilds internal pools is fine too.
+  /// counters) into `registry`. Idempotent; composite backends forward
+  /// to their parts. Default: no-op. Call before serving; updates keep
+  /// the pool, and with it the wiring.
   virtual void InstallMetrics(obs::MetricRegistry* registry);
 
  protected:
@@ -170,7 +170,9 @@ class DistanceIndex {
   /// range check against NumVertices().
   virtual Status CheckQueryable(VertexId s, VertexId t) const;
 
-  /// Invalidates every cached answer (updates, reloads, pool resets).
+  /// Invalidates every cached answer. A backend whose answers can change
+  /// in place (IS-LABEL's InsertVertex / DeleteVertex) calls it at the
+  /// end of every update.
   void BumpCacheGeneration() {
     if (distance_cache_ != nullptr) distance_cache_->BumpGeneration();
   }

@@ -1,90 +1,115 @@
-// QueryEnginePool: thread-safe engine checkout over a shared index.
+// EnginePool<T>: thread-safe checkout of per-query scratch over a shared
+// index — the one pool of every backend.
 //
-// At query time the hierarchy, the label slab/CSR and the on-disk label
-// store are all immutable shared assets; what is NOT shareable is the
-// QueryEngine, which owns mutable per-query scratch (seed buffers, radix
-// heaps, epoch-stamped search state). The pool closes that gap: Acquire()
-// hands the calling thread an engine of its own — a recycled one when a
-// previous lease returned it, a freshly constructed one otherwise — as an
-// RAII lease that flows the engine back into the free list when it dies.
+// At query time a backend's index is an immutable shared asset; what is
+// NOT shareable is the scratch a query mutates: a QueryEngine for
+// IS-LABEL (seed buffers, radix heaps, epoch-stamped search state), a
+// ContractionHierarchy::Scratch for CH. The pool closes that gap:
+// Acquire() hands the calling thread a T of its own — a recycled one when
+// a previous lease returned it, one from the pool's factory otherwise —
+// as an RAII lease that flows it back into the free list when it dies.
 // Steady-state serving therefore creates exactly as many engines as the
 // peak number of concurrent queries, and the per-query overhead is one
 // mutex lock/unlock pair on each side of the query.
 //
-// The pool synchronizes engine *ownership*, nothing else: updates (§8.3)
-// and Save/Load still must not run concurrently with queries.
+// An index builds its pool once and keeps it for life. The pool
+// synchronizes engine *ownership*, nothing else: updates (§8.3) and
+// Save/Load still must not run concurrently with queries, and a pooled
+// QueryEngine absorbs an update at its next query
+// (QueryEngine::EnsureScratch).
 
 #ifndef ISLABEL_CORE_ENGINE_POOL_H_
 #define ISLABEL_CORE_ENGINE_POOL_H_
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "core/query.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace islabel {
 
-class QueryEnginePool {
+template <typename T>
+class EnginePool {
  public:
-  /// Every engine gets a copy of `provider` for both sides and reads
-  /// hierarchy->g_k; the hierarchy and the provider's backing storage
-  /// (arena or store) must outlive the pool.
-  QueryEnginePool(const VertexHierarchy* hierarchy, LabelProvider provider)
-      : QueryEnginePool(hierarchy, {provider, &hierarchy->g_k},
-                        {provider, &hierarchy->g_k}) {}
-  /// Every engine gets copies of both sides (QueryEngine's two-sided
-  /// constructor); the hierarchy, both providers' storage and both sides'
-  /// lists must outlive the pool.
-  QueryEnginePool(const VertexHierarchy* hierarchy, SearchSide forward,
-                  SearchSide reverse)
-      : hierarchy_(hierarchy), forward_(forward), reverse_(reverse) {}
+  /// Makes one engine. Runs outside the pool's lock, possibly on several
+  /// threads at once; whatever it captures must outlive the pool.
+  using Factory = std::function<std::unique_ptr<T>()>;
 
-  QueryEnginePool(const QueryEnginePool&) = delete;
-  QueryEnginePool& operator=(const QueryEnginePool&) = delete;
+  explicit EnginePool(Factory factory) : factory_(std::move(factory)) {}
+
+  EnginePool(const EnginePool&) = delete;
+  EnginePool& operator=(const EnginePool&) = delete;
 
   /// RAII engine checkout; movable, returns the engine on destruction.
   /// A default-constructed Lease is empty (get() == nullptr).
   class Lease {
    public:
     Lease() = default;
-    Lease(QueryEnginePool* pool, std::unique_ptr<QueryEngine> engine)
-        : pool_(pool), engine_(std::move(engine)) {}
     ~Lease() { Release(); }
 
     Lease(Lease&& o) noexcept
-        : pool_(o.pool_), engine_(std::move(o.engine_)) {
-      o.pool_ = nullptr;
-    }
+        : pool_(std::exchange(o.pool_, nullptr)),
+          engine_(std::move(o.engine_)) {}
     Lease& operator=(Lease&& o) noexcept {
       if (this != &o) {
         Release();
-        pool_ = o.pool_;
+        pool_ = std::exchange(o.pool_, nullptr);
         engine_ = std::move(o.engine_);
-        o.pool_ = nullptr;
       }
       return *this;
     }
 
-    QueryEngine* get() const { return engine_.get(); }
-    QueryEngine* operator->() const { return engine_.get(); }
-    QueryEngine& operator*() const { return *engine_; }
+    T* get() const { return engine_.get(); }
+    T* operator->() const { return engine_.get(); }
+    T& operator*() const { return *engine_; }
     explicit operator bool() const { return engine_ != nullptr; }
 
    private:
-    void Release();
+    friend class EnginePool;
+    Lease(EnginePool* pool, std::unique_ptr<T> engine)
+        : pool_(pool), engine_(std::move(engine)) {}
 
-    QueryEnginePool* pool_ = nullptr;
-    std::unique_ptr<QueryEngine> engine_;
+    void Release() {
+      if (pool_ != nullptr && engine_ != nullptr) {
+        pool_->Return(std::move(engine_));
+      }
+      pool_ = nullptr;
+      engine_.reset();
+    }
+
+    EnginePool* pool_ = nullptr;
+    std::unique_ptr<T> engine_;
   };
 
   /// Returns a leased engine. Never blocks on other queries; an engine is
-  /// held by at most one lease at a time.
-  Lease Acquire();
+  /// held by at most one lease at a time. The wait is the active trace's
+  /// pool_wait stage (DESIGN.md §16.2).
+  Lease Acquire() {
+    obs::StageTimer span(obs::Stage::kPoolWait);
+    std::unique_ptr<T> engine;
+    {
+      MutexLock lock(&mu_);
+      if (!free_.empty()) {
+        engine = std::move(free_.back());
+        free_.pop_back();
+      } else {
+        ++created_;
+      }
+    }
+    if (engine == nullptr) {
+      if (auto* c = engines_created_.load(std::memory_order_acquire)) c->Inc();
+      engine = factory_();
+    }
+    if (auto* g = leases_active_.load(std::memory_order_acquire)) g->Add(1);
+    return Lease(this, std::move(engine));
+  }
 
   /// Engines constructed over the pool's lifetime — equals the peak number
   /// of simultaneous leases observed (diagnostics/tests).
@@ -94,10 +119,9 @@ class QueryEnginePool {
   }
 
   /// Registry-backed instruments (DESIGN.md §16). The gauge and counter
-  /// are SHARED across pools via Add/Inc deltas, so pool occupancy
-  /// survives ResetPool and sums across partitioned-index parts. All
-  /// pointers must outlive the pool; null fields disable that signal.
-  /// Lease wait is timed by the trace's pool_wait stage, not here.
+  /// are SHARED across pools via Add/Inc deltas, so they sum across
+  /// partitioned-index parts and reloaded indexes. All pointers must
+  /// outlive the pool; null fields disable that signal.
   struct PoolMetrics {
     obs::Gauge* leases_active = nullptr;    // +1 per live lease
     obs::Counter* engines_created = nullptr;
@@ -109,20 +133,27 @@ class QueryEnginePool {
   }
 
  private:
-  friend class Lease;
-  void Return(std::unique_ptr<QueryEngine> engine);
+  void Return(std::unique_ptr<T> engine) {
+    if (auto* g = leases_active_.load(std::memory_order_acquire)) g->Add(-1);
+    MutexLock lock(&mu_);
+    free_.push_back(std::move(engine));
+  }
 
-  const VertexHierarchy* hierarchy_;
-  SearchSide forward_;
-  SearchSide reverse_;
+  const Factory factory_;
   mutable Mutex mu_;
-  std::vector<std::unique_ptr<QueryEngine>> free_ GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<T>> free_ GUARDED_BY(mu_);
   std::size_t created_ GUARDED_BY(mu_) = 0;
 
   // Installed once before serving; read lock-free on the query path.
   std::atomic<obs::Gauge*> leases_active_{nullptr};
   std::atomic<obs::Counter*> engines_created_{nullptr};
 };
+
+class QueryEngine;  // core/query.h
+
+/// IS-LABEL's pool: ISLabelIndex and DirectedISLabel lease their
+/// QueryEngines from one of these.
+using QueryEnginePool = EnginePool<QueryEngine>;
 
 }  // namespace islabel
 

@@ -63,31 +63,28 @@ Result<ISLabelIndex> ISLabelIndex::Build(const Graph& g,
   index.build_stats_.level_stats = index.hierarchy_->stats;
   index.deleted_.Resize(index.hierarchy_->NumVertices());
   index.vias_enabled_ = options.keep_vias;
-  index.ResetPool();
+  index.CreatePool();
   return index;
 }
 
-void ISLabelIndex::ResetPool() {
-  LabelProvider provider = store_ != nullptr ? LabelProvider(store_.get())
-                                             : LabelProvider(labels_.get());
-  pool_ = std::make_unique<QueryEnginePool>(hierarchy_.get(), provider);
-  // Every pool reset marks a potential answer change (InsertVertex,
-  // DeleteVertex, reload): invalidate all cached distances.
-  BumpCacheGeneration();
-  ApplyPoolMetrics();
+void ISLabelIndex::CreatePool() {
+  // The factory captures the heap-held hierarchy and labels, not `this`:
+  // the index moves, they do not.
+  const VertexHierarchy* hierarchy = hierarchy_.get();
+  const LabelProvider provider = store_ != nullptr
+                                     ? LabelProvider(store_.get())
+                                     : LabelProvider(labels_.get());
+  pool_ = std::make_unique<QueryEnginePool>([hierarchy, provider] {
+    return std::make_unique<QueryEngine>(hierarchy, provider);
+  });
 }
 
 void ISLabelIndex::InstallMetrics(obs::MetricRegistry* registry) {
-  metrics_registry_ = registry;
-  ApplyPoolMetrics();
-}
-
-void ISLabelIndex::ApplyPoolMetrics() {
-  if (metrics_registry_ == nullptr || pool_ == nullptr) return;
+  if (registry == nullptr || pool_ == nullptr) return;
   QueryEnginePool::PoolMetrics m;
-  m.leases_active = metrics_registry_->GetGauge(
-      "islabel_pool_leases_active", "Engine leases currently held");
-  m.engines_created = metrics_registry_->GetCounter(
+  m.leases_active = registry->GetGauge("islabel_pool_leases_active",
+                                       "Engine leases currently held");
+  m.engines_created = registry->GetCounter(
       "islabel_pool_engines_created_total",
       "Query engines constructed across all pools");
   pool_->SetMetrics(m);
@@ -204,7 +201,6 @@ void ISLabelIndex::RebuildCore(EdgeList edges) {
     }
   }
   hierarchy_->stats.back().num_edges = hierarchy_->g_k.NumEdges();
-  ResetPool();
 }
 
 Status ISLabelIndex::Save(const std::string& dir) const {
@@ -320,7 +316,7 @@ Result<ISLabelIndex> ISLabelIndex::Load(const std::string& dir,
   index.build_stats_.k = k;
   index.build_stats_.core_vertices = core_vertices;
   index.build_stats_.core_edges = index.hierarchy_->g_k.NumEdges();
-  index.ResetPool();
+  index.CreatePool();
   return index;
 }
 

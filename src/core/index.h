@@ -56,8 +56,9 @@ struct BuildStats {
 /// pool); updates and persistence must not overlap with queries.
 ///
 /// The DistanceIndex base provides Query() (with the cache template
-/// method) and carries the optional distance cache; ResetPool() bumps its
-/// generation on every update/reload so stale entries are never served.
+/// method) and carries the optional distance cache; InsertVertex and
+/// DeleteVertex end by bumping its generation, so no cached answer
+/// survives an update.
 class ISLabelIndex : public DistanceIndex {
  public:
   ISLabelIndex() = default;
@@ -156,9 +157,9 @@ class ISLabelIndex : public DistanceIndex {
   QueryEnginePool* engine_pool() { return pool_.get(); }
 
   /// Wires the engine pool's occupancy gauge and creation counter into
-  /// `registry`, and keeps them wired across every ResetPool (updates,
-  /// reloads). The shared Add/Inc instruments mean partitioned parts and
-  /// reloaded pools all feed the same series.
+  /// `registry`. The pool lives as long as the index, updates included;
+  /// the shared Add/Inc instruments mean partitioned parts and reloaded
+  /// indexes all feed the same series.
   void InstallMetrics(obs::MetricRegistry* registry) override;
 
  protected:
@@ -169,16 +170,11 @@ class ISLabelIndex : public DistanceIndex {
   Status CheckQueryable(VertexId s, VertexId t) const override;
 
  private:
-  /// (Re)creates the engine pool over the current hierarchy/labels; called
-  /// eagerly at Build/Load and after every update, so the query entry
-  /// points never construct shared state lazily (and thus never race).
-  /// Bumps the cache generation: every reset marks a potential answer
-  /// change.
-  void ResetPool();
-
-  // Re-applies the registry-backed pool instruments to the current pool
-  // (no-op until InstallMetrics has been called).
-  void ApplyPoolMetrics();
+  /// Creates the engine pool over the hierarchy and the labels (arena or
+  /// store). Build and Load call it once, so the query entry points never
+  /// construct shared state lazily (and thus never race); updates keep
+  /// the pool, and each engine absorbs them at its next query.
+  void CreatePool();
 
   // Rebuilds the G_k CSR from an edge list after an update (updates.cc).
   void RebuildCore(EdgeList edges);
@@ -190,7 +186,6 @@ class ISLabelIndex : public DistanceIndex {
   BuildStats build_stats_;
   BitVector deleted_;
   bool vias_enabled_ = true;
-  obs::MetricRegistry* metrics_registry_ = nullptr;
 };
 
 }  // namespace islabel

@@ -186,8 +186,7 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
 
   // Seeds: label entries landing in G_k (Algorithm 1 lines 1-2), scanned
   // from the precomputed first-core cut into engine-owned buffers. Empty on
-  // either side means the query is Type 1 and Equation 1 already answered
-  // it (Theorem 3).
+  // either side means an Equation 1 answer: µ is the distance (Theorem 3).
   ExtractSeeds(label_s, cut_s, &seeds_[0]);
   ExtractSeeds(label_t, cut_t, &seeds_[1]);
   if (seeds_[0].empty() || seeds_[1].empty()) {
@@ -254,7 +253,7 @@ Status QueryEngine::QueryOneToMany(VertexId s,
     const Eq1Result eq1 = EvaluateEq1(label_s, label_t);
     ExtractSeeds(label_t, cut_t, &seeds_[1]);
     if (seeds_[0].empty() || seeds_[1].empty()) {
-      (*out)[i] = eq1.dist;  // Type 1: Equation 1 is the answer (Theorem 3).
+      (*out)[i] = eq1.dist;  // An Equation 1 answer (Theorem 3).
       continue;
     }
     const std::uint32_t rev_epoch = ++epoch_;

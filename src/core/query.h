@@ -4,11 +4,12 @@
 //   1. Fetch label(s) and label(t) (a borrowed LabelView over the arena
 //      slab, or one disk read each — the paper's Time (a)) and evaluate
 //      Equation 1 over their intersection, giving the pruning bound µ.
-//   2. If the query is Type 1 — both endpoints outside G_k and at least one
-//      label not reaching G_k — µ is the answer (Theorem 3). Otherwise run
-//      the label-based bidirectional Dijkstra of Algorithm 1 on G_k, seeded
-//      with the label entries that land in G_k and pruned by
-//      min(FQ) + min(RQ) >= µ (Theorem 4). This is the paper's Time (b).
+//   2. If one of the two labels has no entry in G_k, µ is the answer
+//      (Theorem 3): an Equation 1 answer, whatever the query's Table 5
+//      type (LocationType). Otherwise run the label-based bidirectional
+//      Dijkstra of Algorithm 1 on G_k, seeded with the label entries that
+//      land in G_k and pruned by min(FQ) + min(RQ) >= µ (Theorem 4). This
+//      is the paper's Time (b).
 //      Each round expands the side whose frontier holds fewer entries
 //      (DESIGN §7.4). G_k's lists run in ascending weight, so a settled
 //      vertex's list is read only up to its first edge whose new distance
@@ -164,8 +165,8 @@ class QueryEngine {
   void SetEpochForTesting(std::uint32_t epoch) { epoch_ = epoch; }
 
  private:
-  /// Equation 1, then (unless the query is Type 1) the bi-Dijkstra of
-  /// Algorithm 1 over G_k.
+  /// Equation 1, then (unless that is an Equation 1 answer) the
+  /// bi-Dijkstra of Algorithm 1 over G_k.
   Status Run(VertexId s, VertexId t, Distance* out, QueryStats* stats,
              PathCapture* capture);
 

@@ -55,34 +55,39 @@ Status ISLabelIndex::InsertVertex(
     if (w == 0) return Status::InvalidArgument("weights must be positive");
   }
 
+  // G_k's new edges: v's own core edges, and core bridges — v is
+  // reachable from every core ancestor of each below-core neighbor. They
+  // are all read from pre-insert labels, so every bridge weight is checked
+  // before the first write: a failed insert leaves the index unchanged.
+  EdgeList core = hierarchy_->GlobalCore().ToEdgeList();
+  core.EnsureVertices(n + 1);
+  for (const auto& [nbr, w] : adj) {
+    if (hierarchy_->InCore(nbr)) {
+      core.Add(v, nbr, w);
+      continue;
+    }
+    for (const LabelEntry& e : labels_->View(nbr)) {
+      if (!hierarchy_->InCore(e.node)) continue;
+      const Distance bridge = e.dist + w;
+      if (bridge > std::numeric_limits<Weight>::max()) {
+        return Status::OutOfRange(
+            "bridge edge weight overflows the Weight type");
+      }
+      core.Add(e.node, v, static_cast<Weight>(bridge), nbr);
+    }
+  }
+
   // The new vertex lives in G_k with the highest level number; its own
   // label is the trivial {(v, 0)}, appended to the side-table.
   hierarchy_->level.push_back(hierarchy_->k);
   labels_->AppendLabel(v, {LabelEntry(v, 0)});
   deleted_.Resize(n + 1);
 
-  EdgeList core = hierarchy_->GlobalCore().ToEdgeList();
-  core.EnsureVertices(n + 1);
-
   for (const auto& [nbr, w] : adj) {
-    if (hierarchy_->InCore(nbr)) {
-      core.Add(v, nbr, w);
-      continue;
-    }
+    if (hierarchy_->InCore(nbr)) continue;
     // Snapshot label(nbr) before patching so the closure is computed
     // against the pre-insert state.
     const std::vector<LabelEntry> anchor = labels_->View(nbr).ToVector();
-    // Core bridges: u is reachable from every core ancestor of nbr.
-    for (const LabelEntry& e : anchor) {
-      if (hierarchy_->InCore(e.node)) {
-        const Distance bridge = e.dist + w;
-        if (bridge > std::numeric_limits<Weight>::max()) {
-          return Status::OutOfRange(
-              "bridge edge weight overflows the Weight type");
-        }
-        core.Add(e.node, v, static_cast<Weight>(bridge), nbr);
-      }
-    }
     // Label closure: every vertex sharing an ancestor with nbr can route
     // to u below the core. The via vertex must be a strict intermediate:
     // for nbr's own entry the edge (nbr, v) is direct.
@@ -98,6 +103,7 @@ Status ISLabelIndex::InsertVertex(
   // Rebuild even without new core edges: v joined the core, and the CSR
   // must span the grown id space.
   RebuildCore(std::move(core));
+  BumpCacheGeneration();
   return Status::OK();
 }
 
@@ -131,9 +137,8 @@ Status ISLabelIndex::DeleteVertex(VertexId v) {
       if (e.u != v && e.v != v) rebuilt.Add(e.u, e.v, e.w, e.via);
     }
     RebuildCore(std::move(rebuilt));
-  } else {
-    ResetPool();
   }
+  BumpCacheGeneration();
   return Status::OK();
 }
 

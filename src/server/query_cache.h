@@ -10,12 +10,12 @@
 // Staleness: instead of walking every shard on an index update, the
 // cache carries a generation counter. Entries remember the generation
 // they were inserted under; Lookup rejects (and lazily erases) entries
-// from older generations. ISLabelIndex bumps the generation on every
-// pool reset (InsertVertex / DeleteVertex / Build / Load), so a stale
-// distance is never served across an update — cached answers are always
-// bit-identical to what the engine would currently compute, including
-// the paper's §8.3 lazy-delete semantics where the *engine's* answer may
-// itself route through a deleted below-core vertex.
+// from older generations. ISLabelIndex bumps the generation at the end
+// of every update (InsertVertex / DeleteVertex), and the catalog on every
+// reload, so a stale distance is never served across an update — cached
+// answers are always bit-identical to what the engine would currently
+// compute, including the paper's §8.3 lazy-delete semantics where the
+// *engine's* answer may itself route through a deleted below-core vertex.
 
 #ifndef ISLABEL_SERVER_QUERY_CACHE_H_
 #define ISLABEL_SERVER_QUERY_CACHE_H_

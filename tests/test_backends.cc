@@ -1,7 +1,8 @@
 // The pluggable backend layer: CHIndex correctness against Dijkstra,
 // save/load round-trips, the registry's auto heuristic, mixed-backend
 // partitioned catalogs, manifest corruption handling, and concurrent CH
-// querying (the TSan leg for the backend scratch pool).
+// querying (the TSan leg for CH's leases from the engine pool,
+// core/engine_pool.h, which IS-LABEL's engines come from too).
 //
 // Every distance assertion here is pinned bit-identical to Dijkstra —
 // both CH and IS-LABEL are exact methods, so the backends must agree
@@ -377,7 +378,7 @@ TEST_F(BackendsDirTest, UnknownBackendNameYieldsCorruption) {
 
 /// Many threads hammer one CHIndex through every query entry point while
 /// comparing against precomputed expected answers. Under TSan this
-/// exercises the scratch pool's lease/release protocol.
+/// exercises the engine pool's lease/release protocol.
 TEST(CHConcurrencyTest, ParallelQueriesAreExactAndRaceFree) {
   Graph g = MakeTestGraph(Family::kGrid, 140, /*weighted=*/true, 89);
   auto built = CHIndex::Build(g);

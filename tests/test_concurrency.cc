@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
+#include "baseline/dijkstra.h"
 #include "core/engine_pool.h"
 #include "core/index.h"
 #include "tests/test_common.h"
@@ -262,6 +264,75 @@ TEST_F(ConcurrencyTest, PoolRecyclesEnginesSequentially) {
   // Both returned; the next lease recycles.
   QueryEnginePool::Lease c = index.engine_pool()->Acquire();
   EXPECT_EQ(index.engine_pool()->EnginesCreated(), 2u);
+}
+
+TEST_F(ConcurrencyTest, PoolOutlivesUpdates) {
+  // The index builds its engine pool once. Updates keep it, and a pooled
+  // engine absorbs an update at its next query. After the build, an
+  // insert and a delete, kThreads threads query the index, and every
+  // answer must equal an engine built fresh over the updated index.
+  Graph g = MakeTestGraph(Family::kBarabasiAlbert, 150, /*weighted=*/true, 23);
+  auto built = ISLabelIndex::Build(g);
+  ASSERT_TRUE(built.ok());
+  ISLabelIndex index = std::move(built).value();
+  QueryEnginePool* const pool = index.engine_pool();
+  std::size_t created = 0;
+  auto hammer = [&](const std::vector<std::pair<VertexId, VertexId>>& pairs,
+                    std::vector<Distance>* expect) {
+    QueryEngine fresh(&index.hierarchy(), LabelProvider(&index.labels()));
+    expect->assign(pairs.size(), kInfDistance);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_TRUE(
+          fresh.Query(pairs[i].first, pairs[i].second, &(*expect)[i]).ok());
+    }
+    HammerAndCheck(&index, pairs, *expect, kThreads);
+    EXPECT_EQ(index.engine_pool(), pool);
+    EXPECT_GE(pool->EnginesCreated(), created);
+    EXPECT_LE(pool->EnginesCreated(), kThreads);
+    created = pool->EnginesCreated();
+  };
+  std::vector<Distance> expect;
+  hammer(SampleQueryPairs(g, 100, 29), &expect);
+
+  // Insert a vertex with one below-core and one core neighbor; it joins
+  // G_k, bridged to the below-core neighbor's core ancestors.
+  VertexId below = kInvalidVertex, core = kInvalidVertex;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    (index.InCore(u) ? core : below) = u;
+  }
+  ASSERT_NE(below, kInvalidVertex);
+  ASSERT_NE(core, kInvalidVertex);
+  const VertexId v = g.NumVertices();
+  ASSERT_TRUE(index.InsertVertex(v, {{below, 3}, {core, 4}}).ok());
+  ASSERT_TRUE(index.InCore(v));
+  EdgeList el = g.ToEdgeList();
+  el.EnsureVertices(v + 1);
+  el.Add(v, below, 3);
+  el.Add(v, core, 4);
+  const Graph updated = Graph::FromEdgeList(std::move(el));
+  auto pairs = SampleQueryPairs(updated, 100, 31);
+  for (VertexId u = 0; u < v; u += 15) pairs.emplace_back(v, u);
+  hammer(pairs, &expect);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_EQ(expect[i], DijkstraP2P(updated, pairs[i].first,
+                                     pairs[i].second))
+        << "pair (" << pairs[i].first << "," << pairs[i].second << ")";
+  }
+
+  // Delete a below-core vertex (lazy §8.3: answers between survivors may
+  // keep a stale transit, as a fresh engine's do).
+  VertexId gone = kInvalidVertex;
+  for (VertexId u = 0; u < v && gone == kInvalidVertex; ++u) {
+    if (!index.InCore(u) && u != below) gone = u;
+  }
+  ASSERT_NE(gone, kInvalidVertex);
+  ASSERT_TRUE(index.DeleteVertex(gone).ok());
+  pairs.erase(std::remove_if(pairs.begin(), pairs.end(),
+                             [gone](const auto& p) {
+                               return p.first == gone || p.second == gone;
+                             }),
+              pairs.end());
+  hammer(pairs, &expect);
 }
 
 TEST_F(ConcurrencyTest, ConcurrentOneToManyAcrossThreads) {

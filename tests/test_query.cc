@@ -372,16 +372,47 @@ TEST(Query, DiskModeMatchesMemoryMode) {
   ISLabelIndex disk_index = std::move(loaded).value();
   ASSERT_TRUE(disk_index.labels_on_disk());
 
-  for (auto [s, t] : SampleQueryPairs(g, 120, 17)) {
+  // Sampled pairs, plus a core-core and a core-below pair picked as
+  // Query.LocationTypesReported picks them, so every Table 5 type shows.
+  auto pairs = SampleQueryPairs(g, 120, 17);
+  VertexId core1 = kInvalidVertex, core2 = kInvalidVertex;
+  VertexId low = kInvalidVertex;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (disk_index.InCore(v)) {
+      (core1 == kInvalidVertex ? core1 : core2) = v;
+    } else if (low == kInvalidVertex) {
+      low = v;
+    }
+  }
+  ASSERT_NE(core2, kInvalidVertex);
+  ASSERT_NE(low, kInvalidVertex);
+  pairs.emplace_back(core1, core2);
+  pairs.emplace_back(core1, low);
+  pairs.emplace_back(low, core2);
+
+  // Table 5's type by the number of below-core endpoints.
+  const LocationType kType[3] = {LocationType::kBothInCore,
+                                 LocationType::kOneInCore,
+                                 LocationType::kNoneInCore};
+  std::uint64_t seen[3] = {0, 0, 0};
+  for (auto [s, t] : pairs) {
     Distance dm = 0, dd = 0;
     QueryStats stats;
     ASSERT_TRUE(mem_index.Query(s, t, &dm).ok());
     ASSERT_TRUE(disk_index.Query(s, t, &dd, &stats).ok());
     ASSERT_EQ(dm, dd);
-    if (s != t && !disk_index.InCore(s) && !disk_index.InCore(t)) {
-      EXPECT_EQ(stats.label_ios, 2u);  // disk mode really hits the store
-    }
+    if (s == t) continue;
+    // Disk mode reads the store once per below-core endpoint, and a core
+    // endpoint's trivial label costs no read.
+    const unsigned below = (disk_index.InCore(s) ? 0u : 1u) +
+                           (disk_index.InCore(t) ? 0u : 1u);
+    EXPECT_EQ(stats.label_ios, below) << "(" << s << "," << t << ")";
+    EXPECT_EQ(stats.location, kType[below]) << "(" << s << "," << t << ")";
+    ++seen[below];
   }
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[1], 0u);
+  EXPECT_GT(seen[2], 0u);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }
@@ -400,7 +431,8 @@ TEST(EpochWrap, QueriesStayExactAcrossInsertAndWrap) {
   ASSERT_TRUE(built.ok());
   ISLabelIndex index = std::move(built).value();
 
-  // An engine of our own, NOT reset by the index's update path.
+  // An engine of our own that lives across the update, as every engine in
+  // the index's pool does (ConcurrencyTest.PoolOutlivesUpdates).
   QueryEngine engine(&index.hierarchy(), LabelProvider(&index.labels()));
   engine.SetEpochForTesting(std::numeric_limits<std::uint32_t>::max() - 3);
 

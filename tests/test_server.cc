@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "backends/ch_index.h"
 #include "baseline/dijkstra.h"
 #include "core/index.h"
 #include "loopback_client.h"
@@ -339,6 +340,47 @@ TEST(IndexCache, DeleteVertexInvalidatesAndPinsStaleTransit) {
   ASSERT_TRUE(index.Query(a, b, &cached_post).ok());
   EXPECT_EQ(cached_post, post);
   EXPECT_GT(cache->GetStats().hits, hits_before);
+}
+
+TEST(IndexCache, CoreDeleteVertexInvalidates) {
+  // Deleting a core vertex rebuilds G_k. On a path it cuts the only route
+  // between the two ends, so their cached distance must not be served
+  // again: the next query misses and answers what an identical uncached
+  // index answers after the same delete.
+  Graph g = MakeTestGraph(Family::kPath, 12, /*weighted=*/true, 4);
+  IndexOptions opts;
+  opts.forced_k = 2;
+  auto built = ISLabelIndex::Build(g, opts);
+  ASSERT_TRUE(built.ok());
+  ISLabelIndex index = std::move(built).value();
+  auto twin_built = ISLabelIndex::Build(g, opts);
+  ASSERT_TRUE(twin_built.ok());
+  ISLabelIndex twin = std::move(twin_built).value();
+  const VertexId s = 0, t = g.NumVertices() - 1;
+
+  VertexId c = kInvalidVertex;
+  for (VertexId u = s + 1; u < t && c == kInvalidVertex; ++u) {
+    if (index.InCore(u)) c = u;
+  }
+  ASSERT_NE(c, kInvalidVertex);
+
+  auto cache = std::make_shared<QueryCache>();
+  index.set_distance_cache(cache);
+  Distance before = 0;
+  ASSERT_TRUE(index.Query(s, t, &before).ok());
+  ASSERT_TRUE(index.Query(s, t, &before).ok());  // now cached
+  ASSERT_EQ(cache->GetStats().hits, 1u);
+
+  ASSERT_TRUE(index.DeleteVertex(c).ok());
+  ASSERT_TRUE(twin.DeleteVertex(c).ok());
+  Distance after = 0;
+  ASSERT_TRUE(index.Query(s, t, &after).ok());
+  EXPECT_EQ(cache->GetStats().hits, 1u)
+      << "s-t was served from a stale cache entry across a core delete";
+  Distance uncached = 0;
+  ASSERT_TRUE(twin.Query(s, t, &uncached).ok());
+  EXPECT_EQ(after, uncached);
+  EXPECT_NE(after, before);
 }
 
 // ---------------------------------------------------------------------------
@@ -1127,17 +1169,24 @@ TEST(DispatcherMetrics, StageBoundariesCostOneClockReadEach) {
   // The budget: one read per stage boundary. A hit crosses three (the
   // trace's start, cache_lookup, encode). A miss through one engine
   // lease crosses seven (start, cache_lookup, kernel up to the lease,
-  // pool_wait, kernel, the cache insert's cache_lookup, encode).
-  {
-    Graph graph = MakeTestGraph(Family::kPath, 32, true, 3);
-    auto built = ISLabelIndex::Build(graph);
-    ASSERT_TRUE(built.ok());
-    ISLabelIndex index = std::move(built).value();
+  // pool_wait, kernel, the cache insert's cache_lookup, encode), on
+  // either backend: both lease from the one engine pool.
+  Graph graph = MakeTestGraph(Family::kPath, 32, true, 3);
+  auto islabel = ISLabelIndex::Build(graph);
+  ASSERT_TRUE(islabel.ok());
+  auto ch = CHIndex::Build(graph);
+  ASSERT_TRUE(ch.ok());
+  std::vector<std::unique_ptr<DistanceIndex>> backends;
+  backends.push_back(
+      std::make_unique<ISLabelIndex>(std::move(islabel).value()));
+  backends.push_back(std::make_unique<CHIndex>(std::move(ch).value()));
+  for (const std::unique_ptr<DistanceIndex>& index : backends) {
+    SCOPED_TRACE(index->Info().backend);
     auto cache = std::make_shared<QueryCache>(QueryCacheOptions{});
-    index.set_distance_cache(cache);
+    index->set_distance_cache(cache);
     ManualClock base;
     CountingClock clock(&base);
-    server::RequestDispatcher dispatcher(&index);
+    server::RequestDispatcher dispatcher(index.get());
     obs::MetricRegistry registry;
     server::RequestDispatcher::MetricsOptions mopts;
     mopts.registry = &registry;

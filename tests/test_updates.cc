@@ -137,6 +137,31 @@ TEST(Insert, ValidationErrors) {
   EXPECT_TRUE(index.InsertVertex(10, {{99, 1}}).IsOutOfRange());
   EXPECT_TRUE(index.InsertVertex(10, {{3, 0}}).IsInvalidArgument());
   EXPECT_TRUE(index.InsertVertex(10, {{10, 1}}).IsInvalidArgument());
+
+  // A core bridge whose weight overflows Weight: vertex 0 lies below G_k,
+  // 2 away from its core ancestor, so the bridge weighs 2 + UINT32_MAX.
+  // The failed insert must leave the index as it found it.
+  EdgeList el(12);
+  for (VertexId u = 0; u + 1 < 12; ++u) el.Add(u, u + 1, 2);
+  const Graph path = Graph::FromEdgeList(std::move(el));
+  IndexOptions opts;
+  opts.forced_k = 2;
+  auto built_path = ISLabelIndex::Build(path, opts);
+  ASSERT_TRUE(built_path.ok());
+  ISLabelIndex lifted = std::move(built_path).value();
+  ASSERT_FALSE(lifted.InCore(0));
+  EXPECT_TRUE(lifted.InsertVertex(12, {{0, UINT32_MAX}}).IsOutOfRange());
+  EXPECT_EQ(lifted.NumVertices(), 12u);
+  EXPECT_EQ(lifted.hierarchy().core_id.size(), 12u);
+  ASSERT_TRUE(lifted.InsertVertex(12, {}).ok());
+  for (auto [s, t] : SampleQueryPairs(path, 40, 5)) {
+    Distance d = 0;
+    ASSERT_TRUE(lifted.Query(s, t, &d).ok());
+    ASSERT_EQ(d, DijkstraP2P(path, s, t)) << "(" << s << "," << t << ")";
+  }
+  Distance d = 0;
+  ASSERT_TRUE(lifted.Query(0, 12, &d).ok());
+  EXPECT_EQ(d, kInfDistance);
 }
 
 TEST(Delete, CoreVertexAbsentFromLabelsIsExact) {

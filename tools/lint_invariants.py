@@ -76,6 +76,12 @@ this linter proves the conventions that make that proof meaningful:
                    Catalog::Publish, which swaps it in before it bumps
                    the cache generation (DESIGN.md §12.4). A second
                    call site is a second install path.
+  one-pool         No class or struct whose name ends in Pool is declared
+                   in src/ outside core/engine_pool.h (a forward
+                   declaration does not count): every backend leases
+                   its per-query scratch from EnginePool<T> (DESIGN.md
+                   §13.2), so a second free list, lock and lease type
+                   cannot grow back beside it.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -534,6 +540,25 @@ def rule_catalog_install(root):
             for rel, lineno in calls[1:]]
 
 
+# A definition (or its opening line), not a forward declaration.
+POOL_DECL_RE = re.compile(r"\b(?:class|struct)\s+(\w*Pool)\b(?!\s*;)")
+POOL_HOME = os.path.join("src", "core", "engine_pool.h")
+
+
+def rule_one_pool(root):
+    violations = []
+    for rel in walk_sources(root, "src"):
+        if rel == POOL_HOME:
+            continue
+        for lineno, text in code_lines(read_lines(root, rel)):
+            for m in POOL_DECL_RE.finditer(text):
+                violations.append(
+                    (rel, lineno, "one-pool",
+                     f"'{m.group(1)}' declared: lease per-query scratch "
+                     f"from EnginePool<T> ({POOL_HOME}), the one pool"))
+    return violations
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -568,6 +593,7 @@ RULES = [
     rule_trace_seam,
     rule_io_seam,
     rule_catalog_install,
+    rule_one_pool,
 ]
 
 
@@ -599,6 +625,7 @@ SELF_TEST_EXPECTED = {
     "trace-seam": 1,
     "io-seam": 2,
     "catalog-install": 1,
+    "one-pool": 1,
 }
 
 
