@@ -57,6 +57,8 @@ class DirectedISLabel {
   std::uint32_t k() const { return hierarchy_->k; }
   std::uint32_t LevelOf(VertexId v) const { return hierarchy_->level[v]; }
   bool InCore(VertexId v) const { return hierarchy_->InCore(v); }
+  /// Levels and dense core ids; g_k and the landmark table stay empty.
+  const VertexHierarchy& hierarchy() const { return *hierarchy_; }
   const LabelArena& out_labels() const { return *out_labels_; }
   const LabelArena& in_labels() const { return *in_labels_; }
 
@@ -68,7 +70,8 @@ class DirectedISLabel {
   // moves. The hierarchy keeps each vertex's level and the dense core ids,
   // not the ancestor DAG (released after labeling); its g_k stays empty,
   // the core being `core_`, over dense ids, its out- and in-lists sorted
-  // by weight as g_k's are.
+  // by weight as g_k's are. With g_k its landmark table stays empty, so
+  // the search starts at Equation 1's µ (DESIGN §7.6).
   std::unique_ptr<VertexHierarchy> hierarchy_;
   std::unique_ptr<DiGraph> core_;
   std::unique_ptr<LabelArena> out_labels_;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "baseline/dijkstra.h"
 #include "core/augment.h"
 #include "core/independent_set.h"
 #include "core/level_graph.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace islabel {
@@ -72,6 +74,36 @@ Result<VertexHierarchy> BuildHierarchyInMemory(const Graph& g,
   return h;
 }
 
+// The landmark table of `g_k` (DESIGN §7.6): its min(kLandmarks, |G_k|)
+// highest-degree vertices, ties to the lower dense id, and one row per
+// dense id of G_k distances to them. Each landmark's Dijkstra writes its
+// own column buffer, so the rows are filled after the parallel part.
+std::vector<LandmarkRow> ComputeLandmarkTable(const Graph& g_k) {
+  const VertexId n = g_k.NumVertices();
+  std::vector<std::pair<std::uint32_t, VertexId>> by_degree;  // (~degree, id)
+  by_degree.reserve(n);
+  for (VertexId c = 0; c < n; ++c) by_degree.emplace_back(~g_k.Degree(c), c);
+  const std::size_t count = std::min<std::size_t>(kLandmarks, n);
+  std::partial_sort(by_degree.begin(), by_degree.begin() + count,
+                    by_degree.end());
+
+  std::vector<std::vector<Distance>> columns(count);
+  ParallelFor(count, /*num_threads=*/0, [&](std::size_t j) {
+    columns[j] = DijkstraSssp(g_k, by_degree[j].second).dist;
+  });
+
+  std::vector<LandmarkRow> rows(n);
+  for (VertexId c = 0; c < n; ++c) {
+    for (std::size_t j = 0; j < kLandmarks; ++j) {
+      rows[c].dist[j] =
+          j < count ? static_cast<std::uint32_t>(std::min<Distance>(
+                          columns[j][c], kLandmarkFar))
+                    : kLandmarkFar;
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 void VertexHierarchy::NumberCore(const Csr& core) {
@@ -125,6 +157,7 @@ void VertexHierarchy::SetCore(const Graph& core) {
   NumberCore(core);
   g_k = core.Renumbered(core_id, core_vertex);
   g_k.SortListsByWeight();
+  landmarks = ComputeLandmarkTable(g_k);
 }
 
 Graph VertexHierarchy::GlobalCore() const {

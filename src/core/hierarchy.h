@@ -11,15 +11,18 @@
 //     *at removal time*, i.e. its out-edges in the ancestor DAG. These are
 //     exactly the ADJ(L_i) lists Algorithm 2 emits;
 //   * the residual core graph G_k (with augmenting-edge via vertices when
-//     path reconstruction is enabled).
+//     path reconstruction is enabled), and beside it a table of G_k
+//     distances to a few landmarks, from which the search takes a finite
+//     starting µ (DESIGN §7.6).
 //
 // Only labeling reads the ancestor DAG (removed_adj and the members of
 // each L_i); a served index releases it once its labels are computed
-// (ReleaseDag) and keeps level, G_k and the core ids.
+// (ReleaseDag) and keeps level, G_k, the landmark table and the core ids.
 
 #ifndef ISLABEL_CORE_HIERARCHY_H_
 #define ISLABEL_CORE_HIERARCHY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +57,20 @@ struct LevelStats {
   std::uint64_t is_size = 0;       // |L_i| (0 for the terminal level)
 };
 
+/// Landmarks per G_k (DESIGN §7.6): the kLandmarks highest-degree G_k
+/// vertices, fewer when G_k is smaller.
+inline constexpr std::size_t kLandmarks = 8;
+
+/// One dense core id's G_k distances to the landmarks. kLandmarkFar means
+/// unreachable or too far for 32 bits, and a column past the last
+/// landmark holds it too: an entry that only loosens the bound.
+inline constexpr std::uint32_t kLandmarkFar = UINT32_MAX;
+struct alignas(32) LandmarkRow {
+  std::uint32_t dist[kLandmarks];
+};
+static_assert(sizeof(LandmarkRow) == 32,
+              "a landmark row is half a cache line");
+
 /// The k-level vertex hierarchy (Definition 4).
 struct VertexHierarchy {
   /// ℓ(v) ∈ [1, k]; vertices of the residual graph carry k.
@@ -73,6 +90,13 @@ struct VertexHierarchy {
   /// at a list's first edge that cannot beat µ (DESIGN §7.5): HasEdge and
   /// EdgeWeight do not apply (they fail an ISLABEL_DCHECK).
   Graph g_k;
+
+  /// landmarks[c] holds dense core id c's G_k distances to the landmarks:
+  /// the min(kLandmarks, |G_k|) highest-degree vertices of g_k, ties to
+  /// the lower dense id, in that order. Assigned with g_k by SetCore, so
+  /// it always describes the G_k the search reads; not saved. Empty when
+  /// g_k is (the directed index keeps its core elsewhere).
+  std::vector<LandmarkRow> landmarks;
 
   /// Global id -> dense core id; kInvalidVertex for vertices below level k.
   std::vector<VertexId> core_id;
@@ -106,8 +130,9 @@ struct VertexHierarchy {
 
   /// Installs G_k from `core`, a CSR over global ids whose edges all join
   /// level-k vertices: NumberCore, then g_k is `core` in dense ids with
-  /// its lists sorted by weight. The one way to assign g_k, core_id and
-  /// core_vertex.
+  /// its lists sorted by weight, then the landmark table over that g_k
+  /// (one Dijkstra per landmark, in parallel). The one way to assign g_k,
+  /// landmarks, core_id and core_vertex.
   void SetCore(const Graph& core);
 
   /// G_k back in global ids over core_id.size() vertices (NumVertices()

@@ -32,6 +32,39 @@ int SmallerFrontier(std::size_t forward, std::size_t reverse) {
   return forward <= reverse ? 0 : 1;
 }
 
+// Per landmark l, min over `seeds` (dense core ids) of d + d_{G_k}(seed, l):
+// one side of the landmark bound of DESIGN §7.6.
+void NearestThroughLandmarks(const std::vector<LandmarkRow>& table,
+                             const std::vector<LabelEntry>& seeds,
+                             Distance (&out)[kLandmarks]) {
+  std::fill(out, out + kLandmarks, kInfDistance);
+  for (const LabelEntry& e : seeds) {
+    const LandmarkRow& row = table[e.node];
+    for (std::size_t l = 0; l < kLandmarks; ++l) {
+      if (row.dist[l] == kLandmarkFar) continue;
+      out[l] = std::min(out[l], SatAdd(e.dist, row.dist[l]));
+    }
+  }
+}
+
+// B = min over landmarks l of [min_a (d_a + d(a, l)) + min_b (d_b + d(b, l))]
+// over the two seed sets (DESIGN §7.6). Each term is the length of a walk
+// s -> a -> l -> b -> t through the labels and G_k, so B bounds from above
+// the best seeded G_k path. kInfDistance when the table is empty.
+Distance LandmarkBound(const std::vector<LandmarkRow>& table,
+                       const std::vector<LabelEntry>& forward,
+                       const std::vector<LabelEntry>& reverse) {
+  if (table.empty()) return kInfDistance;
+  Distance to[kLandmarks], from[kLandmarks];
+  NearestThroughLandmarks(table, forward, to);
+  NearestThroughLandmarks(table, reverse, from);
+  Distance bound = kInfDistance;
+  for (std::size_t l = 0; l < kLandmarks; ++l) {
+    bound = std::min(bound, SatAdd(to[l], from[l]));
+  }
+  return bound;
+}
+
 }  // namespace
 
 Status LabelProvider::View(VertexId v, LabelView* view,
@@ -195,7 +228,9 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   }
 
   // Stage 2: label-based bidirectional Dijkstra on G_k — Time (b). Both
-  // sides share one fresh epoch.
+  // sides share one fresh epoch. µ starts at min(Equation 1, B), B the
+  // landmark bound (DESIGN §7.6); a path query starts at B + 1, so that
+  // the search still finds a path no longer than B and records its meet.
   if (stats != nullptr) {
     timer->Restart();
     stats->used_search = true;
@@ -205,7 +240,11 @@ Status QueryEngine::Run(VertexId s, VertexId t, Distance* out,
   const std::uint32_t epoch = ++epoch_;
   SeedSide(0, epoch);
   SeedSide(1, epoch);
-  const Distance mu = disable_mu_pruning_ ? kInfDistance : eq1.dist;
+  Distance mu = kInfDistance;
+  if (!disable_mu_pruning_) {
+    const Distance bound = LandmarkBound(h_->landmarks, seeds_[0], seeds_[1]);
+    mu = std::min(eq1.dist, capture == nullptr ? bound : SatAdd(bound, 1));
+  }
   Distance d = SearchLoop(mu, epoch, epoch, /*forward_ball=*/false, stats,
                           capture);
   if (disable_mu_pruning_ && eq1.dist < d) d = eq1.dist;

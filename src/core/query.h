@@ -10,6 +10,13 @@
 //      Dijkstra of Algorithm 1 on G_k, seeded with the label entries that
 //      land in G_k and pruned by min(FQ) + min(RQ) >= µ (Theorem 4). This
 //      is the paper's Time (b).
+//      µ starts at min(Equation 1, B), B the landmark bound: the shortest
+//      walk from the forward seeds to one of the hierarchy's landmarks and
+//      on to the reverse seeds, read from its table of G_k distances. B
+//      bounds a real seeded path from above, so it cannot change an
+//      answer, and each relax loop can stop from the first settle (DESIGN
+//      §7.6). A path query starts at B + 1, so that the search still
+//      records its own meet. The one-to-many search takes no bound.
 //      Each round expands the side whose frontier holds fewer entries
 //      (DESIGN §7.4). G_k's lists run in ascending weight, so a settled
 //      vertex's list is read only up to its first edge whose new distance
@@ -132,7 +139,9 @@ class QueryEngine {
   /// Undirected: both sides read `provider` and hierarchy->g_k.
   QueryEngine(const VertexHierarchy* hierarchy, LabelProvider provider);
   /// The hierarchy supplies levels and dense core ids; its g_k is read
-  /// only through the sides' `arcs`.
+  /// only through the sides' `arcs`. Its landmark table, which describes
+  /// its g_k, gives the starting bound, so sides over other arcs need a
+  /// hierarchy whose g_k and table are empty (the directed index's).
   QueryEngine(const VertexHierarchy* hierarchy, SearchSide forward,
               SearchSide reverse);
 
@@ -152,10 +161,11 @@ class QueryEngine {
   Status QueryOneToMany(VertexId s, const std::vector<VertexId>& targets,
                         std::vector<Distance>* out);
 
-  /// Ablation hook (bench_ablation_pruning): when true, the bi-Dijkstra
-  /// starts with µ = ∞ instead of the Equation-1 bound; answers stay exact
+  /// Ablation hook (bench_ablation_pruning, and IM-DIJ in
+  /// bench_table8_comparison): when true, the bi-Dijkstra starts with
+  /// µ = ∞ instead of min(Equation 1, landmark bound); answers stay exact
   /// (the final result still takes min with Equation 1). The search then
-  /// loses the Equation-1 bound only: µ still tightens as the two sides
+  /// loses the two starting bounds only: µ still tightens as the two sides
   /// meet, and from then on the stop rule and each relax loop's early stop
   /// (DESIGN §7.5) prune against it.
   void set_disable_mu_pruning(bool v) { disable_mu_pruning_ = v; }

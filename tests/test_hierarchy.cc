@@ -1,21 +1,26 @@
 // Tests for hierarchy construction: Algorithm 2 (independent set),
 // Algorithm 3 (distance-preserving augmentation), both also over a
 // digraph's out- and in-graph (§8.2), the σ / forced-k / full termination
-// rules, and the structural invariants of Definition 1.
+// rules, the structural invariants of Definition 1, and the landmark table
+// that every install of G_k computes (DESIGN §7.6).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "baseline/dijkstra.h"
 #include "core/augment.h"
+#include "core/directed.h"
 #include "core/hierarchy.h"
 #include "core/independent_set.h"
+#include "core/index.h"
 #include "core/level_graph.h"
 #include "graph/digraph.h"
 #include "tests/test_common.h"
@@ -479,6 +484,121 @@ TEST(Hierarchy, CoreIdsFollowBfsOrderFromHighestDegreeRoots) {
       ASSERT_EQ(weight_of(h.core_id[e.u], h.core_id[e.v]), e.w);
     }
   }
+}
+
+// ---------- The landmark table (DESIGN §7.6) ----------
+
+// The landmarks the table must hold, in column order: the
+// min(kLandmarks, |G_k|) highest-degree G_k vertices, ties to the lower
+// dense id.
+std::vector<VertexId> ExpectedLandmarks(const Graph& g_k) {
+  std::vector<VertexId> ids(g_k.NumVertices());
+  for (VertexId c = 0; c < ids.size(); ++c) ids[c] = c;
+  std::stable_sort(ids.begin(), ids.end(), [&](VertexId a, VertexId b) {
+    return g_k.Degree(a) > g_k.Degree(b);
+  });
+  ids.resize(std::min<std::size_t>(ids.size(), kLandmarks));
+  return ids;
+}
+
+// Passes iff h's table has one row per G_k vertex and its entry for dense
+// id c and landmark column j is dist(c, landmark j), capped at
+// kLandmarkFar, with every column past the last landmark far.
+template <typename DistFn>
+::testing::AssertionResult TableMatches(const VertexHierarchy& h,
+                                        DistFn dist) {
+  if (h.landmarks.size() != h.g_k.NumVertices()) {
+    return ::testing::AssertionFailure()
+           << h.landmarks.size() << " rows for |G_k| = " << h.g_k.NumVertices();
+  }
+  const std::vector<VertexId> marks = ExpectedLandmarks(h.g_k);
+  for (std::size_t j = 0; j < kLandmarks; ++j) {
+    const auto want = [&](VertexId c) -> std::uint32_t {
+      if (j >= marks.size()) return kLandmarkFar;
+      const Distance d = dist(c, marks[j]);
+      return d >= kLandmarkFar ? kLandmarkFar : static_cast<std::uint32_t>(d);
+    };
+    for (VertexId c = 0; c < h.g_k.NumVertices(); ++c) {
+      if (h.landmarks[c].dist[j] != want(c)) {
+        return ::testing::AssertionFailure()
+               << "dense id " << c << ", landmark column " << j << ": "
+               << h.landmarks[c].dist[j] << ", want " << want(c);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every path that installs G_k installs a table that matches it: the
+// in-memory and the external build, Load, and RebuildCore after an insert
+// and after the delete of a landmark. The directed index keeps no table.
+TEST(Hierarchy, LandmarkTableMatchesDijkstra) {
+  const std::string dir = ::testing::TempDir() + "islabel_landmarks";
+  for (const Family family : {Family::kBarabasiAlbert, Family::kGrid,
+                              Family::kDisconnected,
+                              Family::kCliqueCommunity}) {
+    SCOPED_TRACE(testing::FamilyName(family));
+    const Graph g = MakeTestGraph(family, 400, true, 4);
+    // G_k preserves distances among its vertices (Lemma 1), so every entry
+    // is a distance of G between two global ids: a check that does not
+    // run the Dijkstra over g_k that filled the table.
+    const auto in_g = [&](const VertexHierarchy& h) {
+      return [&g, &h](VertexId c, VertexId mark) {
+        return DijkstraP2P(g, h.core_vertex[c], h.core_vertex[mark]);
+      };
+    };
+    IndexOptions external;
+    external.memory_budget_bytes = 4096;
+    for (const IndexOptions& opts : {IndexOptions{}, external}) {
+      auto built = ISLabelIndex::Build(g, opts);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const VertexHierarchy& h = built->hierarchy();
+      ASSERT_GE(h.g_k.NumVertices(), kLandmarks) << "G_k too small to test";
+      EXPECT_TRUE(TableMatches(h, in_g(h)));
+    }
+
+    auto built = ISLabelIndex::Build(g, IndexOptions{});
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(built->Save(dir).ok());
+    for (const bool in_memory : {true, false}) {
+      auto loaded = ISLabelIndex::Load(dir, in_memory);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_TRUE(TableMatches(loaded->hierarchy(),
+                               in_g(loaded->hierarchy())));
+    }
+
+    // After an update G_k is no longer G's core, so the reference is a
+    // point-to-point Dijkstra over the new g_k.
+    ISLabelIndex index = std::move(built).value();
+    const VertexHierarchy& h = index.hierarchy();
+    const auto in_gk = [&h](VertexId c, VertexId mark) {
+      return DijkstraP2P(h.g_k, c, mark);
+    };
+    VertexId below = 0;
+    while (index.InCore(below)) ++below;
+    ASSERT_TRUE(index.InsertVertex(index.NumVertices(),
+                                   {{below, 2}, {h.core_vertex[0], 1}})
+                    .ok());
+    EXPECT_TRUE(TableMatches(h, in_gk));
+    const VertexId mark = h.core_vertex[ExpectedLandmarks(h.g_k)[0]];
+    ASSERT_TRUE(index.DeleteVertex(mark).ok());
+    EXPECT_NE(h.core_vertex[ExpectedLandmarks(h.g_k)[0]], mark);
+    EXPECT_TRUE(TableMatches(h, in_gk));
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+
+  std::vector<Arc> arcs;
+  const EdgeList edges =
+      MakeTestGraph(Family::kBarabasiAlbert, 400, true, 4).ToEdgeList();
+  for (const Edge& e : edges.edges()) {
+    arcs.emplace_back(e.u, e.v, e.w);
+    if (e.w % 2 == 0) arcs.emplace_back(e.v, e.u, e.w);
+  }
+  auto directed = DirectedISLabel::Build(DiGraph::FromArcs(std::move(arcs)));
+  ASSERT_TRUE(directed.ok());
+  EXPECT_FALSE(directed->hierarchy().core_vertex.empty());
+  EXPECT_TRUE(directed->hierarchy().landmarks.empty());
 }
 
 TEST(Hierarchy, FullHierarchyEmptiesTheGraph) {

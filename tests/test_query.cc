@@ -479,6 +479,54 @@ TEST(EpochWrap, QueriesStayExactAcrossInsertAndWrap) {
   }
 }
 
+// ---------- The landmark bound saves edges, not answers ----------
+
+// A pair search starts at µ = min(Equation 1, B), B the landmark bound
+// (DESIGN §7.6). Against a copy of the hierarchy whose table is emptied,
+// which starts at Equation 1 alone, on uniform pairs (where Equation 1
+// almost never bounds µ): every answer is the same and Dijkstra's, fewer
+// edges are read, because each relax loop can stop from the first settle,
+// and as many vertices settle, give or take the expansion order's count
+// of skipped edges.
+TEST(Query, LandmarkBoundSavesEdgesNotAnswers) {
+  for (const Family family :
+       {Family::kCliqueCommunity, Family::kBarabasiAlbert}) {
+    SCOPED_TRACE(testing::FamilyName(family));
+    const Graph g = MakeTestGraph(family, 4000, true, 71);
+    auto built = ISLabelIndex::Build(g, IndexOptions{});
+    ASSERT_TRUE(built.ok());
+    const ISLabelIndex index = std::move(built).value();
+    ASSERT_FALSE(index.hierarchy().landmarks.empty());
+    VertexHierarchy unbounded = index.hierarchy();
+    unbounded.landmarks.clear();
+    QueryEngine engines[2] = {
+        QueryEngine(&index.hierarchy(), LabelProvider(&index.labels())),
+        QueryEngine(&unbounded, LabelProvider(&index.labels()))};
+
+    Rng rng(5);
+    const VertexId n = g.NumVertices();
+    std::uint64_t settled[2] = {0, 0}, relaxed[2] = {0, 0};
+    for (int i = 0; i < 600; ++i) {
+      const VertexId s = static_cast<VertexId>(rng.Uniform(n));
+      const VertexId t = static_cast<VertexId>(rng.Uniform(n));
+      const Distance want = DijkstraP2P(g, s, t);
+      for (int e = 0; e < 2; ++e) {
+        Distance d = 0;
+        QueryStats stats;
+        ASSERT_TRUE(engines[e].Query(s, t, &d, &stats).ok());
+        ASSERT_EQ(d, want) << "query (" << s << "," << t << "), "
+                           << (e == 0 ? "with" : "without") << " the table";
+        settled[e] += stats.settled;
+        relaxed[e] += stats.relaxed;
+      }
+    }
+    EXPECT_LT(relaxed[0], relaxed[1]) << "edges read with / without";
+    EXPECT_NEAR(static_cast<double>(settled[0]),
+                static_cast<double>(settled[1]), 0.02 * settled[1])
+        << "vertices settled with / without";
+  }
+}
+
 // ---------- One-to-many matches the single-query engine ----------
 
 // The warm forward ball is exact only with the seed-time µ check of

@@ -82,6 +82,12 @@ this linter proves the conventions that make that proof meaningful:
                    its per-query scratch from EnginePool<T> (DESIGN.md
                    §13.2), so a second free list, lock and lease type
                    cannot grow back beside it.
+  core-install     Nothing in src/ outside core/hierarchy.cc assigns,
+                   swaps, clears or resizes a hierarchy's g_k or its
+                   landmark table: VertexHierarchy::SetCore installs
+                   both together (DESIGN.md §7.2, §7.6), so the table
+                   the search's starting bound reads cannot drift from
+                   the G_k the search reads.
 
 Usage:
   tools/lint_invariants.py [--root REPO]   lint the repository
@@ -559,6 +565,28 @@ def rule_one_pool(root):
     return violations
 
 
+# g_k or landmarks written: assigned (not compared), or changed in place.
+CORE_WRITE_RE = re.compile(
+    r"\b(g_k|landmarks)\s*(?:=(?!=)|\.\s*(?:swap|clear|assign|resize|"
+    r"push_back|emplace_back|SortListsByWeight)\s*\()")
+CORE_HOME = os.path.join("src", "core", "hierarchy.cc")
+
+
+def rule_core_install(root):
+    violations = []
+    for rel in walk_sources(root, "src"):
+        if rel == CORE_HOME:
+            continue
+        for lineno, text in code_lines(read_lines(root, rel)):
+            for m in CORE_WRITE_RE.finditer(text):
+                violations.append(
+                    (rel, lineno, "core-install",
+                     f"'{m.group(1)}' written: install G_k and its landmark "
+                     f"table through VertexHierarchy::SetCore ({CORE_HOME}), "
+                     "which assigns both"))
+    return violations
+
+
 TESTS_CMAKE = os.path.join("tests", "CMakeLists.txt")
 
 
@@ -594,6 +622,7 @@ RULES = [
     rule_io_seam,
     rule_catalog_install,
     rule_one_pool,
+    rule_core_install,
 ]
 
 
@@ -626,6 +655,7 @@ SELF_TEST_EXPECTED = {
     "io-seam": 2,
     "catalog-install": 1,
     "one-pool": 1,
+    "core-install": 1,
 }
 
 
