@@ -1,8 +1,7 @@
 #include "server/protocol.h"
 
+#include <array>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 
 #include "obs/trace.h"
 
@@ -23,18 +22,43 @@ constexpr std::string_view kUsageTid =
 constexpr std::string_view kUsageTracez =
     "error: usage: tracez [slow|errors|id HEX] [N]";
 
-/// Splits on runs of spaces/tabs (the only separators the grammar allows).
-std::vector<std::string_view> Tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t begin = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > begin) tokens.push_back(line.substr(begin, i - begin));
+/// The tokens of one line, split on runs of spaces/tabs (the only
+/// separators the grammar allows). The first kInline sit in an array on
+/// the stack, so no line of kInline tokens or fewer allocates; only a
+/// wider `one` line spills the rest to the heap.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) {
+    std::size_t i = 0;
+    while (i < line.size()) {
+      while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+      const std::size_t begin = i;
+      while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+      if (i == begin) continue;
+      if (size_ < kInline) {
+        inline_[size_] = line.substr(begin, i - begin);
+      } else {
+        spill_.push_back(line.substr(begin, i - begin));
+      }
+      ++size_;
+    }
   }
-  return tokens;
-}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::string_view operator[](std::size_t i) const {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+  std::string_view back() const { return (*this)[size_ - 1]; }
+  void pop_back() { --size_; }
+
+ private:
+  static constexpr std::size_t kInline = 8;
+
+  std::array<std::string_view, kInline> inline_;
+  std::vector<std::string_view> spill_;
+  std::size_t size_ = 0;
+};
 
 /// Strict decimal uint32: the whole token must be digits and fit VertexId.
 bool ParseVertexId(std::string_view token, VertexId* out) {
@@ -63,6 +87,13 @@ Request Invalid(std::string_view usage) {
   return r;
 }
 
+/// Appends the decimal digits of `v`: the file's one number formatter.
+void AppendDecimal(std::string* out, std::uint64_t v) {
+  char buf[20];  // UINT64_MAX has 20 digits
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
+}
+
 }  // namespace
 
 // [A-Za-z0-9._-] keeps every response line free of spaces/colons inside
@@ -83,7 +114,7 @@ Request ParseRequest(std::string_view line) {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
 
   Request r;
-  std::vector<std::string_view> tokens = Tokenize(line);
+  Tokens tokens(line);
   if (tokens.empty() || tokens[0].front() == '#') return r;  // kNone
 
   // The optional trailing trace-id token is stripped BEFORE the
@@ -219,9 +250,9 @@ Request ParseRequest(std::string_view line) {
 
 std::string FormatDistance(Distance d) {
   if (d == kInfDistance) return "unreachable";
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, d);
-  return buf;
+  std::string out;
+  AppendDecimal(&out, d);
+  return out;
 }
 
 std::string FormatDistances(const std::vector<Distance>& dists) {
@@ -237,10 +268,9 @@ std::string FormatPath(Distance d, const std::vector<VertexId>& path) {
   if (d == kInfDistance) return "unreachable";
   std::string out = FormatDistance(d);
   out += ':';
-  char buf[16];
   for (VertexId v : path) {
-    std::snprintf(buf, sizeof(buf), " %u", v);
-    out += buf;
+    out += ' ';
+    AppendDecimal(&out, v);
   }
   return out;
 }
@@ -252,12 +282,14 @@ std::string FormatError(const Status& st) {
 std::string FormatDatasets(const std::vector<DatasetCounters>& datasets) {
   std::string out = "datasets:";
   for (const DatasetCounters& d : datasets) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ":%s:%u:%" PRIu64, d.state.c_str(),
-                  d.parts, d.vertices);
     out += ' ';
     out += d.name;
-    out += buf;
+    out += ':';
+    out += d.state;
+    out += ':';
+    AppendDecimal(&out, d.parts);
+    out += ':';
+    AppendDecimal(&out, d.vertices);
     out += ':';
     out += d.backends.empty() ? "-" : d.backends;
   }

@@ -46,6 +46,9 @@
 // Both front ends parse with ParseRequest and format with the Format*
 // helpers below, so the stdin loop and the TCP server cannot drift. Every
 // front end that reads request lines caps them at kMaxRequestLineBytes.
+// Neither allocates beyond what its result holds: tokens sit on the stack
+// and numbers are written by std::to_chars, so a warm cache hit allocates
+// nothing (DESIGN.md §11.1, tests/test_alloc.cc).
 
 #ifndef ISLABEL_SERVER_PROTOCOL_H_
 #define ISLABEL_SERVER_PROTOCOL_H_

@@ -82,16 +82,19 @@ class RadixHeap {
     std::uint64_t min_key = std::numeric_limits<std::uint64_t>::max();
     for (const Entry& e : buckets_[i]) min_key = std::min(min_key, e.key);
     last_ = min_key;
-    // Swap through the member scratch so both the emptied bucket and the
-    // scratch keep their capacity — redistribution allocates nothing once
-    // warm (the query hot path depends on this).
-    scratch_.swap(buckets_[i]);
-    for (const Entry& e : scratch_) buckets_[BucketFor(e.key)].push_back(e);
-    scratch_.clear();
+    // Every key of bucket i now differs from last_ below bit i - 1, so it
+    // moves to a lower bucket. Reading bucket i in place keeps each
+    // bucket's own capacity, so a query no larger than one already served
+    // allocates nothing here (DESIGN.md §7.2).
+    for (const Entry& e : buckets_[i]) {
+      const int b = BucketFor(e.key);
+      assert(b < i);
+      buckets_[b].push_back(e);
+    }
+    buckets_[i].clear();
   }
 
   std::vector<Entry> buckets_[kBuckets];
-  std::vector<Entry> scratch_;
   std::size_t size_;
   std::uint64_t last_;
 };

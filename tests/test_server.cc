@@ -140,6 +140,81 @@ TEST(Protocol, FormatsResponses) {
             "error: NotFound: gone");
 }
 
+// The tokenizer keeps 8 tokens on the stack and spills wider lines to the
+// heap; `one` lines on both sides of that edge, with and without a trailing
+// tid, must parse to the same Request.
+TEST(Protocol, OneLinesOfEveryWidthKeepEveryTarget) {
+  for (std::size_t n : {5, 6, 7, 8, 9, 1000}) {
+    std::string line = "one 5";
+    std::vector<VertexId> want;
+    for (std::size_t i = 0; i < n; ++i) {
+      want.push_back(static_cast<VertexId>(i * 7919 % 100003));
+      line += ' ';
+      line += std::to_string(want.back());
+    }
+    for (bool tagged : {false, true}) {
+      const Request r = ParseRequest(tagged ? line + " tid=beef" : line);
+      ASSERT_EQ(r.kind, RequestKind::kOneToMany) << n << " targets";
+      EXPECT_EQ(r.s, 5u);
+      EXPECT_EQ(r.targets, want) << n << " targets";
+      EXPECT_EQ(r.trace_id, tagged ? 0xbeefu : 0u);
+    }
+  }
+}
+
+TEST(Protocol, TidAfterAMalformedOneTargetIsTheOneUsageError) {
+  const std::string usage_one = "error: usage: one S T1 [T2 ...]";
+  // The tid is stripped first; the malformed last target then fails `one`.
+  EXPECT_EQ(ParseRequest("one 5 1 2 x tid=beef").error, usage_one);
+  EXPECT_EQ(ParseRequest("one 5 1 2 3 4 5 6 7 8 9 4294967296 tid=beef").error,
+            usage_one);
+  EXPECT_EQ(ParseRequest("one 5 tid=beef").error, usage_one);
+  // A malformed tid on a wide line, and a bare tid, are tid usage errors.
+  const std::string usage_tid =
+      "error: usage: tid=HEX (1-16 hex digits, nonzero)";
+  EXPECT_EQ(ParseRequest("one 5 1 2 3 4 5 6 7 8 9 tid=xyz").error, usage_tid);
+  EXPECT_EQ(ParseRequest("one 5 1 2 3 4 5 6 7 8 9 tid=0").error, usage_tid);
+  EXPECT_EQ(ParseRequest("tid=beef").error, usage_tid);
+}
+
+TEST(Protocol, TabsAndCrAroundAWideLine) {
+  Request r = ParseRequest("\t one\t 5 \t1 2\t\t3 4 5 6 7 8 9 10  tid=ab \r");
+  ASSERT_EQ(r.kind, RequestKind::kOneToMany);
+  EXPECT_EQ(r.s, 5u);
+  EXPECT_EQ(r.targets,
+            (std::vector<VertexId>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(r.trace_id, 0xabu);
+  // An unknown verb echoes the line as sent, without its CR.
+  r = ParseRequest("frob\t1 2 3 4 5 6 7 8 9 10\r");
+  ASSERT_EQ(r.kind, RequestKind::kInvalid);
+  EXPECT_EQ(r.error, "error: unrecognized request: frob\t1 2 3 4 5 6 7 8 9 10");
+  // A wide numeric line is a distance usage error.
+  EXPECT_EQ(ParseRequest("1\t2 3 4 5 6 7 8 9 10\r").error, "error: usage: S T");
+}
+
+TEST(Protocol, FormatsEveryDigitOfExtremeValues) {
+  const Distance big = (Distance{1} << 53) + 1;
+  EXPECT_EQ(server::FormatDistance(0), "0");
+  EXPECT_EQ(server::FormatDistance(UINT32_MAX), "4294967295");
+  EXPECT_EQ(server::FormatDistance(big), "9007199254740993");
+  EXPECT_EQ(server::FormatDistance(kInfDistance - 1), "18446744073709551614");
+  EXPECT_EQ(server::FormatDistance(kInfDistance), "unreachable");
+  EXPECT_EQ(server::FormatDistances(
+                {0, UINT32_MAX, big, kInfDistance - 1, kInfDistance}),
+            "0 4294967295 9007199254740993 18446744073709551614 unreachable");
+  EXPECT_EQ(server::FormatDistances({}), "");
+  EXPECT_EQ(server::FormatPath(kInfDistance - 1, {0, 9, UINT32_MAX - 1,
+                                                  UINT32_MAX}),
+            "18446744073709551614: 0 9 4294967294 4294967295");
+  EXPECT_EQ(server::FormatPath(0, {7}), "0: 7");
+  server::DatasetCounters a{"a", "ready", UINT32_MAX, big, "p0=islabel/60"};
+  server::DatasetCounters b{"b", "failed", 0, 0, ""};
+  EXPECT_EQ(server::FormatDatasets({a, b}),
+            "datasets: a:ready:4294967295:9007199254740993:p0=islabel/60 "
+            "b:failed:0:0:-");
+  EXPECT_EQ(server::FormatDatasets({}), "datasets:");
+}
+
 // ---------------------------------------------------------------------------
 // QueryCache
 // ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ this linter proves the conventions that make that proof meaningful:
                    set pinned in DESIGN.md's `<!-- protocol-verbs: -->`
                    marker, so the wire grammar documentation cannot
                    drift from the parser.
+  protocol-format  server/protocol.cc writes every number through its one
+                   std::to_chars formatter: no printf family, no
+                   std::to_string, no string streams or std::format, so
+                   a warm cache hit allocates nothing (DESIGN.md §11.1,
+                   tests/test_alloc.cc).
   metric-names     Every metric family registered in src/ (GetCounter /
                    GetGauge / GetHistogram / RegisterCallbackGauge with
                    a literal name) appears in DESIGN.md's
@@ -308,6 +313,24 @@ def rule_protocol_verbs(root):
             (DESIGN_FILE, marker_line, "protocol-verbs",
              f"verb '{verb}' documented but not parsed by protocol.cc"))
     return violations
+
+
+# The printf family, std::to_string, string streams and std::format.
+PROTOCOL_FORMAT_PATTERNS = [
+    r"\b(?:v?f|v?s|v?sn)?printf\s*\(",
+    r"\bstd::to_string\s*\(",
+    r"\bstd::(?:[io]?stringstream|ostream)\b",
+    r"\bstd::format\s*\(",
+]
+
+
+def rule_protocol_format(root):
+    if not os.path.exists(os.path.join(root, PROTOCOL_FILE)):
+        return [(PROTOCOL_FILE, 1, "protocol-format", "file not found")]
+    return scan_forbidden(
+        root, [PROTOCOL_FILE], PROTOCOL_FORMAT_PATTERNS, "protocol-format",
+        "protocol.cc writes numbers with std::to_chars (AppendDecimal) "
+        "only, so a warm cache hit allocates nothing")
 
 
 METRIC_MARKER_RE = re.compile(r"<!--\s*metric-names:\s*([^>]*?)\s*-->", re.S)
@@ -613,6 +636,7 @@ RULES = [
     rule_clock_seam,
     rule_rng_seam,
     rule_protocol_verbs,
+    rule_protocol_format,
     rule_metric_names,
     rule_log_events,
     rule_tests_registered,
@@ -642,6 +666,8 @@ SELF_TEST_EXPECTED = {
     "clock-seam": 1,
     "rng-seam": 2,
     "protocol-verbs": 2,   # one undocumented verb + one unparsed verb
+    # one snprintf + one std::to_string + one std::ostringstream
+    "protocol-format": 3,
     # one undocumented metric + one bad prefix + one computed name +
     # one documented-but-unregistered name
     "metric-names": 4,
